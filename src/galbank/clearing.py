@@ -90,8 +90,10 @@ class BatchClearingResult:
         )
 
 
-def _finish(payments, p_bar, ext_share, iterations, residuals, flag_tol):
-    shortfall = np.maximum(p_bar - payments, 0.0)
+def _finish(payments, p_bar, ext_share, iterations, residuals, flag_tol, out=None):
+    """`out`, when given, is a free buffer shaped like `payments` for the shortfall."""
+    shortfall = np.subtract(p_bar, payments, out=out)
+    np.maximum(shortfall, 0.0, out=shortfall)
     defaulted = shortfall > flag_tol
     external_paid = payments @ ext_share
     return payments, defaulted, shortfall, np.atleast_1d(external_paid), iterations, residuals
@@ -239,9 +241,11 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
     else:
         raise RuntimeError(f"clearing failed to converge in {MAX_ITERATIONS} iterations")
 
+    del scratch
     p_bar_row = np.broadcast_to(sys.p_bar_row, assets.shape)
+    # p_new holds the previous iterate, no longer needed: reuse it for the shortfall
     payments, defaulted, shortfall, ext_paid, iterations, residuals = _finish(
-        p, p_bar_row, sys.ext_share_row, iterations, residuals, flag_tol
+        p, p_bar_row, sys.ext_share_row, iterations, residuals, flag_tol, out=p_new
     )
     log.debug(
         "tiered clearing: %d scenarios x %d banks, %d iterations",

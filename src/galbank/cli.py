@@ -2,7 +2,8 @@
 
 Every command is a pure function of the config file and flags.  Outputs
 go to a fresh timestamped directory under ./runs unless --out is given;
-an existing non-empty --out directory requires --overwrite.
+an existing non-empty --out directory requires --overwrite, and simulate
+and frontier reject it before they start computing.
 
 Exit codes: 0 success, 2 config error, 3 frontier computed with
 unattainable grid points, 4 I/O error.
@@ -110,6 +111,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
+    out = _prepare_out_dir(args)
     network = build_network(config.calibration)
     loss_config = config.loss_config(deposit_insurance=args.insurance or None)
     bailout = BailoutAllocation(per_massive=args.bailout_massive,
@@ -118,7 +120,6 @@ def cmd_simulate(args) -> int:
         network, config.shock_params(network.n_banks), bailout, loss_config,
         config.n_scenarios, config.seed, n_jobs=max(1, args.threads),
     )
-    out = _prepare_out_dir(args)
     report.write_losses_csv(out / "losses.csv", records, loss_config)
     report.write_histogram_csv(out / "histogram.csv", records, network)
     report.write_summary_csv(out / "summary.csv", records, network, loss_config)
@@ -135,6 +136,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_frontier(args) -> int:
     config = _load(args)
+    out = _prepare_out_dir(args)
     network = build_network(config.calibration)
     loss_config = config.loss_config()
     criteria = (
@@ -162,7 +164,6 @@ def cmd_frontier(args) -> int:
         if attainable:
             minima.append(minimal_total_bailout(points, network, criterion))
 
-    out = _prepare_out_dir(args)
     report.write_frontier_csv(out / "frontier.csv", frontiers, network)
     report.write_minima_csv(out / "minima.csv", minima)
 

@@ -24,6 +24,9 @@ from .shocks import ShockParams, ShockTarget, sample_loss_matrix
 log = logging.getLogger(__name__)
 
 DEFAULT_BATCH_SIZE = 500
+# bytes of pre-bailout asset matrices a frontier evaluator keeps across
+# allocations; chunks beyond it are redrawn on every evaluation
+BASE_CACHE_BYTES = 2**30
 # slack for cross-allocation monotonicity checks; clearing tolerance can
 # perturb payments by ~tolerance * max obligation
 MONOTONE_SLACK = 1e-3
@@ -135,86 +138,113 @@ def real_economy_loss(outcome: ClearingOutcome, network: GalacticNetwork,
         raise ValueError(
             f"outcome has {outcome.payments.shape} payments for {network.n_banks} banks"
         )
-    record = _record_from_arrays(
-        scenario_index,
+    (record,) = _records_from_arrays(
+        [scenario_index],
         network,
         outcome.defaulted[None, :],
         outcome.shortfall[None, :],
         np.atleast_1d(outcome.external_paid),
-        row=0,
     )
     return record.to_sample(config)
 
 
-def _record_from_arrays(scenario_index, network, defaulted, shortfall,
-                        external_paid, row) -> ScenarioRecord:
+def _records_from_arrays(indices, network, defaulted, shortfall,
+                         external_paid) -> list[ScenarioRecord]:
+    """One record per row; row r of the arrays is scenario indices[r]."""
     deposits = network.deposits_vector()
-    central = network.tier_slice(Tier.CENTRAL)
-    by_tier = tuple(
-        int(defaulted[row, network.tier_slice(t)].sum()) for t in Tier
-    )
-    return ScenarioRecord(
-        scenario_index=scenario_index,
-        external_shortfall=float(network.total_external_obligation() - external_paid[row]),
-        central_shortfall=float(shortfall[row, central].sum()),
-        deposits_lost=float(defaulted[row] @ deposits),
-        n_defaults=int(defaulted[row].sum()),
-        n_defaults_by_tier=by_tier,
-    )
+    slices = [network.tier_slice(t) for t in Tier]
+    central = slices[Tier.CENTRAL]
+    total_external = network.total_external_obligation()
+    return [
+        ScenarioRecord(
+            scenario_index=scenario_index,
+            external_shortfall=float(total_external - external_paid[row]),
+            central_shortfall=float(shortfall[row, central].sum()),
+            deposits_lost=float(defaulted[row] @ deposits),
+            n_defaults=int(defaulted[row].sum()),
+            n_defaults_by_tier=tuple(int(defaulted[row, sl].sum()) for sl in slices),
+        )
+        for row, scenario_index in enumerate(indices)
+    ]
 
 
-def _scenario_assets(network: GalacticNetwork, shock_params: ShockParams,
-                     losses: np.ndarray, bailout: BailoutAllocation,
-                     config: LossConfig) -> np.ndarray:
-    """Post-shock, post-bond-default, post-bailout cash per bank."""
+def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
+                 losses: np.ndarray, config: LossConfig) -> np.ndarray:
+    """Post-shock, post-bond-default cash per bank, before any bailout.
+
+    Works in place: `losses` must be private to the caller and becomes the
+    result.
+    """
     external = network.external_assets_vector()
     bond_value = config.bond_recovery * network.bond_face_vector()
-    injections = network.bailout_injection_vector() + np.repeat(
+    if shock_params.exempt_central:
+        losses[:, network.tier_slice(Tier.CENTRAL)] = 0.0
+    np.subtract(1.0, losses, out=losses)
+    if shock_params.applies_to is ShockTarget.ALL_ASSETS:
+        losses *= (external + bond_value)[None, :]
+    else:
+        losses *= external[None, :]
+        losses += bond_value[None, :]
+    return losses
+
+
+def _injection_vector(network: GalacticNetwork, bailout: BailoutAllocation) -> np.ndarray:
+    """Pre-clearing cash per bank: sheet injections plus the allocation."""
+    return network.bailout_injection_vector() + np.repeat(
         np.array([0.0, bailout.per_massive, bailout.per_big]), network.counts
     )
-    applied = losses
-    if shock_params.exempt_central:
-        applied = losses.copy()
-        applied[:, network.tier_slice(Tier.CENTRAL)] = 0.0
-    if shock_params.applies_to is ShockTarget.ALL_ASSETS:
-        base = (1.0 - applied) * (external + bond_value)[None, :]
-    else:
-        base = (1.0 - applied) * external[None, :] + bond_value[None, :]
-    return base + injections[None, :]
+
+
+def _chunks(n_scenarios: int, batch_size: int = DEFAULT_BATCH_SIZE) -> list[range]:
+    return [
+        range(lo, min(lo + batch_size, n_scenarios))
+        for lo in range(0, n_scenarios, batch_size)
+    ]
 
 
 def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
                      bailout: BailoutAllocation, config: LossConfig,
                      n_scenarios: int, seed: int, n_jobs: int = 1,
-                     batch_size: int = DEFAULT_BATCH_SIZE) -> list[ScenarioRecord]:
+                     batch_size: int = DEFAULT_BATCH_SIZE, *,
+                     base_cache: list | None = None) -> list[ScenarioRecord]:
     """Scenario accounting for n_scenarios independent shock draws.
 
     Scenario i is a pure function of (seed, i) and the inputs; the worker
     count only affects wall time, never results.
+
+    `base_cache` holds one slot per leading chunk for that chunk's
+    pre-bailout asset matrix (`_base_assets`).  An empty slot (None) is
+    filled on first use and reused on later calls whose arguments differ
+    only in `bailout`; chunks past the last slot are drawn afresh.  Each
+    chunk writes only its own slot.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     if shock_params.n_banks != network.n_banks:
         raise ValueError("shock_params.n_banks does not match the network")
 
-    chunks = [
-        range(lo, min(lo + batch_size, n_scenarios))
-        for lo in range(0, n_scenarios, batch_size)
-    ]
+    chunks = _chunks(n_scenarios, batch_size)
+    slots = [] if base_cache is None else base_cache
+    injections = _injection_vector(network, bailout)[None, :]
     results: list[list[ScenarioRecord]] = [None] * len(chunks)
+
+    def draw_base(idx: range) -> np.ndarray:
+        losses = sample_loss_matrix(shock_params, seed, idx)
+        return _base_assets(network, shock_params, losses, config)
 
     def run_chunk(pos: int):
         idx = chunks[pos]
-        losses = sample_loss_matrix(shock_params, seed, idx)
-        assets = _scenario_assets(network, shock_params, losses, bailout, config)
+        if pos < len(slots):
+            if slots[pos] is None:
+                slots[pos] = draw_base(idx)
+            assets = slots[pos] + injections
+        else:
+            assets = draw_base(idx)
+            assets += injections  # private to this chunk: no second matrix
         cleared = clear_tiered_batch(network, assets)
-        results[pos] = [
-            _record_from_arrays(
-                scenario_index, network, cleared.defaulted, cleared.shortfall,
-                cleared.external_paid, row,
-            )
-            for row, scenario_index in enumerate(idx)
-        ]
+        results[pos] = _records_from_arrays(
+            idx, network, cleared.defaulted, cleared.shortfall, cleared.external_paid
+        )
 
     if n_jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -326,6 +356,10 @@ class _AllocationEvaluator:
     Caches loss vectors by allocation and asserts the clearing monotonicity
     property on every comparable pair: componentwise larger bailouts can
     never increase any scenario's loss.
+
+    A bailout only adds a per-tier constant after the shock, so each chunk's
+    pre-bailout assets are drawn once and kept for every later allocation,
+    for as many leading chunks as fit in BASE_CACHE_BYTES.
     """
 
     def __init__(self, network, shock_params, config, n_scenarios, seed, n_jobs):
@@ -336,6 +370,11 @@ class _AllocationEvaluator:
         self.seed = seed
         self.n_jobs = n_jobs
         self.cache: dict[tuple[float, float], np.ndarray] = {}
+        row_bytes = network.n_banks * np.dtype(float).itemsize
+        self.bases: list[np.ndarray | None] = [
+            None for idx in _chunks(n_scenarios)
+            if idx.stop * row_bytes <= BASE_CACHE_BYTES
+        ]
 
     def losses(self, alloc: BailoutAllocation) -> np.ndarray:
         key = (alloc.per_massive, alloc.per_big)
@@ -343,7 +382,7 @@ class _AllocationEvaluator:
             return self.cache[key]
         records = simulate_records(
             self.network, self.shock_params, alloc, self.config,
-            self.n_scenarios, self.seed, self.n_jobs,
+            self.n_scenarios, self.seed, self.n_jobs, base_cache=self.bases,
         )
         vec = np.array([r.loss(self.config.deposit_insurance) for r in records])
         self._check_monotone(key, vec)

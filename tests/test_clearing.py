@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import galbank as gb
 from galbank.clearing import (
+    _TierSystem,
     clear_tiered_batch,
     clearing_dense,
     expand_network,
@@ -250,3 +251,17 @@ def test_compressed_rejects_bad_inputs():
         gb.clearing_compressed(net, -np.ones(net.n_banks))
     with pytest.raises(ValueError):
         clear_tiered_batch(net, np.zeros((1, net.n_banks)), start="sideways")
+
+
+def test_compressed_shortfall_in_own_buffer_and_assets_untouched():
+    net = gb.build_network()
+    params = gb.ShockParams(n_banks=net.n_banks)
+    losses = gb.shocks.sample_loss_matrix(params, 11, range(4))
+    assets = (1.0 - losses) * net.external_assets_vector()[None, :]
+    before = assets.copy()
+    batch = clear_tiered_batch(net, assets)
+    p_bar_row = _TierSystem(net).p_bar_row[None, :]
+    assert np.array_equal(batch.shortfall, np.maximum(p_bar_row - batch.payments, 0.0))
+    assert not np.shares_memory(batch.shortfall, batch.payments)
+    # callers may keep reusing their asset matrix, e.g. a cached pre-bailout base
+    assert np.array_equal(assets, before)

@@ -248,3 +248,23 @@ def test_cli_frontier_gaps_exit_code(tmp_path):
     points = list(csv.DictReader(rows))
     assert points[0]["attainable"] == "false"
     assert points[0]["minimal_per_massive"] == ""
+
+
+def test_cli_non_empty_out_fails_before_computing(tmp_path, monkeypatch, capsys):
+    import galbank.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "simulate_records", never)
+    monkeypatch.setattr(cli, "bailout_frontier", never)
+    out = tmp_path / "full"
+    out.mkdir()
+    (out / "keep.txt").write_text("x")
+    for command in ("simulate", "frontier"):
+        assert main([command, "--out", str(out)]) == 4
+        assert "overwrite" in capsys.readouterr().err
+    # a config error still wins over the I/O error
+    config = write_config(tmp_path, {"shock": {"correl": 0.3}})
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert (out / "keep.txt").read_text() == "x"

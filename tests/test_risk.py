@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import galbank as gb
-from galbank.risk import _bisect_min, _AllocationEvaluator
+from galbank import risk
+from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 
 SEED = 20240917
 
@@ -314,3 +315,105 @@ def test_minimal_total_tie_breaks_toward_smaller_per_big(default_net):
     single = [gb.FrontierPoint(per_big=0.5, per_massive=1.0)]
     best = gb.minimal_total_bailout(single, net, gb.Criterion.VAR)
     assert best.per_big == 0.5 and best.per_massive == 1.0
+
+
+# --- pre-bailout asset cache -------------------------------------------------
+
+SHOCK_VARIANTS = [
+    (target, exempt) for target in gb.ShockTarget for exempt in (False, True)
+]
+
+
+def scenario_assets_reference(net, shock, losses, bailout, config):
+    """Asset assembly as one expression per shock target, copying the losses."""
+    external = net.external_assets_vector()
+    bond_value = config.bond_recovery * net.bond_face_vector()
+    injections = net.bailout_injection_vector() + np.repeat(
+        np.array([0.0, bailout.per_massive, bailout.per_big]), net.counts
+    )
+    applied = losses
+    if shock.exempt_central:
+        applied = losses.copy()
+        applied[:, net.tier_slice(gb.Tier.CENTRAL)] = 0.0
+    if shock.applies_to is gb.ShockTarget.ALL_ASSETS:
+        base = (1.0 - applied) * (external + bond_value)[None, :]
+    else:
+        base = (1.0 - applied) * external[None, :] + bond_value[None, :]
+    return base + injections[None, :]
+
+
+@pytest.mark.parametrize("target,exempt", SHOCK_VARIANTS)
+def test_base_assets_in_place_matches_reference(default_net, target, exempt):
+    net = default_net
+    shock = gb.ShockParams(n_banks=net.n_banks, applies_to=target, exempt_central=exempt)
+    config = gb.LossConfig(ggp=net.ggp, bond_recovery=0.3)
+    bailout = gb.BailoutAllocation(per_massive=0.7, per_big=0.03)
+    losses = gb.shocks.sample_loss_matrix(shock, SEED, range(4))
+    expected = scenario_assets_reference(net, shock, losses, bailout, config)
+    base = _base_assets(net, shock, losses, config)
+    assert np.shares_memory(base, losses)
+    assert np.array_equal(base + _injection_vector(net, bailout)[None, :], expected)
+
+
+@pytest.fixture(scope="module")
+def small_net():
+    return gb.build_network(gb.CalibrationParams(
+        tier_counts=(1, 5, 40), capital_buffer_per_tier=(0.15, 0.05, 0.5),
+    ))
+
+
+CACHE_SCENARIOS = 1_050  # chunks of 500, 500 and a partial 50
+CACHE_ALLOCATIONS = [
+    gb.BailoutAllocation(),
+    gb.BailoutAllocation(per_big=0.05),
+    gb.BailoutAllocation(per_big=0.2),
+    gb.BailoutAllocation(per_massive=2.0, per_big=0.5),
+]
+
+
+def count_shock_draws(monkeypatch) -> list:
+    calls = []
+    real = risk.sample_loss_matrix
+
+    def counted(params, seed, indices):
+        calls.append(indices)
+        return real(params, seed, indices)
+
+    monkeypatch.setattr(risk, "sample_loss_matrix", counted)
+    return calls
+
+
+def evaluate_all(net, shock, config):
+    evaluator = _AllocationEvaluator(net, shock, config, CACHE_SCENARIOS, SEED, 2)
+    return evaluator, [evaluator.losses(a) for a in CACHE_ALLOCATIONS]
+
+
+@pytest.mark.parametrize("target,exempt", SHOCK_VARIANTS)
+def test_evaluator_draws_each_chunk_once(small_net, monkeypatch, target, exempt):
+    net = small_net
+    shock = gb.ShockParams(n_banks=net.n_banks, applies_to=target, exempt_central=exempt)
+    config = gb.LossConfig(ggp=net.ggp, bond_recovery=0.2)
+    calls = count_shock_draws(monkeypatch)
+    evaluator, vectors = evaluate_all(net, shock, config)
+    assert sorted(c.start for c in calls) == [0, 500, 1000]
+    assert all(base is not None for base in evaluator.bases)
+    assert len({float(v.mean()) for v in vectors}) == len(vectors)
+    for alloc, vec in zip(CACHE_ALLOCATIONS, vectors):
+        records = gb.simulate_records(net, shock, alloc, config, CACHE_SCENARIOS, SEED)
+        assert np.array_equal(vec, [r.loss(config.deposit_insurance) for r in records])
+
+
+@pytest.mark.parametrize("cached_chunks", [0, 1])
+def test_evaluator_redraws_beyond_cache_budget(small_net, monkeypatch, cached_chunks):
+    net = small_net
+    shock = gb.ShockParams(n_banks=net.n_banks, exempt_central=True)
+    config = gb.LossConfig(ggp=net.ggp)
+    _, cached = evaluate_all(net, shock, config)
+    budget = cached_chunks * risk.DEFAULT_BATCH_SIZE * net.n_banks * 8
+    monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)
+    calls = count_shock_draws(monkeypatch)
+    evaluator, vectors = evaluate_all(net, shock, config)
+    assert len(evaluator.bases) == cached_chunks
+    assert len(calls) == cached_chunks + (3 - cached_chunks) * len(CACHE_ALLOCATIONS)
+    for a, b in zip(cached, vectors):
+        assert np.array_equal(a, b)
