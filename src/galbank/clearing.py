@@ -10,6 +10,20 @@ Two solvers share the contract: a dense reference for arbitrary small
 networks, and a tier-compressed solver for the calibrated 17,501-bank
 network whose per-iteration cost is linear in the bank count because
 inflows depend on payments only through the three tier sums.
+
+The compressed solver is bound by memory traffic, not arithmetic.  Each
+iteration computes the tier inflow base for the whole batch from the tier
+sums, then sweeps the batch a few scenario rows at a time (`_block_rows`,
+sized to the per-core L2 cache): the rows' new iterate goes into one small
+block buffer, the next iteration's tier sums and the rows' residual are
+taken from it while it is in cache, and it is copied back over the old
+iterate.  So an iteration streams the iterate and the assets through memory
+once, and a call holds two batch-wide arrays (the iterate and, at the end,
+the shortfall) besides the caller's assets.  Blocking changes no result
+bit: every element sees the same operations in the same order as in a
+full-width sweep, each row's tier sum is the same pairwise sum over the
+same contiguous row segment, and a maximum does not depend on the order
+it is taken in.
 """
 
 from __future__ import annotations
@@ -26,6 +40,14 @@ log = logging.getLogger(__name__)
 DEFAULT_TOLERANCE = 1e-9   # residual bound, relative to max total obligation
 DEFAULT_FLAG_TOL = 1e-6    # Q; shortfall above this flags a default
 MAX_ITERATIONS = 100_000
+# Per-core L2 cache of the 2-core reference box.  The tiered sweep clears a
+# few scenario rows at a time so that their new iterate, old iterate and
+# assets stay in L2 together (4 rows at 17,501 banks; 3 to 7 time alike).
+L2_CACHE_BYTES = 2 * 2**20
+
+
+def _block_rows(n_banks: int) -> int:
+    return max(1, L2_CACHE_BYTES // (3 * 8 * n_banks))
 
 
 @dataclass(frozen=True)
@@ -90,9 +112,8 @@ class BatchClearingResult:
         )
 
 
-def _finish(payments, p_bar, ext_share, iterations, residuals, flag_tol, out=None):
-    """`out`, when given, is a free buffer shaped like `payments` for the shortfall."""
-    shortfall = np.subtract(p_bar, payments, out=out)
+def _finish(payments, p_bar, ext_share, iterations, residuals, flag_tol):
+    shortfall = np.subtract(p_bar, payments)
     np.maximum(shortfall, 0.0, out=shortfall)
     defaulted = shortfall > flag_tol
     external_paid = payments @ ext_share
@@ -206,8 +227,9 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
         raise ValueError(
             f"expected {network.n_banks} banks per scenario, got {assets.shape[1]}"
         )
-    if np.any(assets < 0):
-        raise ValueError("scenario assets must be non-negative")
+    # NaN fails the comparison too; `initial` lets an empty batch through
+    if not assets.min(initial=0.0) >= 0.0:
+        raise ValueError("scenario assets must be non-negative and not NaN")
 
     sys = _TierSystem(network)
     if start == "greatest":
@@ -217,35 +239,49 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
     else:
         raise ValueError("start must be 'greatest' or 'least'")
 
-    p_new = np.empty_like(p)
-    scratch = np.empty_like(p)
+    rows = p.shape[0]
+    block = _block_rows(p.shape[1])
+    blk_buf = np.empty((min(block, rows), p.shape[1]))
+    # tier sums of the current iterate; the sweep refreshes them block by block
+    sums = np.stack([p[:, s].sum(axis=1) for s in sys.slices], axis=1)
+    row_resid = np.empty(rows)
     residuals = []
     iterations = 0
     for iterations in range(MAX_ITERATIONS):
-        sums = np.stack([p[:, s].sum(axis=1) for s in sys.slices], axis=1)
         # per-tier inflow base: cross-tier terms plus the own-tier sum term
         base = sums @ sys.cross + sums * sys.self_coef[None, :]
-        for d, sl in enumerate(sys.slices):
-            blk = p_new[:, sl]
-            np.multiply(p[:, sl], -sys.self_coef[d], out=blk)
-            blk += base[:, d, None]
-            blk += assets[:, sl]
-            np.minimum(blk, sys.p_bar_tier[d], out=blk)
-        np.subtract(p_new, p, out=scratch)
-        np.abs(scratch, out=scratch)
-        resid = float(scratch.max(initial=0.0))
-        p, p_new = p_new, p
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            old = p[r0:r1]
+            blk = blk_buf[:r1 - r0]
+            for d, sl in enumerate(sys.slices):
+                tier = blk[:, sl]
+                np.multiply(old[:, sl], -sys.self_coef[d], out=tier)
+                tier += base[r0:r1, d, None]
+                tier += assets[r0:r1, sl]
+                np.minimum(tier, sys.p_bar_tier[d], out=tier)
+                sums[r0:r1, d] = tier.sum(axis=1)
+            # the old rows are spent: take |new - old| in place, then overwrite
+            np.subtract(old, blk, out=old)
+            np.abs(old, out=old)
+            old.max(axis=1, out=row_resid[r0:r1])
+            old[...] = blk
+        # an array max, unlike Python's max(), keeps a NaN residual
+        resid = float(row_resid.max(initial=0.0))
         if resid <= tolerance * sys.scale:
             break
         residuals.append(resid)
     else:
-        raise RuntimeError(f"clearing failed to converge in {MAX_ITERATIONS} iterations")
+        raise RuntimeError(
+            f"tiered clearing failed to converge in {MAX_ITERATIONS} iterations: "
+            f"last residuals {', '.join(f'{r:.3g}' for r in residuals[-3:])} "
+            f"against tolerance {tolerance * sys.scale:.3g}; largest final "
+            f"residual in scenario row {int(np.argmax(row_resid))}"
+        )
 
-    del scratch
     p_bar_row = np.broadcast_to(sys.p_bar_row, assets.shape)
-    # p_new holds the previous iterate, no longer needed: reuse it for the shortfall
     payments, defaulted, shortfall, ext_paid, iterations, residuals = _finish(
-        p, p_bar_row, sys.ext_share_row, iterations, residuals, flag_tol, out=p_new
+        p, p_bar_row, sys.ext_share_row, iterations, residuals, flag_tol
     )
     log.debug(
         "tiered clearing: %d scenarios x %d banks, %d iterations",

@@ -111,11 +111,14 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
+    try:
+        bailout = BailoutAllocation(per_massive=args.bailout_massive,
+                                    per_big=args.bailout_big)
+    except ValueError as exc:
+        raise ConfigError(f"--bailout-massive/--bailout-big: {exc}") from exc
     out = _prepare_out_dir(args)
     network = build_network(config.calibration)
     loss_config = config.loss_config(deposit_insurance=args.insurance or None)
-    bailout = BailoutAllocation(per_massive=args.bailout_massive,
-                                per_big=args.bailout_big)
     records = simulate_records(
         network, config.shock_params(network.n_banks), bailout, loss_config,
         config.n_scenarios, config.seed, n_jobs=max(1, args.threads),

@@ -79,8 +79,11 @@ class BailoutAllocation:
     def __post_init__(self):
         if self.per_central != 0.0:
             raise ValueError("the central bank is too big to save: per_central must be 0")
-        if self.per_massive < 0 or self.per_big < 0:
-            raise ValueError("bailout amounts must be non-negative")
+        for amount in (self.per_massive, self.per_big):
+            if not (math.isfinite(amount) and amount >= 0):
+                raise ValueError(
+                    f"bailout amounts must be finite and non-negative, got {amount}"
+                )
 
     def dominates(self, other: "BailoutAllocation") -> bool:
         return self.per_massive >= other.per_massive and self.per_big >= other.per_big

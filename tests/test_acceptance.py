@@ -18,6 +18,8 @@ from galbank.clearing import clear_tiered_batch, clearing_dense, expand_network
 from galbank.network import _claims_face
 from galbank.risk import _AllocationEvaluator
 
+pytestmark = pytest.mark.slow
+
 SEED = 19770525
 N_FULL = 10_000
 GGP = 6090.0

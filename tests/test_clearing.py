@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import galbank as gb
+from galbank import clearing
 from galbank.clearing import (
     _TierSystem,
+    _block_rows,
     clear_tiered_batch,
     clearing_dense,
     expand_network,
@@ -265,3 +267,118 @@ def test_compressed_shortfall_in_own_buffer_and_assets_untouched():
     assert not np.shares_memory(batch.shortfall, batch.payments)
     # callers may keep reusing their asset matrix, e.g. a cached pre-bailout base
     assert np.array_equal(assets, before)
+
+
+def test_compressed_rejects_nan_assets_at_once(monkeypatch):
+    net = gb.build_network()
+    assets = np.ones((3, net.n_banks))
+    assets[1, 42] = np.nan
+    monkeypatch.setattr(clearing, "_TierSystem", None)  # no iteration may start
+    with pytest.raises(ValueError, match="NaN"):
+        clear_tiered_batch(net, assets)
+
+
+def test_non_convergence_names_iterations_residuals_and_row(monkeypatch):
+    profiles = (
+        gb.LiabilityProfile(owed_external=5.0),
+        gb.LiabilityProfile(1.0, 0.4, 0.6, 0.0),
+        gb.LiabilityProfile(0.2, 0.5, 0.1, 0.0),
+    )
+    net = tiered((1, 2, 2), profiles)
+    # row 0 is solvent and settles at once; row 1 needs several iterations
+    assets = np.array([[10.0] * 5, [0.5, 0.8, 0.3, 0.2, 0.9]])
+    needed = clear_tiered_batch(net, assets, start="least")
+    assert needed.iterations >= 3
+    monkeypatch.setattr(clearing, "MAX_ITERATIONS", needed.iterations)
+    with pytest.raises(RuntimeError) as info:
+        clear_tiered_batch(net, assets, start="least")
+    message = str(info.value)
+    assert f"in {needed.iterations} iterations" in message
+    assert f"{needed.residuals[-1]:.3g}" in message
+    assert "scenario row 1" in message
+
+
+# --- blocked sweep against the full-width loop ------------------------------
+
+def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
+                         flag_tol=clearing.DEFAULT_FLAG_TOL, start="greatest"):
+    """The tiered Picard loop as one full-width sweep per iteration.
+
+    The blocked solver must reproduce it bit for bit.
+    """
+    sys = _TierSystem(network)
+    if start == "greatest":
+        p = np.tile(sys.p_bar_row, (assets.shape[0], 1))
+    else:
+        p = np.zeros_like(assets)
+    p_new = np.empty_like(p)
+    scratch = np.empty_like(p)
+    residuals = []
+    for iterations in range(clearing.MAX_ITERATIONS):
+        sums = np.stack([p[:, s].sum(axis=1) for s in sys.slices], axis=1)
+        base = sums @ sys.cross + sums * sys.self_coef[None, :]
+        for d, sl in enumerate(sys.slices):
+            blk = p_new[:, sl]
+            np.multiply(p[:, sl], -sys.self_coef[d], out=blk)
+            blk += base[:, d, None]
+            blk += assets[:, sl]
+            np.minimum(blk, sys.p_bar_tier[d], out=blk)
+        np.subtract(p_new, p, out=scratch)
+        np.abs(scratch, out=scratch)
+        resid = float(scratch.max(initial=0.0))
+        p, p_new = p_new, p
+        if resid <= tolerance * sys.scale:
+            break
+        residuals.append(resid)
+    else:
+        raise RuntimeError("reference loop did not converge")
+    shortfall = np.maximum(sys.p_bar_row[None, :] - p, 0.0)
+    return {
+        "payments": p,
+        "shortfall": shortfall,
+        "defaulted": shortfall > flag_tol,
+        "external_paid": p @ sys.ext_share_row,
+        "iterations": iterations,
+        "residuals": tuple(residuals),
+    }
+
+
+def assert_matches_reference(network, assets, start):
+    batch = clear_tiered_batch(network, assets, start=start)
+    ref = full_width_reference(network, assets, start=start)
+    for field, expected in ref.items():
+        assert np.array_equal(getattr(batch, field), expected), field
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2, 3, 7, None]),
+       shape=st.sampled_from(["one", "block-1", "block", "block+1", "ragged"]))
+def test_blocked_sweep_bitwise_equals_full_width(seed, block, shape):
+    rng = np.random.default_rng(seed)
+    net, _ = random_tiered(rng)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            # shrink the cache so the sweep uses `block` rows per block
+            mp.setattr(clearing, "L2_CACHE_BYTES", block * 3 * 8 * net.n_banks)
+        b = _block_rows(net.n_banks)
+        assert block is None or b == block
+        rows = {
+            "one": 1,
+            "block-1": max(1, b - 1),
+            "block": b,
+            "block+1": b + 1,
+            "ragged": 2 * b + max(1, b // 2),
+        }[shape]
+        assets = rng.uniform(0.0, 2.0, size=(rows, net.n_banks))
+        for start in ("greatest", "least"):
+            assert_matches_reference(net, assets, start)
+
+
+def test_blocked_sweep_bitwise_on_calibrated_partial_block():
+    net = gb.build_network()
+    params = gb.ShockParams(n_banks=net.n_banks)
+    losses = gb.shocks.sample_loss_matrix(params, 19770525, range(37))
+    assets = (1.0 - losses) * net.external_assets_vector()[None, :]
+    assert 37 % _block_rows(net.n_banks) != 0
+    for start in ("greatest", "least"):
+        assert_matches_reference(net, assets, start)

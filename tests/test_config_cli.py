@@ -268,3 +268,19 @@ def test_cli_non_empty_out_fails_before_computing(tmp_path, monkeypatch, capsys)
     config = write_config(tmp_path, {"shock": {"correl": 0.3}})
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
     assert (out / "keep.txt").read_text() == "x"
+
+
+@pytest.mark.parametrize("flag", ["--bailout-massive", "--bailout-big"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_cli_bad_bailout_is_config_error(tmp_path, monkeypatch, capsys, flag, value):
+    import galbank.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed with an invalid bailout")
+
+    monkeypatch.setattr(cli, "simulate_records", never)
+    out = tmp_path / "bad"
+    assert main(["simulate", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite and non-negative" in err
+    assert not out.exists()

@@ -219,6 +219,14 @@ def test_bailout_never_to_central():
         gb.BailoutAllocation(per_massive=-0.5)
 
 
+@pytest.mark.parametrize("amount", [np.nan, np.inf, -np.inf])
+def test_bailout_rejects_non_finite(amount):
+    with pytest.raises(ValueError, match="finite"):
+        gb.BailoutAllocation(per_massive=amount)
+    with pytest.raises(ValueError, match="finite"):
+        gb.BailoutAllocation(per_big=amount)
+
+
 def test_sheet_bailout_injection_enters_clearing():
     net = central_only_network(obligation=10.0)
     boosted = net.with_bailout_injection((0.0, 0.0, 0.0))
