@@ -43,9 +43,8 @@ from .risk import (
     Criterion,
     FrontierPoint,
     LossConfig,
-    LossSample,
     MinimalBailout,
-    ScenarioRecord,
+    ScenarioTable,
     average_var,
     bailout_frontier,
     criterion_satisfied,
@@ -53,8 +52,6 @@ from .risk import (
     expected_loss,
     green_line_loss,
     minimal_total_bailout,
-    real_economy_loss,
-    run_monte_carlo,
     simulate_records,
 )
 from .shocks import (

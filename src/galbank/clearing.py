@@ -65,8 +65,11 @@ class DenseNetwork:
         n = ext.size
         if liab.shape != (n, n) or assets.shape != (n,):
             raise ValueError("inconsistent network shapes")
-        if np.any(liab < 0) or np.any(ext < 0) or np.any(assets < 0):
-            raise ValueError("liabilities, obligations and assets must be non-negative")
+        # NaN fails the comparison too, unlike `np.any(x < 0)`
+        if not all(x.min(initial=0.0) >= 0.0 for x in (liab, ext, assets)):
+            raise ValueError(
+                "liabilities, obligations and assets must be non-negative and not NaN"
+            )
         if np.any(np.diag(liab) != 0):
             raise ValueError("self-liabilities are not allowed")
         object.__setattr__(self, "liabilities", liab)
@@ -112,12 +115,11 @@ class BatchClearingResult:
         )
 
 
-def _finish(payments, p_bar, ext_share, iterations, residuals, flag_tol):
+def _finish(payments, p_bar, ext_share, flag_tol):
+    """(defaulted, shortfall, external_paid) of a converged payment vector."""
     shortfall = np.subtract(p_bar, payments)
     np.maximum(shortfall, 0.0, out=shortfall)
-    defaulted = shortfall > flag_tol
-    external_paid = payments @ ext_share
-    return payments, defaulted, shortfall, np.atleast_1d(external_paid), iterations, residuals
+    return shortfall > flag_tol, shortfall, payments @ ext_share
 
 
 def _picard_dense(net: DenseNetwork, tolerance: float, start: str):
@@ -131,22 +133,24 @@ def _picard_dense(net: DenseNetwork, tolerance: float, start: str):
         p_new = np.minimum(p_bar, net.assets + pi.T @ p)
         resid = float(np.abs(p_new - p).max(initial=0.0))
         if resid <= tolerance * scale:
-            return p_new, iteration, residuals
+            return p_new, iteration
         residuals.append(resid)
         p = p_new
-    raise RuntimeError(f"clearing failed to converge in {MAX_ITERATIONS} iterations")
+    raise RuntimeError(
+        f"dense clearing failed to converge in {MAX_ITERATIONS} iterations: "
+        f"last residuals {', '.join(f'{r:.3g}' for r in residuals[-3:])} "
+        f"against tolerance {tolerance * scale:.3g}"
+    )
 
 
 def _dense_outcome(net, tolerance, flag_tol, start) -> ClearingOutcome:
-    p, iters, residuals = _picard_dense(net, tolerance, start)
+    p, iters = _picard_dense(net, tolerance, start)
     p_bar = net.p_bar
     with np.errstate(divide="ignore", invalid="ignore"):
         ext_share = np.where(p_bar > 0, net.external_obligation / p_bar, 0.0)
-    payments, defaulted, shortfall, ext_paid, iters, _ = _finish(
-        p, p_bar, ext_share, iters, residuals, flag_tol
-    )
+    defaulted, shortfall, ext_paid = _finish(p, p_bar, ext_share, flag_tol)
     log.debug("dense clearing: %d banks, %d iterations", net.n, iters)
-    return ClearingOutcome(payments, defaulted, shortfall, float(ext_paid[0]), iters)
+    return ClearingOutcome(p, defaulted, shortfall, float(ext_paid), iters)
 
 
 def clearing_dense(net: DenseNetwork, tolerance: float = DEFAULT_TOLERANCE,
@@ -280,15 +284,13 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
         )
 
     p_bar_row = np.broadcast_to(sys.p_bar_row, assets.shape)
-    payments, defaulted, shortfall, ext_paid, iterations, residuals = _finish(
-        p, p_bar_row, sys.ext_share_row, iterations, residuals, flag_tol
-    )
+    defaulted, shortfall, ext_paid = _finish(p, p_bar_row, sys.ext_share_row, flag_tol)
     log.debug(
         "tiered clearing: %d scenarios x %d banks, %d iterations",
         assets.shape[0], assets.shape[1], iterations,
     )
     return BatchClearingResult(
-        payments=payments,
+        payments=p,
         defaulted=defaulted,
         shortfall=shortfall,
         external_paid=ext_paid,

@@ -119,14 +119,14 @@ def cmd_simulate(args) -> int:
     out = _prepare_out_dir(args)
     network = build_network(config.calibration)
     loss_config = config.loss_config(deposit_insurance=args.insurance or None)
-    records = simulate_records(
+    table = simulate_records(
         network, config.shock_params(network.n_banks), bailout, loss_config,
         config.n_scenarios, config.seed, n_jobs=max(1, args.threads),
     )
-    report.write_losses_csv(out / "losses.csv", records, loss_config)
-    report.write_histogram_csv(out / "histogram.csv", records, network)
-    report.write_summary_csv(out / "summary.csv", records, network, loss_config)
-    stats = report.summary_stats(records, network, loss_config)
+    report.write_losses_csv(out / "losses.csv", table, loss_config)
+    report.write_histogram_csv(out / "histogram.csv", table, network)
+    report.write_summary_csv(out / "summary.csv", table, network, loss_config)
+    stats = report.summary_stats(table, network, loss_config)
     print(f"scenarios: {config.n_scenarios}  seed: {config.seed}")
     print(f"mean_loss_no_insurance_q: {stats['mean_loss_no_insurance']:.3f} "
           f"({100 * stats['mean_loss_no_insurance_ggp_fraction']:.2f}% of GGP)")

@@ -11,7 +11,7 @@ immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 import math
 
@@ -74,7 +74,6 @@ class BalanceSheet:
     interbank_claims_face: Money
     bond_holdings_face: Money
     deposits: Money
-    bailout_injection: Money = 0.0
 
     def __post_init__(self):
         for name in (
@@ -82,7 +81,6 @@ class BalanceSheet:
             "interbank_claims_face",
             "bond_holdings_face",
             "deposits",
-            "bailout_injection",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -184,18 +182,6 @@ class GalacticNetwork:
         start = sum(counts[:tier])
         return slice(start, start + counts[tier])
 
-    def sheet(self, tier: Tier, index: int) -> BalanceSheet:
-        if not 0 <= index < self.counts[tier]:
-            raise IndexError(f"bank {index} out of range for tier {tier.name}")
-        return self.sheets[tier]
-
-    def with_bailout_injection(self, injections) -> "GalacticNetwork":
-        """Copy of the network with per-tier bailout_injection amounts set."""
-        sheets = tuple(
-            replace(self.sheets[t], bailout_injection=float(injections[t])) for t in Tier
-        )
-        return replace(self, sheets=sheets)
-
     # per-bank expansions used by the clearing and risk engines
 
     def tier_of_bank(self) -> np.ndarray:
@@ -212,9 +198,6 @@ class GalacticNetwork:
 
     def deposits_vector(self) -> np.ndarray:
         return self._per_bank([self.sheets[t].deposits for t in Tier])
-
-    def bailout_injection_vector(self) -> np.ndarray:
-        return self._per_bank([self.sheets[t].bailout_injection for t in Tier])
 
     def obligations_per_tier(self) -> np.ndarray:
         return np.array([total_obligation(self.profiles[t]) for t in Tier])

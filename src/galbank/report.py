@@ -20,7 +20,7 @@ from .risk import (
     FrontierPoint,
     LossConfig,
     MinimalBailout,
-    ScenarioRecord,
+    ScenarioTable,
     green_line_loss,
 )
 
@@ -70,32 +70,31 @@ def write_network_summary(path: Path, network: GalacticNetwork,
                 ["scope", "metric", "value"], rows)
 
 
-def write_losses_csv(path: Path, records: list[ScenarioRecord], config: LossConfig):
-    """One LossSample per row, ordered by scenario_index."""
-    rows = []
-    for rec in sorted(records, key=lambda r: r.scenario_index):
-        sample = rec.to_sample(config)
-        rows.append((
-            sample.scenario_index,
-            sample.real_economy_loss,
-            sample.insurance_payout,
-            sample.n_defaults,
-            sample.central_shortfall,
-        ))
+def write_losses_csv(path: Path, table: ScenarioTable, config: LossConfig):
+    """One scenario per row, in scenario-index order."""
+    insured = config.deposit_insurance
+    payouts = table.deposits_lost if insured else np.zeros(len(table))
+    rows = zip(
+        range(len(table)),
+        table.loss(insured).tolist(),
+        payouts.tolist(),
+        table.n_defaults.tolist(),
+        table.central_shortfall.tolist(),
+    )
     _write_rows(
         path,
-        "losses in Q; deposit_insurance=" + ("on" if config.deposit_insurance else "off"),
+        "losses in Q; deposit_insurance=" + ("on" if insured else "off"),
         ["scenario_index", "real_economy_loss", "insurance_payout",
          "n_defaults", "central_shortfall"],
         rows,
     )
 
 
-def write_histogram_csv(path: Path, records: list[ScenarioRecord],
+def write_histogram_csv(path: Path, table: ScenarioTable,
                         network: GalacticNetwork, bins: int = HISTOGRAM_BINS):
     """Loss histograms, both insurance settings, binned as percent of GGP."""
-    no_ins = np.array([r.loss(False) for r in records]) / network.ggp * 100.0
-    ins = np.array([r.loss(True) for r in records]) / network.ggp * 100.0
+    no_ins = table.loss(False) / network.ggp * 100.0
+    ins = table.loss(True) / network.ggp * 100.0
     top = float(max(no_ins.max(initial=0.0), ins.max(initial=0.0)))
     if top <= 0.0:
         top = 1.0
@@ -111,19 +110,19 @@ def write_histogram_csv(path: Path, records: list[ScenarioRecord],
                  "count_no_insurance", "count_insurance"], rows)
 
 
-def summary_stats(records: list[ScenarioRecord], network: GalacticNetwork,
+def summary_stats(table: ScenarioTable, network: GalacticNetwork,
                   config: LossConfig) -> dict[str, float]:
-    no_ins = np.array([r.loss(False) for r in records])
-    ins = np.array([r.loss(True) for r in records])
-    payouts = np.array([r.deposits_lost for r in records])
-    n_defaults = np.array([r.n_defaults for r in records])
+    no_ins = table.loss(False)
+    ins = table.loss(True)
+    payouts = table.deposits_lost
+    n_defaults = table.n_defaults
     green = green_line_loss(network, config)
     threshold = config.threshold
     ggp = network.ggp
 
     below = no_ins < green
     stats = {
-        "n_scenarios": len(records),
+        "n_scenarios": len(table),
         "ggp": ggp,
         "green_line": green,
         "green_line_ggp_fraction": green / ggp,
@@ -153,8 +152,8 @@ def summary_stats(records: list[ScenarioRecord], network: GalacticNetwork,
     return stats
 
 
-def write_summary_csv(path: Path, records, network, config):
-    stats = summary_stats(records, network, config)
+def write_summary_csv(path: Path, table, network, config):
+    stats = summary_stats(table, network, config)
     _write_rows(path, "amounts in Q unless the metric says fraction",
                 ["metric", "value"], list(stats.items()))
 

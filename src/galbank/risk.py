@@ -1,10 +1,20 @@
 """Loss accounting, Monte Carlo estimation, risk criteria and bailout search.
 
-Real-economy losses are the outside world's shortfall on claims against
-the system (the central bank's unpaid external obligation) plus, when
-deposit insurance is absent, the full deposits of every defaulted bank.
+`simulate_records` clears the scenarios a chunk at a time and accounts each
+cleared chunk in one vectorised pass.  The result is a `ScenarioTable`:
+numpy columns with one row per scenario, in scenario-index order, holding
+the outside world's shortfall on claims against the system (the central
+bank's unpaid external obligation), the central bank's own shortfall, the
+deposits of defaulted banks and the defaults per tier.  The real-economy
+loss derives from it: the external shortfall plus, when deposit insurance
+is absent, the full deposits of every defaulted bank.
+
+The risk statistics (`expected_loss`, `exceedance_probability`,
+`average_var`, `criterion_satisfied`) take a 1-D loss array in that row
+order, so ties among the worst losses go to the lower scenario index.
 Bailouts are pre-clearing cash injections to massive/big banks, never to
-the central bank, and are not subject to the market shock.
+the central bank, and are not subject to the market shock; the frontier
+bisects them over the loss column under common random numbers.
 """
 
 from __future__ import annotations
@@ -12,12 +22,12 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .clearing import ClearingOutcome, clear_tiered_batch
+from .clearing import BatchClearingResult, _block_rows, clear_tiered_batch
 from .network import GalacticNetwork, Money, Tier
 from .shocks import ShockParams, ShockTarget, sample_loss_matrix
 
@@ -93,82 +103,67 @@ class BailoutAllocation:
         return counts[Tier.MASSIVE] * self.per_massive + counts[Tier.BIG] * self.per_big
 
 
-@dataclass(frozen=True)
-class LossSample:
-    scenario_index: int
-    real_economy_loss: Money
-    insurance_payout: Money
-    n_defaults: int
-    central_shortfall: Money
+@dataclass(frozen=True, eq=False)
+class ScenarioTable:
+    """Per-scenario accounting as numpy columns; row i is scenario i."""
 
+    external_shortfall: np.ndarray  # (n,) unpaid outside obligation, Q
+    central_shortfall: np.ndarray   # (n,) central bank's unpaid obligations, Q
+    deposits_lost: np.ndarray       # (n,) deposits of the defaulted banks, Q
+    defaults_by_tier: np.ndarray    # (n, 3) defaulted banks per tier
 
-@dataclass(frozen=True)
-class ScenarioRecord:
-    """Full per-scenario accounting; both insurance views derive from it."""
+    def __len__(self) -> int:
+        return self.external_shortfall.size
 
-    scenario_index: int
-    external_shortfall: Money
-    central_shortfall: Money
-    deposits_lost: Money
-    n_defaults: int
-    n_defaults_by_tier: tuple[int, int, int]
+    @property
+    def n_defaults(self) -> np.ndarray:
+        return self.defaults_by_tier.sum(axis=1)
 
-    def loss(self, deposit_insurance: bool) -> Money:
+    def loss(self, deposit_insurance: bool) -> np.ndarray:
+        """Real-economy loss per scenario; insured deposits are not lost."""
         if deposit_insurance:
             return self.external_shortfall
         return self.external_shortfall + self.deposits_lost
 
-    def to_sample(self, config: LossConfig) -> LossSample:
-        insured = config.deposit_insurance
-        return LossSample(
-            scenario_index=self.scenario_index,
-            real_economy_loss=self.loss(insured),
-            insurance_payout=self.deposits_lost if insured else 0.0,
-            n_defaults=self.n_defaults,
-            central_shortfall=self.central_shortfall,
+    @classmethod
+    def from_clearing(cls, network: GalacticNetwork,
+                      cleared: BatchClearingResult) -> "ScenarioTable":
+        """Accounting for every row of a cleared batch at once."""
+        defaulted = cleared.defaulted
+        if defaulted.shape[1] != network.n_banks:
+            raise ValueError(
+                f"cleared batch has {defaulted.shape[1]} banks, "
+                f"the network {network.n_banks}"
+            )
+        slices = [network.tier_slice(t) for t in Tier]
+        deposits = network.deposits_vector()[:, None]
+        # one BLAS dot per row, as (1, n) @ (n, 1): a single gemv over the
+        # batch sums in another order and moves the last bits; blocks of
+        # rows keep the bool-to-float copy of `defaulted` cache-sized
+        block = _block_rows(network.n_banks)
+        deposits_lost = np.concatenate([
+            (defaulted[r:r + block, None, :] @ deposits).ravel()
+            for r in range(0, defaulted.shape[0], block)
+        ])
+        return cls(
+            external_shortfall=network.total_external_obligation() - cleared.external_paid,
+            central_shortfall=cleared.shortfall[:, slices[Tier.CENTRAL]].sum(axis=1),
+            deposits_lost=deposits_lost,
+            defaults_by_tier=np.stack(
+                [defaulted[:, sl].sum(axis=1) for sl in slices], axis=1
+            ),
         )
+
+    @classmethod
+    def concat(cls, tables) -> "ScenarioTable":
+        return cls(*(
+            np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)
+        ))
 
 
 def green_line_loss(network: GalacticNetwork, config: LossConfig) -> Money:
     """Benchmark loss with no financial system: the public eats the bond default."""
     return network.outstanding_debt * (1.0 - config.bond_recovery)
-
-
-def real_economy_loss(outcome: ClearingOutcome, network: GalacticNetwork,
-                      config: LossConfig, scenario_index: int = 0) -> LossSample:
-    """Loss accounting for a single clearing outcome."""
-    if outcome.payments.shape != (network.n_banks,):
-        raise ValueError(
-            f"outcome has {outcome.payments.shape} payments for {network.n_banks} banks"
-        )
-    (record,) = _records_from_arrays(
-        [scenario_index],
-        network,
-        outcome.defaulted[None, :],
-        outcome.shortfall[None, :],
-        np.atleast_1d(outcome.external_paid),
-    )
-    return record.to_sample(config)
-
-
-def _records_from_arrays(indices, network, defaulted, shortfall,
-                         external_paid) -> list[ScenarioRecord]:
-    """One record per row; row r of the arrays is scenario indices[r]."""
-    deposits = network.deposits_vector()
-    slices = [network.tier_slice(t) for t in Tier]
-    central = slices[Tier.CENTRAL]
-    total_external = network.total_external_obligation()
-    return [
-        ScenarioRecord(
-            scenario_index=scenario_index,
-            external_shortfall=float(total_external - external_paid[row]),
-            central_shortfall=float(shortfall[row, central].sum()),
-            deposits_lost=float(defaulted[row] @ deposits),
-            n_defaults=int(defaulted[row].sum()),
-            n_defaults_by_tier=tuple(int(defaulted[row, sl].sum()) for sl in slices),
-        )
-        for row, scenario_index in enumerate(indices)
-    ]
 
 
 def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
@@ -192,8 +187,8 @@ def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
 
 
 def _injection_vector(network: GalacticNetwork, bailout: BailoutAllocation) -> np.ndarray:
-    """Pre-clearing cash per bank: sheet injections plus the allocation."""
-    return network.bailout_injection_vector() + np.repeat(
+    """Pre-clearing cash per bank: the allocation, none to the central bank."""
+    return np.repeat(
         np.array([0.0, bailout.per_massive, bailout.per_big]), network.counts
     )
 
@@ -209,7 +204,7 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
                      bailout: BailoutAllocation, config: LossConfig,
                      n_scenarios: int, seed: int, n_jobs: int = 1,
                      batch_size: int = DEFAULT_BATCH_SIZE, *,
-                     base_cache: list | None = None) -> list[ScenarioRecord]:
+                     base_cache: list | None = None) -> ScenarioTable:
     """Scenario accounting for n_scenarios independent shock draws.
 
     Scenario i is a pure function of (seed, i) and the inputs; the worker
@@ -229,7 +224,7 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
     chunks = _chunks(n_scenarios, batch_size)
     slots = [] if base_cache is None else base_cache
     injections = _injection_vector(network, bailout)[None, :]
-    results: list[list[ScenarioRecord]] = [None] * len(chunks)
+    tables: list[ScenarioTable] = [None] * len(chunks)
 
     def draw_base(idx: range) -> np.ndarray:
         losses = sample_loss_matrix(shock_params, seed, idx)
@@ -245,9 +240,7 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
             assets = draw_base(idx)
             assets += injections  # private to this chunk: no second matrix
         cleared = clear_tiered_batch(network, assets)
-        results[pos] = _records_from_arrays(
-            idx, network, cleared.defaulted, cleared.shortfall, cleared.external_paid
-        )
+        tables[pos] = ScenarioTable.from_clearing(network, cleared)
 
     if n_jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -256,80 +249,46 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
         for pos in range(len(chunks)):
             run_chunk(pos)
 
-    return [rec for chunk in results for rec in chunk]
-
-
-def run_monte_carlo(network: GalacticNetwork, shock_params: ShockParams,
-                    bailout: BailoutAllocation, config: LossConfig,
-                    n_scenarios: int, seed: int, n_jobs: int = 1) -> list[LossSample]:
-    """LossSamples for n_scenarios draws, ordered by scenario_index."""
-    records = simulate_records(
-        network, shock_params, bailout, config, n_scenarios, seed, n_jobs
-    )
-    return [rec.to_sample(config) for rec in records]
+    return ScenarioTable.concat(tables)
 
 
 # --- risk statistics ------------------------------------------------------
+# Each takes a 1-D loss array whose row i is scenario i.
 
-def _loss_array(samples) -> tuple[np.ndarray, np.ndarray]:
-    if not samples:
-        raise ValueError("no loss samples")
-    idx = np.array([s.scenario_index for s in samples])
-    losses = np.array([s.real_economy_loss for s in samples])
-    order = np.argsort(idx, kind="stable")
-    return losses[order], idx[order]
-
-
-def mean_loss(losses: np.ndarray) -> float:
-    return float(np.mean(losses))
+def _losses(losses) -> np.ndarray:
+    losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 1 or losses.size == 0:
+        raise ValueError("need a non-empty 1-D array of scenario losses")
+    return losses
 
 
-def exceedance(losses: np.ndarray, threshold: Money) -> float:
-    return float(np.mean(losses > threshold))
+def expected_loss(losses) -> Money:
+    return float(np.mean(_losses(losses)))
 
 
-def average_var_array(losses: np.ndarray, confidence: float,
-                      scenario_index: np.ndarray | None = None) -> float:
-    """Mean of the worst ceil(confidence * N) losses, ties by scenario index."""
+def exceedance_probability(losses, threshold: Money) -> float:
+    return float(np.mean(_losses(losses) > threshold))
+
+
+def average_var(losses, confidence: float) -> Money:
+    """Mean of the worst ceil(confidence * N) losses, ties to the lower index."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    n = losses.size
-    k = math.ceil(confidence * n)
-    if scenario_index is None:
-        scenario_index = np.arange(n)
-    order = np.lexsort((scenario_index, -losses))
-    return float(losses[order[:k]].mean())
+    losses = _losses(losses)
+    k = math.ceil(confidence * losses.size)
+    # a stable sort keeps equal losses in scenario-index order
+    worst = np.argsort(-losses, kind="stable")[:k]
+    return float(losses[worst].mean())
 
 
-def expected_loss(samples) -> Money:
-    losses, _ = _loss_array(samples)
-    return mean_loss(losses)
-
-
-def exceedance_probability(samples, threshold: Money) -> float:
-    losses, _ = _loss_array(samples)
-    return exceedance(losses, threshold)
-
-
-def average_var(samples, confidence: float) -> Money:
-    losses, idx = _loss_array(samples)
-    return average_var_array(losses, confidence, idx)
-
-
-def _criterion_ok(losses: np.ndarray, criterion: Criterion, config: LossConfig,
-                  scenario_index: np.ndarray | None = None) -> bool:
+def criterion_satisfied(losses, criterion: Criterion, config: LossConfig) -> bool:
     t = config.threshold
     if criterion is Criterion.EXPECTATION:
-        return mean_loss(losses) <= t
+        return expected_loss(losses) <= t
     if criterion is Criterion.VAR:
         # strict: exceedance probability must stay below the confidence level
-        return exceedance(losses, t) < config.confidence
-    return average_var_array(losses, config.confidence, scenario_index) <= t
-
-
-def criterion_satisfied(samples, criterion: Criterion, config: LossConfig) -> bool:
-    losses, idx = _loss_array(samples)
-    return _criterion_ok(losses, criterion, config, idx)
+        return exceedance_probability(losses, t) < config.confidence
+    return average_var(losses, config.confidence) <= t
 
 
 # --- bailout frontier -----------------------------------------------------
@@ -383,11 +342,11 @@ class _AllocationEvaluator:
         key = (alloc.per_massive, alloc.per_big)
         if key in self.cache:
             return self.cache[key]
-        records = simulate_records(
+        table = simulate_records(
             self.network, self.shock_params, alloc, self.config,
             self.n_scenarios, self.seed, self.n_jobs, base_cache=self.bases,
         )
-        vec = np.array([r.loss(self.config.deposit_insurance) for r in records])
+        vec = table.loss(self.config.deposit_insurance)
         self._check_monotone(key, vec)
         self.cache[key] = vec
         return vec
@@ -408,7 +367,7 @@ class _AllocationEvaluator:
                 )
 
     def satisfied(self, alloc: BailoutAllocation, criterion: Criterion) -> bool:
-        return _criterion_ok(self.losses(alloc), criterion, self.config)
+        return criterion_satisfied(self.losses(alloc), criterion, self.config)
 
 
 def bailout_frontier(network: GalacticNetwork, shock_params: ShockParams,

@@ -49,23 +49,20 @@ def run_records(buffers, n_scenarios, exempt_central=False, bailout=None):
     net = gb.build_network(params)
     shock = gb.ShockParams(n_banks=net.n_banks, exempt_central=exempt_central)
     config = gb.LossConfig(ggp=net.ggp)
-    records = gb.simulate_records(
+    table = gb.simulate_records(
         net, shock, bailout or gb.BailoutAllocation(), config,
         n_scenarios, SEED, n_jobs=2,
     )
-    return net, records
+    return net, table
 
 
-def band_metrics(records, network):
-    losses = np.array([r.loss(False) for r in records])
-    insured = np.array([r.loss(True) for r in records])
-    payouts = np.array([r.deposits_lost for r in records])
-    mb_frac = np.array([
-        (r.n_defaults_by_tier[1] + r.n_defaults_by_tier[2])
-        / (network.counts[1] + network.counts[2])
-        for r in records
-    ])
-    all_frac = np.array([r.n_defaults / network.n_banks for r in records])
+def band_metrics(table, network):
+    losses = table.loss(False)
+    insured = table.loss(True)
+    payouts = table.deposits_lost
+    by_tier = table.defaults_by_tier
+    mb_frac = (by_tier[:, 1] + by_tier[:, 2]) / (network.counts[1] + network.counts[2])
+    all_frac = table.n_defaults / network.n_banks
     above = losses > GREEN_LINE
     return {
         "below_green": float((losses < GREEN_LINE).mean()),
@@ -220,9 +217,9 @@ def test_c4_shock_statistics():
 
 def test_c5_monotonicity_and_dominance(default_run, frontier_run):
     # per-scenario insurance dominance on the full default-calibration run
-    net, records = default_run
-    for rec in records:
-        assert rec.loss(True) <= rec.loss(False) + 1e-12
+    net, table = default_run
+    assert len(table) == N_FULL
+    assert (table.loss(True) <= table.loss(False) + 1e-12).all()
 
     # common-random-number loss monotonicity along a bailout ladder
     shock = gb.ShockParams(n_banks=net.n_banks)
@@ -249,8 +246,8 @@ def test_c5_monotonicity_and_dominance(default_run, frontier_run):
 
 
 def test_c6_distribution_bands(default_run):
-    net, records = default_run
-    metrics = band_metrics(records, net)
+    net, table = default_run
+    metrics = band_metrics(table, net)
     lines = []
     failures = []
     knob_cache = {}
@@ -258,8 +255,8 @@ def test_c6_distribution_bands(default_run):
     def knob_run(buffers, n_scenarios):
         key = (buffers, n_scenarios)
         if key not in knob_cache:
-            knob_net, knob_records = run_records(buffers, n_scenarios)
-            knob_cache[key] = band_metrics(knob_records, knob_net)
+            knob_net, knob_table = run_records(buffers, n_scenarios)
+            knob_cache[key] = band_metrics(knob_table, knob_net)
         return knob_cache[key]
 
     def check(name, value, lo, hi, knob_buffers, knob_value_fn=None, note=""):

@@ -101,6 +101,35 @@ def test_dense_validation():
         clearing_dense(dense([[0.0]], [1.0], [0.0]), tolerance=0.0)
 
 
+@pytest.mark.parametrize("field", ["liabilities", "external", "assets"])
+def test_dense_rejects_nan_at_construction(field):
+    inputs = {
+        "liabilities": [[0.0, 10.0], [0.0, 0.0]],
+        "external": [0.0, 10.0],
+        "assets": [5.0, 2.0],
+    }
+    if field == "liabilities":
+        inputs[field][0][1] = np.nan
+    else:
+        inputs[field][0] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        dense(inputs["liabilities"], inputs["external"], inputs["assets"])
+
+
+def test_dense_non_convergence_names_iterations_residuals_and_tolerance(monkeypatch):
+    # from the greatest start: (10, 10) -> (5, 10) -> (5, 7) -> (5, 7)
+    net = dense([[0.0, 10.0], [0.0, 0.0]], [0.0, 10.0], [5.0, 2.0])
+    needed = clearing_dense(net).iterations
+    assert needed == 2
+    monkeypatch.setattr(clearing, "MAX_ITERATIONS", needed)
+    with pytest.raises(RuntimeError) as info:
+        clearing_dense(net)
+    message = str(info.value)
+    assert f"in {needed} iterations" in message
+    assert "last residuals 5, 3 " in message
+    assert f"against tolerance {clearing.DEFAULT_TOLERANCE * 10.0:.3g}" in message
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_dense_bounds_and_conservation(data):

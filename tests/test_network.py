@@ -72,22 +72,6 @@ def test_conservation_default_network():
     assert abs(net.interbank_conservation_gap()) < 1e-9
 
 
-def test_tier_symmetry():
-    net = gb.build_network()
-    for t in gb.Tier:
-        first = net.sheet(t, 0)
-        last = net.sheet(t, net.counts[t] - 1)
-        assert first == last
-
-
-def test_sheet_index_bounds():
-    net = gb.build_network()
-    with pytest.raises(IndexError):
-        net.sheet(gb.Tier.CENTRAL, 1)
-    with pytest.raises(IndexError):
-        net.sheet(gb.Tier.BIG, -1)
-
-
 def test_negative_amounts_rejected():
     with pytest.raises(ValueError):
         gb.LiabilityProfile(owed_to_central=-0.1)

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 import galbank as gb
-from galbank import risk
+from galbank import report, risk
+from galbank.clearing import clear_tiered_batch
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 
 SEED = 20240917
+TABLE_COLUMNS = ("external_shortfall", "central_shortfall", "deposits_lost",
+                 "defaults_by_tier")
 
 
-def make_samples(losses):
-    return [
-        gb.LossSample(i, float(v), 0.0, 0, 0.0) for i, v in enumerate(losses)
-    ]
+def assert_tables_equal(a, b):
+    assert len(a) == len(b)
+    for column in TABLE_COLUMNS:
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
 
 def central_only_network(obligation=10.0):
@@ -31,22 +34,24 @@ def central_only_network(obligation=10.0):
 
 # --- loss accounting --------------------------------------------------------
 
+def account(network, assets):
+    return gb.ScenarioTable.from_clearing(network, clear_tiered_batch(network, assets))
+
+
 def test_loss_zero_when_everyone_pays():
     net = gb.build_network()
     assets = net.external_assets_vector() + net.bond_face_vector()
-    outcome = gb.clearing_compressed(net, assets)
-    sample = gb.real_economy_loss(outcome, net, gb.LossConfig(ggp=net.ggp))
-    assert sample.real_economy_loss == pytest.approx(0.0, abs=1e-9)
-    assert sample.n_defaults == 0
-    assert sample.insurance_payout == 0.0
+    table = account(net, assets[None, :])
+    assert table.loss(False)[0] == pytest.approx(0.0, abs=1e-9)
+    assert table.n_defaults[0] == 0
+    assert table.deposits_lost[0] == 0.0
 
 
 def test_loss_central_shortfall_passthrough():
     net = central_only_network(obligation=10.0)
-    outcome = gb.clearing_compressed(net, np.array([4.0, 0.0, 0.0]))
-    sample = gb.real_economy_loss(outcome, net, gb.LossConfig(ggp=100.0))
-    assert sample.real_economy_loss == pytest.approx(6.0, rel=1e-12)
-    assert sample.central_shortfall == pytest.approx(6.0, rel=1e-12)
+    table = account(net, np.array([[4.0, 0.0, 0.0]]))
+    assert table.loss(False)[0] == pytest.approx(6.0, rel=1e-12)
+    assert table.central_shortfall[0] == pytest.approx(6.0, rel=1e-12)
 
 
 def test_green_line_benchmark():
@@ -62,77 +67,163 @@ def test_green_line_benchmark():
 def test_loss_size_mismatch_rejected():
     net = gb.build_network()
     toy = central_only_network()
-    outcome = gb.clearing_compressed(toy, np.zeros(3))
+    cleared = clear_tiered_batch(toy, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        gb.real_economy_loss(outcome, net, gb.LossConfig(ggp=net.ggp))
+        gb.ScenarioTable.from_clearing(net, cleared)
 
 
-def test_deposits_counted_only_without_insurance():
-    rec = gb.ScenarioRecord(
-        scenario_index=0, external_shortfall=5.0, central_shortfall=5.0,
-        deposits_lost=3.0, n_defaults=2, n_defaults_by_tier=(1, 0, 1),
+def test_deposits_counted_only_without_insurance(tmp_path):
+    table = gb.ScenarioTable(
+        external_shortfall=np.array([5.0]), central_shortfall=np.array([5.0]),
+        deposits_lost=np.array([3.0]), defaults_by_tier=np.array([[1, 0, 1]]),
     )
+    assert table.n_defaults.tolist() == [2]
+    assert table.loss(False).tolist() == [8.0]
+    assert table.loss(True).tolist() == [5.0]
     ggp = 100.0
-    bare = rec.to_sample(gb.LossConfig(ggp=ggp, deposit_insurance=False))
-    insured = rec.to_sample(gb.LossConfig(ggp=ggp, deposit_insurance=True))
-    assert bare.real_economy_loss == 8.0
-    assert bare.insurance_payout == 0.0
-    assert insured.real_economy_loss == 5.0
-    assert insured.insurance_payout == 3.0
+    rows = {}
+    for insured in (False, True):
+        path = tmp_path / f"losses-{insured}.csv"
+        report.write_losses_csv(path, table, gb.LossConfig(ggp=ggp, deposit_insurance=insured))
+        rows[insured] = path.read_text().splitlines()[2]
+    # scenario_index, real_economy_loss, insurance_payout, n_defaults, central_shortfall
+    assert rows[False] == "0,8,0,2,5"
+    assert rows[True] == "0,5,3,2,5"
+
+
+# --- vectorised accounting against the per-row loop --------------------------
+
+def _records_from_arrays(indices, network, defaulted, shortfall, external_paid):
+    """The per-row accounting loop the vectorised pass replaced, as the oracle.
+
+    One (index, external, central, deposits, n_defaults, by_tier) tuple per
+    row; row r of the arrays is scenario indices[r].
+    """
+    deposits = network.deposits_vector()
+    slices = [network.tier_slice(t) for t in gb.Tier]
+    central = slices[gb.Tier.CENTRAL]
+    total_external = network.total_external_obligation()
+    return [
+        (
+            scenario_index,
+            float(total_external - external_paid[row]),
+            float(shortfall[row, central].sum()),
+            float(defaulted[row] @ deposits),
+            int(defaulted[row].sum()),
+            tuple(int(defaulted[row, sl].sum()) for sl in slices),
+        )
+        for row, scenario_index in enumerate(indices)
+    ]
+
+
+def assert_table_matches_records(table, records):
+    index, external, central, deposits, n_defaults, by_tier = zip(*records)
+    assert list(index) == list(range(len(table)))
+    assert np.array_equal(table.external_shortfall, external)
+    assert np.array_equal(table.central_shortfall, central)
+    assert np.array_equal(table.deposits_lost, deposits)
+    assert np.array_equal(table.n_defaults, n_defaults)
+    assert np.array_equal(table.defaults_by_tier, by_tier)
+
+
+ORACLE_BAILOUTS = [
+    gb.BailoutAllocation(),
+    gb.BailoutAllocation(per_massive=1.0, per_big=0.05),
+]
+
+
+@pytest.mark.parametrize("bailout", ORACLE_BAILOUTS, ids=["headline", "bailout"])
+@pytest.mark.parametrize("rows", [1, 37])
+def test_vectorised_pass_bitwise_equals_row_loop(default_net, bailout, rows):
+    net = default_net
+    shock = gb.ShockParams(n_banks=net.n_banks)
+    config = gb.LossConfig(ggp=net.ggp)
+    idx = range(rows)
+    assets = _base_assets(net, shock, gb.shocks.sample_loss_matrix(shock, SEED, idx), config)
+    cleared = clear_tiered_batch(net, assets + _injection_vector(net, bailout)[None, :])
+    assert cleared.defaulted.any() and not cleared.defaulted.all()
+    table = gb.ScenarioTable.from_clearing(net, cleared)
+    assert_table_matches_records(table, _records_from_arrays(
+        idx, net, cleared.defaulted, cleared.shortfall, cleared.external_paid
+    ))
+
+
+@pytest.mark.parametrize("bailout", ORACLE_BAILOUTS, ids=["headline", "bailout"])
+def test_chunked_table_bitwise_equals_row_loop_with_ragged_chunk(
+        default_net, monkeypatch, bailout):
+    net = default_net
+    shock = gb.ShockParams(n_banks=net.n_banks)
+    config = gb.LossConfig(ggp=net.ggp)
+    records = []
+    real_clear = risk.clear_tiered_batch
+
+    def clear_and_record(network, assets):
+        cleared = real_clear(network, assets)
+        start = len(records)
+        records.extend(_records_from_arrays(
+            range(start, start + assets.shape[0]), network,
+            cleared.defaulted, cleared.shortfall, cleared.external_paid,
+        ))
+        return cleared
+
+    monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_record)
+    # chunks of 37, 37 and a ragged 6, run in order on one thread
+    table = gb.simulate_records(net, shock, bailout, config, 80, SEED, 1, 37)
+    assert len(records) == len(table) == 80
+    assert_table_matches_records(table, records)
 
 
 # --- risk statistics --------------------------------------------------------
 
 def test_statistics_examples():
-    samples = make_samples([0.2 * k for k in range(1, 11)])
-    assert gb.expected_loss(samples) == pytest.approx(1.1, rel=1e-12)
-    assert gb.average_var(samples, 0.10) == pytest.approx(2.0, rel=1e-12)
-    constant = make_samples([0.7] * 8)
+    losses = np.array([0.2 * k for k in range(1, 11)])
+    assert gb.expected_loss(losses) == pytest.approx(1.1, rel=1e-12)
+    assert gb.average_var(losses, 0.10) == pytest.approx(2.0, rel=1e-12)
+    constant = np.full(8, 0.7)
     assert gb.expected_loss(constant) == pytest.approx(0.7)
     assert gb.average_var(constant, 0.25) == pytest.approx(0.7)
 
 
 def test_exceedance_boundary_semantics():
-    samples = make_samples([1.0] * 18 + [5.0] * 2)
-    assert gb.exceedance_probability(samples, 2.0) == pytest.approx(0.10)
+    losses = np.array([1.0] * 18 + [5.0] * 2)
+    assert gb.exceedance_probability(losses, 2.0) == pytest.approx(0.10)
     config = gb.LossConfig(ggp=200.0, threshold_fraction=0.01, confidence=0.10)
     # exactly 10% exceedance fails the strict "less than" VaR requirement
     assert config.threshold == pytest.approx(2.0)
-    assert not gb.criterion_satisfied(samples, gb.Criterion.VAR, config)
+    assert not gb.criterion_satisfied(losses, gb.Criterion.VAR, config)
 
 
 def test_criterion_satisfied_examples():
     ggp = 1000.0
     config = gb.LossConfig(ggp=ggp)
-    zeros = make_samples([0.0] * 20)
+    zeros = np.zeros(20)
     for criterion in gb.Criterion:
         assert gb.criterion_satisfied(zeros, criterion, config)
-    heavy = make_samples([0.02 * ggp] * 20)
+    heavy = np.full(20, 0.02 * ggp)
     for criterion in gb.Criterion:
         assert not gb.criterion_satisfied(heavy, criterion, config)
     # mean below threshold but a fat worst decile: expectation passes, AVaR fails
-    mixed = make_samples([ggp * 0.02 / 3] * 9 + [0.03 * ggp])
+    mixed = np.array([ggp * 0.02 / 3] * 9 + [0.03 * ggp])
     assert gb.criterion_satisfied(mixed, gb.Criterion.EXPECTATION, config)
     assert not gb.criterion_satisfied(mixed, gb.Criterion.AVAR, config)
 
 
 def test_average_var_tie_break_deterministic():
-    samples = [
-        gb.LossSample(3, 2.0, 0.0, 0, 0.0),
-        gb.LossSample(1, 2.0, 0.0, 0, 0.0),
-        gb.LossSample(0, 1.0, 0.0, 0, 0.0),
-        gb.LossSample(2, 2.0, 0.0, 0, 0.0),
-    ]
-    assert gb.average_var(samples, 0.5) == pytest.approx(2.0)
+    # row i is scenario i: scenarios 1, 2 and 3 tie at 2.0 ahead of scenario 0
+    losses = np.array([1.0, 2.0, 2.0, 2.0])
+    assert gb.average_var(losses, 0.5) == pytest.approx(2.0)
 
 
 def test_empty_samples_rejected():
     with pytest.raises(ValueError):
-        gb.expected_loss([])
+        gb.expected_loss(np.array([]))
     with pytest.raises(ValueError):
-        gb.exceedance_probability([], 1.0)
+        gb.exceedance_probability(np.array([]), 1.0)
     with pytest.raises(ValueError):
-        gb.average_var([], 0.1)
+        gb.average_var(np.array([]), 0.1)
+    with pytest.raises(ValueError):
+        gb.criterion_satisfied(np.array([]), gb.Criterion.EXPECTATION,
+                               gb.LossConfig(ggp=1.0))
 
 
 def test_criterion_parse():
@@ -152,21 +243,30 @@ def test_monte_carlo_deterministic(default_net):
     net = default_net
     params = gb.ShockParams(n_banks=net.n_banks)
     config = gb.LossConfig(ggp=net.ggp)
-    a = gb.run_monte_carlo(net, params, gb.BailoutAllocation(), config, 40, SEED)
-    b = gb.run_monte_carlo(net, params, gb.BailoutAllocation(), config, 40, SEED)
-    assert a == b
-    assert [s.scenario_index for s in a] == list(range(40))
+    a = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 40, SEED)
+    b = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 40, SEED)
+    assert_tables_equal(a, b)
+    assert len(a) == 40
+    # row i is scenario i: a table of the first scenarios is a prefix
+    head = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 7, SEED)
+    for column in TABLE_COLUMNS:
+        assert np.array_equal(getattr(head, column), getattr(a, column)[:7]), column
 
 
 def test_monte_carlo_thread_invariance(default_net):
     net = default_net
     params = gb.ShockParams(n_banks=net.n_banks)
     config = gb.LossConfig(ggp=net.ggp)
-    serial = gb.run_monte_carlo(net, params, gb.BailoutAllocation(), config, 60, SEED)
-    threaded = gb.run_monte_carlo(
-        net, params, gb.BailoutAllocation(), config, 60, SEED, n_jobs=4
+    # chunks of 20 so that four workers share the 60 scenarios
+    serial = gb.simulate_records(
+        net, params, gb.BailoutAllocation(), config, 60, SEED, 1, 20
     )
-    assert serial == threaded
+    threaded = gb.simulate_records(
+        net, params, gb.BailoutAllocation(), config, 60, SEED, 4, 20
+    )
+    assert_tables_equal(serial, threaded)
+    one_chunk = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 60, SEED)
+    assert_tables_equal(serial, one_chunk)
 
 
 def test_huge_bailout_keeps_massive_big_solvent(default_net):
@@ -174,28 +274,28 @@ def test_huge_bailout_keeps_massive_big_solvent(default_net):
     params = gb.ShockParams(n_banks=net.n_banks)
     config = gb.LossConfig(ggp=net.ggp)
     bailout = gb.BailoutAllocation(per_massive=10.0, per_big=10.0)
-    records = gb.simulate_records(net, params, bailout, config, 25, SEED)
+    table = gb.simulate_records(net, params, bailout, config, 25, SEED)
     central_deposits = net.sheets[gb.Tier.CENTRAL].deposits
-    for rec in records:
-        assert rec.n_defaults_by_tier[gb.Tier.MASSIVE] == 0
-        assert rec.n_defaults_by_tier[gb.Tier.BIG] == 0
-        # only the central bank still falls short: the bond wipeout leaves it
-        # unable to cover its outside obligation no matter the bailout
-        assert rec.n_defaults == 1
-        assert rec.external_shortfall >= 242.5 - 1e-6
-        assert rec.deposits_lost == pytest.approx(central_deposits, rel=1e-12)
-        assert rec.loss(True) == pytest.approx(rec.external_shortfall, rel=1e-12)
+    assert len(table) == 25
+    assert (table.defaults_by_tier[:, gb.Tier.MASSIVE] == 0).all()
+    assert (table.defaults_by_tier[:, gb.Tier.BIG] == 0).all()
+    # only the central bank still falls short: the bond wipeout leaves it
+    # unable to cover its outside obligation no matter the bailout
+    assert (table.n_defaults == 1).all()
+    assert (table.external_shortfall >= 242.5 - 1e-6).all()
+    assert table.deposits_lost == pytest.approx(np.full(25, central_deposits), rel=1e-12)
+    assert table.loss(True) == pytest.approx(table.external_shortfall, rel=1e-12)
 
 
 def test_insurance_dominance_per_scenario(default_net):
     net = default_net
     params = gb.ShockParams(n_banks=net.n_banks)
     config = gb.LossConfig(ggp=net.ggp)
-    records = gb.simulate_records(
+    table = gb.simulate_records(
         net, params, gb.BailoutAllocation(), config, 50, SEED
     )
-    for rec in records:
-        assert rec.loss(True) <= rec.loss(False) + 1e-12
+    assert len(table) == 50
+    assert (table.loss(True) <= table.loss(False) + 1e-12).all()
 
 
 def test_insured_mean_below_green_line_at_knob_calibration():
@@ -206,10 +306,11 @@ def test_insured_mean_below_green_line_at_knob_calibration():
     net = gb.build_network(params)
     shock = gb.ShockParams(n_banks=net.n_banks)
     config = gb.LossConfig(ggp=net.ggp, deposit_insurance=True)
-    samples = gb.run_monte_carlo(
+    table = gb.simulate_records(
         net, shock, gb.BailoutAllocation(), config, 400, SEED, n_jobs=2
     )
-    assert gb.expected_loss(samples) < gb.green_line_loss(net, config)
+    losses = table.loss(config.deposit_insurance)
+    assert gb.expected_loss(losses) < gb.green_line_loss(net, config)
 
 
 def test_bailout_never_to_central():
@@ -225,23 +326,6 @@ def test_bailout_rejects_non_finite(amount):
         gb.BailoutAllocation(per_massive=amount)
     with pytest.raises(ValueError, match="finite"):
         gb.BailoutAllocation(per_big=amount)
-
-
-def test_sheet_bailout_injection_enters_clearing():
-    net = central_only_network(obligation=10.0)
-    boosted = net.with_bailout_injection((0.0, 0.0, 0.0))
-    assert boosted == net
-    params = gb.ShockParams(n_banks=3, correlation=0.0)
-    config = gb.LossConfig(ggp=100.0)
-    plain = gb.simulate_records(
-        net, params, gb.BailoutAllocation(), config, 5, SEED
-    )
-    juiced_net = net.with_bailout_injection((4.0, 0.0, 0.0))
-    juiced = gb.simulate_records(
-        juiced_net, params, gb.BailoutAllocation(), config, 5, SEED
-    )
-    for a, b in zip(plain, juiced):
-        assert b.external_shortfall == pytest.approx(a.external_shortfall - 4.0, abs=1e-9)
 
 
 # --- frontier ---------------------------------------------------------------
@@ -336,7 +420,7 @@ def scenario_assets_reference(net, shock, losses, bailout, config):
     """Asset assembly as one expression per shock target, copying the losses."""
     external = net.external_assets_vector()
     bond_value = config.bond_recovery * net.bond_face_vector()
-    injections = net.bailout_injection_vector() + np.repeat(
+    injections = np.repeat(
         np.array([0.0, bailout.per_massive, bailout.per_big]), net.counts
     )
     applied = losses
@@ -407,8 +491,8 @@ def test_evaluator_draws_each_chunk_once(small_net, monkeypatch, target, exempt)
     assert all(base is not None for base in evaluator.bases)
     assert len({float(v.mean()) for v in vectors}) == len(vectors)
     for alloc, vec in zip(CACHE_ALLOCATIONS, vectors):
-        records = gb.simulate_records(net, shock, alloc, config, CACHE_SCENARIOS, SEED)
-        assert np.array_equal(vec, [r.loss(config.deposit_insurance) for r in records])
+        table = gb.simulate_records(net, shock, alloc, config, CACHE_SCENARIOS, SEED)
+        assert np.array_equal(vec, table.loss(config.deposit_insurance))
 
 
 @pytest.mark.parametrize("cached_chunks", [0, 1])
