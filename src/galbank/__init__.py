@@ -51,6 +51,7 @@ from .risk import (
     exceedance_probability,
     expected_loss,
     green_line_loss,
+    loss_threshold,
     minimal_total_bailout,
     simulate_records,
 )

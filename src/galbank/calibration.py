@@ -74,13 +74,16 @@ class CalibrationParams:
     banking_sector_ggp_fraction: float = 0.60  # narrative statistic only
 
     def __post_init__(self):
-        if not 0.0 <= self.ds1_paid_fraction <= 1.0:
-            raise ValueError("ds1_paid_fraction must lie in [0, 1]")
+        for name in ("ds1_paid_fraction", "banking_sector_ggp_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.growth_rate <= -1.0:
             raise ValueError("growth_rate must exceed -1")
-        for name in ("ds1_total_cost", "ds2_total_cost", "ggp_endor"):
+        for name in ("ds1_total_cost", "ds2_total_cost"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.ggp_endor <= 0:
+            raise ValueError("ggp_endor must be positive")
         if len(self.tier_counts) != 3 or any(c < 1 for c in self.tier_counts):
             raise DegenerateNetworkError(f"bad tier counts {self.tier_counts}")
         if len(self.capital_buffer_per_tier) != 3:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import report
@@ -89,11 +90,9 @@ def _prepare_out_dir(args) -> Path:
 def _load(args):
     config = load_config(args.config)
     if args.seed is not None:
-        config = type(config)(**{**config.__dict__, "seed": args.seed})
+        config = replace(config, seed=args.seed)
     if args.scenarios is not None:
-        if args.scenarios < 1:
-            raise ConfigError("config.n_scenarios: must be >= 1")
-        config = type(config)(**{**config.__dict__, "n_scenarios": args.scenarios})
+        config = replace(config, n_scenarios=args.scenarios)
     return config
 
 
@@ -118,15 +117,17 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--bailout-massive/--bailout-big: {exc}") from exc
     out = _prepare_out_dir(args)
     network = build_network(config.calibration)
-    loss_config = config.loss_config(deposit_insurance=args.insurance or None)
+    loss = config.loss
+    if args.insurance:
+        loss = replace(loss, deposit_insurance=True)
     table = simulate_records(
-        network, config.shock_params(network.n_banks), bailout, loss_config,
+        network, config.shock, bailout, loss,
         config.n_scenarios, config.seed, n_jobs=max(1, args.threads),
     )
-    report.write_losses_csv(out / "losses.csv", table, loss_config)
+    report.write_losses_csv(out / "losses.csv", table, loss)
     report.write_histogram_csv(out / "histogram.csv", table, network)
-    report.write_summary_csv(out / "summary.csv", table, network, loss_config)
-    stats = report.summary_stats(table, network, loss_config)
+    report.write_summary_csv(out / "summary.csv", table, network, loss)
+    stats = report.summary_stats(table, network, loss)
     print(f"scenarios: {config.n_scenarios}  seed: {config.seed}")
     print(f"mean_loss_no_insurance_q: {stats['mean_loss_no_insurance']:.3f} "
           f"({100 * stats['mean_loss_no_insurance_ggp_fraction']:.2f}% of GGP)")
@@ -141,13 +142,11 @@ def cmd_frontier(args) -> int:
     config = _load(args)
     out = _prepare_out_dir(args)
     network = build_network(config.calibration)
-    loss_config = config.loss_config()
     criteria = (
         list(Criterion) if args.criterion == "all" else [Criterion.parse(args.criterion)]
     )
-    shock = config.shock_params(network.n_banks)
     evaluator = _AllocationEvaluator(
-        network, shock, loss_config, config.n_scenarios, config.seed,
+        network, config.shock, config.loss, config.n_scenarios, config.seed,
         max(1, args.threads),
     )
     frontiers = {}
@@ -155,11 +154,9 @@ def cmd_frontier(args) -> int:
     gaps = False
     for criterion in criteria:
         points = bailout_frontier(
-            network, shock, loss_config, criterion, config.grid.per_big,
-            config.seed, n_scenarios=config.n_scenarios,
+            evaluator, criterion, config.grid.per_big,
             per_massive_cap=config.grid.per_massive_cap,
             resolution=config.grid.resolution,
-            n_jobs=max(1, args.threads), evaluator=evaluator,
         )
         frontiers[criterion] = points
         gaps = gaps or any(not p.attainable for p in points)

@@ -2,15 +2,20 @@
 
 A config file is a single JSON document with optional blocks
 ``calibration``, ``shock``, ``loss`` and ``grid`` plus top-level
-``n_scenarios``, ``seed`` and ``output_dir``.  Every default matches the
-headline calibration, so an empty document reproduces the reference run.
-Unknown fields are rejected with the offending location in the message.
+``n_scenarios`` and ``seed``.  The ``calibration``, ``shock`` and ``loss``
+blocks name fields of `CalibrationParams`, `ShockParams` and `LossConfig`;
+a field left out keeps the dataclass default, so an empty document
+reproduces the reference run.  Values are type-checked here and
+range-checked once, by the dataclasses.  Unknown fields and non-finite
+numbers are rejected with the offending location in the message.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .calibration import CalibrationParams
@@ -38,48 +43,24 @@ class GridSpec:
             raise ConfigError("grid.per_big: must be sorted ascending")
         if any(b < 0 for b in self.per_big):
             raise ConfigError("grid.per_big: values must be non-negative")
-        if self.per_massive_cap <= 0:
-            raise ConfigError("grid.per_massive_cap: must be positive")
-        if self.resolution <= 0:
-            raise ConfigError("grid.resolution: must be positive")
+        if not 0 < self.per_massive_cap < math.inf:
+            raise ConfigError("grid.per_massive_cap: must be positive and finite")
+        if not 0 < self.resolution < math.inf:
+            raise ConfigError("grid.resolution: must be positive and finite")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     calibration: CalibrationParams = field(default_factory=CalibrationParams)
-    shock_correlation: float = 0.25
-    shock_beta_a: float = 1.0
-    shock_beta_b: float = 4.0
-    shock_applies_to: ShockTarget = ShockTarget.EXTERNAL_ONLY
-    shock_exempt_central: bool = False
-    deposit_insurance: bool = False
-    threshold_fraction: float = 0.01
-    confidence: float = 0.10
-    bond_recovery: float = 0.0
+    shock: ShockParams = field(default_factory=ShockParams)
+    loss: LossConfig = field(default_factory=LossConfig)
     n_scenarios: int = DEFAULT_SCENARIOS
     seed: int = DEFAULT_SEED
     grid: GridSpec = field(default_factory=GridSpec)
-    output_dir: str | None = None
 
-    def shock_params(self, n_banks: int) -> ShockParams:
-        return ShockParams(
-            n_banks=n_banks,
-            correlation=self.shock_correlation,
-            beta_a=self.shock_beta_a,
-            beta_b=self.shock_beta_b,
-            applies_to=self.shock_applies_to,
-            exempt_central=self.shock_exempt_central,
-        )
-
-    def loss_config(self, deposit_insurance: bool | None = None) -> LossConfig:
-        insured = self.deposit_insurance if deposit_insurance is None else deposit_insurance
-        return LossConfig(
-            ggp=self.calibration.ggp_endor,
-            deposit_insurance=insured,
-            threshold_fraction=self.threshold_fraction,
-            confidence=self.confidence,
-            bond_recovery=self.bond_recovery,
-        )
+    def __post_init__(self):
+        if self.n_scenarios < 1:
+            raise ConfigError("config.n_scenarios: must be >= 1")
 
 
 def _require(condition: bool, location: str, message: str):
@@ -87,187 +68,145 @@ def _require(condition: bool, location: str, message: str):
         raise ConfigError(f"{location}: {message}")
 
 
-def _check_keys(block: dict, allowed: set[str], location: str):
+def _check_keys(block: dict, allowed, location: str):
     for key in block:
         _require(key in allowed, f"{location}.{key}", "unknown field")
 
 
-def _number(block, key, location, default, lo=None, hi=None, strict_lo=False):
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; json also reads NaN, Infinity and 1e400."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _number(block, key, location, default=None):
     value = block.get(key, default)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{location}.{key}", "expected a number")
-    value = float(value)
-    if lo is not None:
-        ok = value > lo if strict_lo else value >= lo
-        _require(ok, f"{location}.{key}", f"must be {'>' if strict_lo else '>='} {lo}")
-    if hi is not None:
-        _require(value <= hi, f"{location}.{key}", f"must be <= {hi}")
-    return value
+    _require(_is_number(value), f"{location}.{key}", "expected a finite number")
+    return float(value)
 
 
-def _integer(block, key, location, default, lo=None):
-    value = block.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{location}.{key}", "expected an integer")
-    if lo is not None:
-        _require(value >= lo, f"{location}.{key}", f"must be >= {lo}")
-    return value
+def _numbers(block, key, location, count=None):
+    raw = block[key]
+    _require(
+        isinstance(raw, list) and raw and all(_is_number(v) for v in raw)
+        and (count is None or len(raw) == count),
+        f"{location}.{key}", f"expected a list of {count or 'one or more'} finite numbers",
+    )
+    return tuple(float(v) for v in raw)
 
 
-def _boolean(block, key, location, default):
-    value = block.get(key, default)
-    _require(isinstance(value, bool), f"{location}.{key}", "expected true/false")
-    return value
+def _integer(block, key, location):
+    _require(_is_integer(block[key]), f"{location}.{key}", "expected an integer")
+    return block[key]
 
 
-def _year_series(block, key, location, default):
-    raw = block.get(key)
-    if raw is None:
-        return default
+def _tier_counts(block, key, location):
+    raw = block[key]
+    _require(isinstance(raw, list) and len(raw) == 3 and all(map(_is_integer, raw)),
+             f"{location}.{key}", "expected three integers")
+    return tuple(raw)
+
+
+def _boolean(block, key, location):
+    _require(isinstance(block[key], bool), f"{location}.{key}", "expected true/false")
+    return block[key]
+
+
+def _shock_target(block, key, location):
+    try:
+        return ShockTarget(block[key])
+    except ValueError:
+        raise ConfigError(
+            f"{location}.{key}: expected one of "
+            f"{[t.value for t in ShockTarget]}, got {block[key]!r}"
+        ) from None
+
+
+def _year_series(block, key, location):
+    raw = block[key]
     _require(isinstance(raw, list) and raw, f"{location}.{key}",
              "expected a non-empty list of [year, value] pairs")
-    series = []
     for i, pair in enumerate(raw):
         _require(
             isinstance(pair, list) and len(pair) == 2
-            and isinstance(pair[0], int)
-            and isinstance(pair[1], (int, float)) and not isinstance(pair[1], bool),
-            f"{location}.{key}[{i}]", "expected [year, value]",
+            and _is_integer(pair[0]) and _is_number(pair[1]),
+            f"{location}.{key}[{i}]", "expected [year, finite value]",
         )
-        series.append((pair[0], float(pair[1])))
-    return tuple(series)
+    return tuple((year, float(value)) for year, value in raw)
 
 
-def _parse_calibration(block: dict) -> CalibrationParams:
-    loc = "calibration"
-    allowed = {
-        "ds1_total_cost", "ds1_paid_fraction", "ds2_total_cost", "ggp_endor",
-        "growth_rate", "manhattan_expenditures", "us_gdp", "tier_counts",
-        "capital_buffer_per_tier", "banking_sector_ggp_fraction",
-    }
-    _check_keys(block, allowed, loc)
-    defaults = CalibrationParams()
+# each block's dataclass and a type-checking reader per field
+_BLOCKS = {
+    "calibration": (CalibrationParams, {
+        "ds1_total_cost": _number, "ds1_paid_fraction": _number,
+        "ds2_total_cost": _number, "ggp_endor": _number, "growth_rate": _number,
+        "manhattan_expenditures": _year_series, "us_gdp": _year_series,
+        "tier_counts": _tier_counts,
+        "capital_buffer_per_tier": partial(_numbers, count=3),
+        "banking_sector_ggp_fraction": _number,
+    }),
+    "shock": (ShockParams, {
+        "correlation": _number, "beta_a": _number, "beta_b": _number,
+        "applies_to": _shock_target, "exempt_central": _boolean,
+    }),
+    "loss": (LossConfig, {
+        "deposit_insurance": _boolean, "threshold_fraction": _number,
+        "confidence": _number, "bond_recovery": _number,
+    }),
+}
 
-    counts = block.get("tier_counts", list(defaults.tier_counts))
-    _require(
-        isinstance(counts, list) and len(counts) == 3
-        and all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in counts),
-        f"{loc}.tier_counts", "expected three positive integers",
-    )
-    buffers = block.get("capital_buffer_per_tier", list(defaults.capital_buffer_per_tier))
-    _require(
-        isinstance(buffers, list) and len(buffers) == 3
-        and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in buffers),
-        f"{loc}.capital_buffer_per_tier", "expected three numbers",
-    )
+
+def _parse_block(name: str, block: dict):
+    cls, readers = _BLOCKS[name]
+    _check_keys(block, readers, name)
+    values = {key: read(block, key, name) for key, read in readers.items() if key in block}
     try:
-        return CalibrationParams(
-            ds1_total_cost=_number(block, "ds1_total_cost", loc, defaults.ds1_total_cost, lo=0.0),
-            ds1_paid_fraction=_number(block, "ds1_paid_fraction", loc,
-                                      defaults.ds1_paid_fraction, lo=0.0, hi=1.0),
-            ds2_total_cost=_number(block, "ds2_total_cost", loc, defaults.ds2_total_cost, lo=0.0),
-            ggp_endor=_number(block, "ggp_endor", loc, defaults.ggp_endor, lo=0.0, strict_lo=True),
-            growth_rate=_number(block, "growth_rate", loc, defaults.growth_rate, lo=-1.0,
-                                strict_lo=True),
-            manhattan_expenditures=_year_series(block, "manhattan_expenditures", loc,
-                                                defaults.manhattan_expenditures),
-            us_gdp=_year_series(block, "us_gdp", loc, defaults.us_gdp),
-            tier_counts=tuple(counts),
-            capital_buffer_per_tier=tuple(float(b) for b in buffers),
-            banking_sector_ggp_fraction=_number(block, "banking_sector_ggp_fraction", loc,
-                                                defaults.banking_sector_ggp_fraction,
-                                                lo=0.0, hi=1.0),
-        )
-    except ConfigError:
-        raise
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{loc}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _parse_grid(block: dict) -> GridSpec:
     loc = "grid"
-    allowed = {"per_big", "per_big_start", "per_big_stop", "per_big_step",
-               "per_massive_cap", "resolution"}
-    _check_keys(block, allowed, loc)
-    defaults = GridSpec()
+    range_keys = {"per_big_start", "per_big_stop", "per_big_step"}
+    _check_keys(block, {"per_big", "per_massive_cap", "resolution", *range_keys}, loc)
+    values = {key: _number(block, key, loc)
+              for key in ("per_massive_cap", "resolution") if key in block}
 
     if "per_big" in block:
-        _require("per_big_start" not in block and "per_big_step" not in block,
-                 f"{loc}.per_big", "give either an explicit list or a range, not both")
-        raw = block["per_big"]
-        _require(
-            isinstance(raw, list) and raw
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw),
-            f"{loc}.per_big", "expected a non-empty list of numbers",
-        )
-        per_big = tuple(float(v) for v in raw)
-    elif {"per_big_start", "per_big_stop", "per_big_step"} & block.keys():
-        start = _number(block, "per_big_start", loc, 0.0, lo=0.0)
-        stop = _number(block, "per_big_stop", loc, None)
-        step = _number(block, "per_big_step", loc, None, lo=0.0, strict_lo=True)
+        _require(not range_keys & block.keys(), f"{loc}.per_big",
+                 "give either an explicit list or a range, not both")
+        values["per_big"] = _numbers(block, "per_big", loc)
+    elif range_keys & block.keys():
+        start = _number(block, "per_big_start", loc, 0.0)
+        stop = _number(block, "per_big_stop", loc)
+        step = _number(block, "per_big_step", loc)
+        _require(step > 0, f"{loc}.per_big_step", "must be > 0")
         _require(stop >= start, f"{loc}.per_big_stop", "must be >= per_big_start")
         n = int(round((stop - start) / step)) + 1
-        per_big = tuple(round(start + i * step, 9) for i in range(n))
-    else:
-        per_big = defaults.per_big
-
-    return GridSpec(
-        per_big=per_big,
-        per_massive_cap=_number(block, "per_massive_cap", loc,
-                                defaults.per_massive_cap, lo=0.0, strict_lo=True),
-        resolution=_number(block, "resolution", loc, defaults.resolution,
-                           lo=0.0, strict_lo=True),
-    )
+        values["per_big"] = tuple(round(start + i * step, 9) for i in range(n))
+    return GridSpec(**values)
 
 
 def parse_config(data: dict) -> RunConfig:
     _require(isinstance(data, dict), "config", "top level must be a JSON object")
-    allowed = {"calibration", "shock", "loss", "grid", "n_scenarios", "seed", "output_dir"}
-    _check_keys(data, allowed, "config")
-    for name in ("calibration", "shock", "loss", "grid"):
+    _check_keys(data, {*_BLOCKS, "grid", "n_scenarios", "seed"}, "config")
+    for name in (*_BLOCKS, "grid"):
         _require(isinstance(data.get(name, {}), dict), name, "expected an object")
-
-    shock = data.get("shock", {})
-    _check_keys(shock, {"correlation", "beta_a", "beta_b", "applies_to", "exempt_central"},
-                "shock")
-    applies_raw = shock.get("applies_to", ShockTarget.EXTERNAL_ONLY.value)
-    try:
-        applies_to = ShockTarget(applies_raw)
-    except ValueError:
-        raise ConfigError(
-            f"shock.applies_to: expected one of "
-            f"{[t.value for t in ShockTarget]}, got {applies_raw!r}"
-        ) from None
-
-    loss = data.get("loss", {})
-    _check_keys(loss, {"deposit_insurance", "threshold_fraction", "confidence",
-                       "bond_recovery"}, "loss")
-
-    output_dir = data.get("output_dir")
-    _require(output_dir is None or isinstance(output_dir, str),
-             "config.output_dir", "expected a string path")
-
-    config = RunConfig(
-        calibration=_parse_calibration(data.get("calibration", {})),
-        shock_correlation=_number(shock, "correlation", "shock", 0.25, lo=0.0),
-        shock_beta_a=_number(shock, "beta_a", "shock", 1.0, lo=0.0, strict_lo=True),
-        shock_beta_b=_number(shock, "beta_b", "shock", 4.0, lo=0.0, strict_lo=True),
-        shock_applies_to=applies_to,
-        shock_exempt_central=_boolean(shock, "exempt_central", "shock", False),
-        deposit_insurance=_boolean(loss, "deposit_insurance", "loss", False),
-        threshold_fraction=_number(loss, "threshold_fraction", "loss", 0.01,
-                                   lo=0.0, strict_lo=True, hi=1.0),
-        confidence=_number(loss, "confidence", "loss", 0.10, lo=0.0, strict_lo=True, hi=1.0),
-        bond_recovery=_number(loss, "bond_recovery", "loss", 0.0, lo=0.0, hi=1.0),
-        n_scenarios=_integer(data, "n_scenarios", "config", DEFAULT_SCENARIOS, lo=1),
-        seed=_integer(data, "seed", "config", DEFAULT_SEED),
+    return RunConfig(
+        **{name: _parse_block(name, data.get(name, {})) for name in _BLOCKS},
+        **{key: _integer(data, key, "config") for key in ("n_scenarios", "seed")
+           if key in data},
         grid=_parse_grid(data.get("grid", {})),
-        output_dir=output_dir,
     )
-    _require(config.shock_correlation < 1.0, "shock.correlation", "must be < 1")
-    _require(config.threshold_fraction < 1.0, "loss.threshold_fraction", "must be < 1")
-    _require(config.confidence < 1.0, "loss.confidence", "must be < 1")
-    return config
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -22,6 +22,7 @@ from .risk import (
     MinimalBailout,
     ScenarioTable,
     green_line_loss,
+    loss_threshold,
 )
 
 HISTOGRAM_BINS = 100
@@ -117,7 +118,7 @@ def summary_stats(table: ScenarioTable, network: GalacticNetwork,
     payouts = table.deposits_lost
     n_defaults = table.n_defaults
     green = green_line_loss(network, config)
-    threshold = config.threshold
+    threshold = loss_threshold(network, config)
     ggp = network.ggp
 
     below = no_ins < green
@@ -160,12 +161,11 @@ def write_summary_csv(path: Path, table, network, config):
 
 def write_frontier_csv(path: Path, frontiers: dict[Criterion, list[FrontierPoint]],
                        network: GalacticNetwork):
-    counts = network.counts
     rows = []
     for criterion, points in frontiers.items():
         for pt in points:
             if pt.attainable:
-                total = counts[Tier.MASSIVE] * pt.per_massive + counts[Tier.BIG] * pt.per_big
+                total = pt.allocation.total(network)
                 rows.append((criterion.value, pt.per_big, pt.per_massive,
                              total, total / network.ggp, True))
             else:

@@ -57,7 +57,8 @@ class Criterion(Enum):
 
 @dataclass(frozen=True)
 class LossConfig:
-    ggp: Money
+    """Loss criteria; the threshold is a fraction of the network's GGP."""
+
     deposit_insurance: bool = False
     threshold_fraction: float = 0.01
     confidence: float = 0.10
@@ -70,12 +71,6 @@ class LossConfig:
             raise ValueError("confidence must lie in (0, 1)")
         if not 0.0 <= self.bond_recovery <= 1.0:
             raise ValueError("bond_recovery must lie in [0, 1]")
-        if self.ggp <= 0:
-            raise ValueError("ggp must be positive")
-
-    @property
-    def threshold(self) -> Money:
-        return self.threshold_fraction * self.ggp
 
 
 @dataclass(frozen=True)
@@ -84,11 +79,8 @@ class BailoutAllocation:
 
     per_massive: Money = 0.0
     per_big: Money = 0.0
-    per_central: Money = 0.0
 
     def __post_init__(self):
-        if self.per_central != 0.0:
-            raise ValueError("the central bank is too big to save: per_central must be 0")
         for amount in (self.per_massive, self.per_big):
             if not (math.isfinite(amount) and amount >= 0):
                 raise ValueError(
@@ -166,6 +158,11 @@ def green_line_loss(network: GalacticNetwork, config: LossConfig) -> Money:
     return network.outstanding_debt * (1.0 - config.bond_recovery)
 
 
+def loss_threshold(network: GalacticNetwork, config: LossConfig) -> Money:
+    """The loss the criteria compare against: a fraction of the network's GGP."""
+    return config.threshold_fraction * network.ggp
+
+
 def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
                  losses: np.ndarray, config: LossConfig) -> np.ndarray:
     """Post-shock, post-bond-default cash per bank, before any bailout.
@@ -218,8 +215,6 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
-    if shock_params.n_banks != network.n_banks:
-        raise ValueError("shock_params.n_banks does not match the network")
 
     chunks = _chunks(n_scenarios, batch_size)
     slots = [] if base_cache is None else base_cache
@@ -227,7 +222,7 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
     tables: list[ScenarioTable] = [None] * len(chunks)
 
     def draw_base(idx: range) -> np.ndarray:
-        losses = sample_loss_matrix(shock_params, seed, idx)
+        losses = sample_loss_matrix(shock_params, network.n_banks, seed, idx)
         return _base_assets(network, shock_params, losses, config)
 
     def run_chunk(pos: int):
@@ -281,14 +276,14 @@ def average_var(losses, confidence: float) -> Money:
     return float(losses[worst].mean())
 
 
-def criterion_satisfied(losses, criterion: Criterion, config: LossConfig) -> bool:
-    t = config.threshold
+def criterion_satisfied(losses, criterion: Criterion, threshold: Money,
+                        confidence: float) -> bool:
     if criterion is Criterion.EXPECTATION:
-        return expected_loss(losses) <= t
+        return expected_loss(losses) <= threshold
     if criterion is Criterion.VAR:
         # strict: exceedance probability must stay below the confidence level
-        return exceedance_probability(losses, t) < config.confidence
-    return average_var(losses, config.confidence) <= t
+        return exceedance_probability(losses, threshold) < confidence
+    return average_var(losses, confidence) <= threshold
 
 
 # --- bailout frontier -----------------------------------------------------
@@ -301,6 +296,10 @@ class FrontierPoint:
     @property
     def attainable(self) -> bool:
         return self.per_massive is not None
+
+    @property
+    def allocation(self) -> BailoutAllocation:
+        return BailoutAllocation(per_massive=self.per_massive, per_big=self.per_big)
 
 
 @dataclass(frozen=True)
@@ -331,6 +330,7 @@ class _AllocationEvaluator:
         self.n_scenarios = n_scenarios
         self.seed = seed
         self.n_jobs = n_jobs
+        self.threshold = loss_threshold(network, config)
         self.cache: dict[tuple[float, float], np.ndarray] = {}
         row_bytes = network.n_banks * np.dtype(float).itemsize
         self.bases: list[np.ndarray | None] = [
@@ -367,32 +367,27 @@ class _AllocationEvaluator:
                 )
 
     def satisfied(self, alloc: BailoutAllocation, criterion: Criterion) -> bool:
-        return criterion_satisfied(self.losses(alloc), criterion, self.config)
+        return criterion_satisfied(self.losses(alloc), criterion, self.threshold,
+                                   self.config.confidence)
 
 
-def bailout_frontier(network: GalacticNetwork, shock_params: ShockParams,
-                     config: LossConfig, criterion: Criterion, grid,
-                     seed: int, *, n_scenarios: int,
+def bailout_frontier(evaluator: _AllocationEvaluator, criterion: Criterion, grid, *,
                      per_massive_cap: Money = 8.0,
-                     resolution: Money = 0.001,
-                     n_jobs: int = 1,
-                     evaluator: "_AllocationEvaluator | None" = None) -> list[FrontierPoint]:
+                     resolution: Money = 0.001) -> list[FrontierPoint]:
     """Minimal per-massive bailout for each per-big grid value.
 
-    All allocations share the same scenario streams (common random numbers),
-    so the attainable minima are non-increasing in per_big; that property is
-    asserted on every run.  Grid points where the criterion fails even at
-    `per_massive_cap` are reported as unattainable rather than errors.
+    The evaluator fixes the network, shock, loss criteria and scenarios, and
+    its cache carries over between calls.  All allocations share the same
+    scenario streams (common random numbers), so the attainable minima are
+    non-increasing in per_big; that property is asserted on every run.  Grid
+    points where the criterion fails even at `per_massive_cap` are reported
+    as unattainable rather than errors.
     """
     grid = [float(b) for b in grid]
     if not grid:
         raise ValueError("grid must be non-empty")
     if sorted(grid) != grid:
         raise ValueError("grid must be sorted ascending")
-    if evaluator is None:
-        evaluator = _AllocationEvaluator(
-            network, shock_params, config, n_scenarios, seed, n_jobs
-        )
 
     points = []
     for per_big in grid:
@@ -453,15 +448,8 @@ def minimal_total_bailout(frontier: list[FrontierPoint],
     attainable = [p for p in frontier if p.attainable]
     if not attainable:
         raise ValueError("frontier has no attainable points")
-    counts = network.counts
-    best = min(
-        attainable,
-        key=lambda p: (
-            counts[Tier.MASSIVE] * p.per_massive + counts[Tier.BIG] * p.per_big,
-            p.per_big,
-        ),
-    )
-    total = counts[Tier.MASSIVE] * best.per_massive + counts[Tier.BIG] * best.per_big
+    best = min(attainable, key=lambda p: (p.allocation.total(network), p.per_big))
+    total = best.allocation.total(network)
     return MinimalBailout(
         criterion=criterion,
         per_massive=best.per_massive,

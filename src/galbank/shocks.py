@@ -34,7 +34,8 @@ class ShockTarget(Enum):
 
 @dataclass(frozen=True)
 class ShockParams:
-    n_banks: int
+    """The shock's law; the bank count comes from the network it hits."""
+
     correlation: float = 0.25
     beta_a: float = 1.0
     beta_b: float = 4.0
@@ -42,12 +43,10 @@ class ShockParams:
     exempt_central: bool = False
 
     def __post_init__(self):
-        if self.n_banks < 1:
-            raise ValueError("n_banks must be at least 1")
         if not 0.0 <= self.correlation < 1.0:
             raise ValueError("correlation must lie in [0, 1)")
-        if self.beta_a <= 0 or self.beta_b <= 0:
-            raise ValueError("beta shape parameters must be positive")
+        if not (0 < self.beta_a < np.inf and 0 < self.beta_b < np.inf):
+            raise ValueError("beta shape parameters must be positive and finite")
 
     @property
     def mean_loss(self) -> float:
@@ -88,36 +87,37 @@ def _stream(seed: int, scenario_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def latent_draws(params: ShockParams, seed: int, scenario_index: int):
+def latent_draws(n_banks: int, seed: int, scenario_index: int):
     """(common factor, idiosyncratic vector) for one scenario's sub-stream."""
     rng = _stream(seed, scenario_index)
     common = rng.standard_normal()
-    idio = rng.standard_normal(params.n_banks)
+    idio = rng.standard_normal(n_banks)
     return common, idio
 
 
-def sample_scenario(params: ShockParams, seed: int, scenario_index: int,
-                    latent=None) -> ShockScenario:
-    """Draw one scenario of per-bank loss fractions.
+def sample_scenario(params: ShockParams, n_banks: int, seed: int,
+                    scenario_index: int, latent=None) -> ShockScenario:
+    """Draw one scenario of per-bank loss fractions for `n_banks` banks.
 
     `latent` optionally injects a fixed (common, idiosyncratic) pair for
     tests; otherwise draws come from the (seed, scenario_index) stream.
     """
     if latent is None:
-        common, idio = latent_draws(params, seed, scenario_index)
+        common, idio = latent_draws(n_banks, seed, scenario_index)
     else:
         common, idio = latent
-        idio = np.broadcast_to(np.asarray(idio, dtype=float), (params.n_banks,))
+        idio = np.broadcast_to(np.asarray(idio, dtype=float), (n_banks,))
     rho = params.correlation
     z = np.sqrt(rho) * common + np.sqrt(1.0 - rho) * idio
     losses = _inverse_marginal(params, std_normal_cdf(z))
     return ShockScenario(scenario_index, np.clip(losses, 0.0, 1.0))
 
 
-def sample_loss_matrix(params: ShockParams, seed: int, indices) -> np.ndarray:
+def sample_loss_matrix(params: ShockParams, n_banks: int, seed: int,
+                       indices) -> np.ndarray:
     """Loss fractions for many scenarios, one row per scenario_index."""
     indices = list(indices)
-    out = np.empty((len(indices), params.n_banks))
+    out = np.empty((len(indices), n_banks))
     for row, idx in enumerate(indices):
-        out[row] = sample_scenario(params, seed, idx).loss_fraction
+        out[row] = sample_scenario(params, n_banks, seed, idx).loss_fraction
     return out

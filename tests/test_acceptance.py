@@ -47,8 +47,8 @@ def report(criterion: str, ok: bool, detail: str):
 def run_records(buffers, n_scenarios, exempt_central=False, bailout=None):
     params = gb.CalibrationParams(capital_buffer_per_tier=buffers)
     net = gb.build_network(params)
-    shock = gb.ShockParams(n_banks=net.n_banks, exempt_central=exempt_central)
-    config = gb.LossConfig(ggp=net.ggp)
+    shock = gb.ShockParams(exempt_central=exempt_central)
+    config = gb.LossConfig()
     table = gb.simulate_records(
         net, shock, bailout or gb.BailoutAllocation(), config,
         n_scenarios, SEED, n_jobs=2,
@@ -82,16 +82,13 @@ def default_run():
 def frontier_run():
     params = gb.CalibrationParams(capital_buffer_per_tier=FRONTIER_BUFFERS)
     net = gb.build_network(params)
-    shock = gb.ShockParams(n_banks=net.n_banks, exempt_central=True)
-    config = gb.LossConfig(ggp=net.ggp)
+    shock = gb.ShockParams(exempt_central=True)
+    config = gb.LossConfig()
     evaluator = _AllocationEvaluator(net, shock, config, FRONTIER_SCENARIOS, SEED, 2)
     frontiers = {}
     minima = {}
     for criterion in gb.Criterion:
-        points = gb.bailout_frontier(
-            net, shock, config, criterion, FRONTIER_GRID, SEED,
-            n_scenarios=FRONTIER_SCENARIOS, n_jobs=2, evaluator=evaluator,
-        )
+        points = gb.bailout_frontier(evaluator, criterion, FRONTIER_GRID)
         frontiers[criterion] = points
         if any(p.attainable for p in points):
             minima[criterion] = gb.minimal_total_bailout(points, net, criterion)
@@ -176,8 +173,8 @@ def test_c3_clearing_correctness():
 
     # greatest vs least agree on the calibrated network, 100 sampled scenarios
     net = gb.build_network()
-    shock = gb.ShockParams(n_banks=net.n_banks)
-    losses = gb.shocks.sample_loss_matrix(shock, SEED, range(100))
+    shock = gb.ShockParams()
+    losses = gb.shocks.sample_loss_matrix(shock, net.n_banks, SEED, range(100))
     assets = (1.0 - losses) * net.external_assets_vector()[None, :]
     top = clear_tiered_batch(net, assets, tolerance=1e-11)
     bottom = clear_tiered_batch(net, assets, tolerance=1e-11, start="least")
@@ -190,16 +187,15 @@ def test_c3_clearing_correctness():
 
 def test_c4_shock_statistics():
     # marginal mean over 1e5 independent draws
-    params = gb.ShockParams(n_banks=1, correlation=0.0)
-    draws = gb.shocks.sample_loss_matrix(params, SEED, range(100_000)).ravel()
+    params = gb.ShockParams(correlation=0.0)
+    draws = gb.shocks.sample_loss_matrix(params, 1, SEED, range(100_000)).ravel()
     mean = float(draws.mean())
     assert abs(mean - 0.200) <= 0.005
 
     # latent pairwise correlation over 1e5 scenarios
-    two = gb.ShockParams(n_banks=2)
     z = np.empty((100_000, 2))
     for i in range(100_000):
-        common, idio = gb.latent_draws(two, SEED, i)
+        common, idio = gb.latent_draws(2, SEED, i)
         z[i] = math.sqrt(0.25) * common + math.sqrt(0.75) * idio
     corr = float(np.corrcoef(z[:, 0], z[:, 1])[0, 1])
     assert abs(corr - 0.25) <= 0.02
@@ -222,8 +218,8 @@ def test_c5_monotonicity_and_dominance(default_run, frontier_run):
     assert (table.loss(True) <= table.loss(False) + 1e-12).all()
 
     # common-random-number loss monotonicity along a bailout ladder
-    shock = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    shock = gb.ShockParams()
+    config = gb.LossConfig()
     ladder = [
         gb.BailoutAllocation(),
         gb.BailoutAllocation(per_big=0.05),

@@ -225,8 +225,8 @@ def test_compressed_default_network_no_shock_bonds_honored():
 
 def test_compressed_batch_consistent_with_single():
     net = gb.build_network()
-    params = gb.ShockParams(n_banks=net.n_banks)
-    losses = gb.shocks.sample_loss_matrix(params, 5, range(3))
+    params = gb.ShockParams()
+    losses = gb.shocks.sample_loss_matrix(params, net.n_banks, 5, range(3))
     ext = net.external_assets_vector()
     assets = (1.0 - losses) * ext[None, :]
     batch = clear_tiered_batch(net, assets)
@@ -239,8 +239,8 @@ def test_compressed_batch_consistent_with_single():
 
 def test_compressed_greatest_equals_least_on_calibrated():
     net = gb.build_network()
-    params = gb.ShockParams(n_banks=net.n_banks)
-    losses = gb.shocks.sample_loss_matrix(params, 77, range(3))
+    params = gb.ShockParams()
+    losses = gb.shocks.sample_loss_matrix(params, net.n_banks, 77, range(3))
     assets = (1.0 - losses) * net.external_assets_vector()[None, :]
     top = clear_tiered_batch(net, assets, tolerance=1e-11)
     bottom = clear_tiered_batch(net, assets, tolerance=1e-11, start="least")
@@ -286,8 +286,8 @@ def test_compressed_rejects_bad_inputs():
 
 def test_compressed_shortfall_in_own_buffer_and_assets_untouched():
     net = gb.build_network()
-    params = gb.ShockParams(n_banks=net.n_banks)
-    losses = gb.shocks.sample_loss_matrix(params, 11, range(4))
+    params = gb.ShockParams()
+    losses = gb.shocks.sample_loss_matrix(params, net.n_banks, 11, range(4))
     assets = (1.0 - losses) * net.external_assets_vector()[None, :]
     before = assets.copy()
     batch = clear_tiered_batch(net, assets)
@@ -405,8 +405,8 @@ def test_blocked_sweep_bitwise_equals_full_width(seed, block, shape):
 
 def test_blocked_sweep_bitwise_on_calibrated_partial_block():
     net = gb.build_network()
-    params = gb.ShockParams(n_banks=net.n_banks)
-    losses = gb.shocks.sample_loss_matrix(params, 19770525, range(37))
+    params = gb.ShockParams()
+    losses = gb.shocks.sample_loss_matrix(params, net.n_banks, 19770525, range(37))
     assets = (1.0 - losses) * net.external_assets_vector()[None, :]
     assert 37 % _block_rows(net.n_banks) != 0
     for start in ("greatest", "least"):

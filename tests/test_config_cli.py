@@ -1,10 +1,12 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import galbank as gb
+from galbank import config as config_module
 from galbank.cli import main
 from galbank.config import DEFAULT_SEED
 
@@ -28,11 +30,20 @@ def read_long_csv(path: Path) -> dict:
 
 def test_empty_config_is_headline_run():
     config = gb.parse_config({})
-    assert config.calibration == gb.CalibrationParams()
-    assert config.n_scenarios == 10_000
-    assert config.seed == DEFAULT_SEED
-    assert config.shock_correlation == 0.25
-    assert not config.deposit_insurance
+    assert config == gb.RunConfig(
+        calibration=gb.CalibrationParams(), shock=gb.ShockParams(), loss=gb.LossConfig(),
+        n_scenarios=10_000, seed=DEFAULT_SEED, grid=gb.GridSpec(),
+    )
+    assert config.shock.correlation == 0.25
+    assert config.shock.mean_loss == pytest.approx(0.2)
+    assert not config.loss.deposit_insurance
+    assert config.loss.threshold_fraction == 0.01
+
+
+@pytest.mark.parametrize("block,cls", [("shock", gb.ShockParams), ("loss", gb.LossConfig)])
+def test_block_keys_are_dataclass_fields(block, cls):
+    _, readers = config_module._BLOCKS[block]
+    assert readers.keys() == {f.name for f in fields(cls)}
 
 
 def test_load_config_none_gives_defaults():
@@ -46,6 +57,8 @@ def test_unknown_field_rejected_with_location():
         gb.parse_config({"fronteer": {}})
     with pytest.raises(gb.ConfigError, match=r"calibration\.ds3_total_cost"):
         gb.parse_config({"calibration": {"ds3_total_cost": 1.0}})
+    with pytest.raises(gb.ConfigError, match=r"config\.output_dir"):
+        gb.parse_config({"output_dir": "x"})
 
 
 def test_invalid_values_rejected():
@@ -72,26 +85,63 @@ def test_grid_parsing():
     assert config.grid.per_big == (0.0, 0.01, 0.02)
     with pytest.raises(gb.ConfigError, match="sorted"):
         gb.parse_config({"grid": {"per_big": [0.02, 0.01]}})
-    with pytest.raises(gb.ConfigError, match="not both"):
-        gb.parse_config({"grid": {"per_big": [0.0], "per_big_step": 0.01}})
+    with pytest.raises(gb.ConfigError, match=r"grid\.per_massive_cap"):
+        gb.GridSpec(per_massive_cap=float("inf"))
+    for range_key in ("per_big_start", "per_big_stop", "per_big_step"):
+        with pytest.raises(gb.ConfigError, match="not both"):
+            gb.parse_config({"grid": {"per_big": [0.0], range_key: 0.01}})
 
 
 def test_shock_and_loss_blocks_flow_through():
     config = gb.parse_config(
         {
-            "shock": {"correlation": 0.1, "exempt_central": True,
-                      "applies_to": "all_assets"},
-            "loss": {"deposit_insurance": True, "bond_recovery": 0.25},
+            "shock": {"correlation": 0.1, "beta_a": 2, "beta_b": 5.0,
+                      "applies_to": "all_assets", "exempt_central": True},
+            "loss": {"deposit_insurance": True, "threshold_fraction": 0.02,
+                     "confidence": 0.05, "bond_recovery": 0.25},
+            "n_scenarios": 30,
+            "seed": 7,
         }
     )
-    params = config.shock_params(10)
-    assert params.correlation == 0.1
-    assert params.exempt_central
-    assert params.applies_to is gb.ShockTarget.ALL_ASSETS
-    loss = config.loss_config()
-    assert loss.deposit_insurance
-    assert loss.bond_recovery == 0.25
-    assert loss.ggp == 6090.0
+    assert config == gb.RunConfig(
+        shock=gb.ShockParams(correlation=0.1, beta_a=2.0, beta_b=5.0,
+                             applies_to=gb.ShockTarget.ALL_ASSETS, exempt_central=True),
+        loss=gb.LossConfig(deposit_insurance=True, threshold_fraction=0.02,
+                           confidence=0.05, bond_recovery=0.25),
+        n_scenarios=30,
+        seed=7,
+    )
+    # the threshold is a fraction of the network's GGP, wherever that is set
+    network = gb.build_network(config.calibration)
+    assert gb.loss_threshold(network, config.loss) == pytest.approx(0.02 * 6090.0)
+
+
+NON_FINITE = [
+    ({"shock": {"beta_a": float("inf")}}, r"shock\.beta_a"),
+    ({"loss": {"confidence": float("nan")}}, r"loss\.confidence"),
+    ({"calibration": {"ggp_endor": float("inf")}}, r"calibration\.ggp_endor"),
+    ({"calibration": {"us_gdp": [[1945, float("nan")]]}}, r"calibration\.us_gdp\[0\]"),
+    ({"calibration": {"capital_buffer_per_tier": [0.0, float("-inf"), 0.05]}},
+     r"calibration\.capital_buffer_per_tier"),
+    ({"grid": {"per_massive_cap": float("inf")}}, r"grid\.per_massive_cap"),
+    ({"grid": {"per_big": [0.0, float("inf")]}}, r"grid\.per_big"),
+    ({"grid": {"per_big_stop": float("nan"), "per_big_step": 0.01}}, r"grid\.per_big_stop"),
+    ({"shock": {"correlation": 10 ** 400}}, r"shock\.correlation"),
+]
+
+
+@pytest.mark.parametrize("data,location", NON_FINITE)
+def test_non_finite_numbers_rejected_before_output(tmp_path, capsys, data, location):
+    with pytest.raises(gb.ConfigError, match=location):
+        gb.parse_config(data)
+    # json writes these as the non-standard NaN / Infinity literals
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    for command in ("calibrate", "simulate", "frontier"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "finite" in err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):

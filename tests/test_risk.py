@@ -56,11 +56,11 @@ def test_loss_central_shortfall_passthrough():
 
 def test_green_line_benchmark():
     net = gb.build_network()
-    config = gb.LossConfig(ggp=net.ggp)
+    config = gb.LossConfig()
     green = gb.green_line_loss(net, config)
     assert green == pytest.approx(515.5, rel=1e-12)
     assert green / net.ggp == pytest.approx(0.0846, abs=5e-5)
-    half = gb.LossConfig(ggp=net.ggp, bond_recovery=0.5)
+    half = gb.LossConfig(bond_recovery=0.5)
     assert gb.green_line_loss(net, half) == pytest.approx(257.75, rel=1e-12)
 
 
@@ -80,11 +80,10 @@ def test_deposits_counted_only_without_insurance(tmp_path):
     assert table.n_defaults.tolist() == [2]
     assert table.loss(False).tolist() == [8.0]
     assert table.loss(True).tolist() == [5.0]
-    ggp = 100.0
     rows = {}
     for insured in (False, True):
         path = tmp_path / f"losses-{insured}.csv"
-        report.write_losses_csv(path, table, gb.LossConfig(ggp=ggp, deposit_insurance=insured))
+        report.write_losses_csv(path, table, gb.LossConfig(deposit_insurance=insured))
         rows[insured] = path.read_text().splitlines()[2]
     # scenario_index, real_economy_loss, insurance_payout, n_defaults, central_shortfall
     assert rows[False] == "0,8,0,2,5"
@@ -136,10 +135,11 @@ ORACLE_BAILOUTS = [
 @pytest.mark.parametrize("rows", [1, 37])
 def test_vectorised_pass_bitwise_equals_row_loop(default_net, bailout, rows):
     net = default_net
-    shock = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    shock = gb.ShockParams()
+    config = gb.LossConfig()
     idx = range(rows)
-    assets = _base_assets(net, shock, gb.shocks.sample_loss_matrix(shock, SEED, idx), config)
+    losses = gb.shocks.sample_loss_matrix(shock, net.n_banks, SEED, idx)
+    assets = _base_assets(net, shock, losses, config)
     cleared = clear_tiered_batch(net, assets + _injection_vector(net, bailout)[None, :])
     assert cleared.defaulted.any() and not cleared.defaulted.all()
     table = gb.ScenarioTable.from_clearing(net, cleared)
@@ -152,8 +152,8 @@ def test_vectorised_pass_bitwise_equals_row_loop(default_net, bailout, rows):
 def test_chunked_table_bitwise_equals_row_loop_with_ragged_chunk(
         default_net, monkeypatch, bailout):
     net = default_net
-    shock = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    shock = gb.ShockParams()
+    config = gb.LossConfig()
     records = []
     real_clear = risk.clear_tiered_batch
 
@@ -187,25 +187,26 @@ def test_statistics_examples():
 def test_exceedance_boundary_semantics():
     losses = np.array([1.0] * 18 + [5.0] * 2)
     assert gb.exceedance_probability(losses, 2.0) == pytest.approx(0.10)
-    config = gb.LossConfig(ggp=200.0, threshold_fraction=0.01, confidence=0.10)
+    net = central_only_network()
+    config = gb.LossConfig(threshold_fraction=0.02, confidence=0.10)
+    threshold = gb.loss_threshold(net, config)
+    assert threshold == pytest.approx(2.0)
     # exactly 10% exceedance fails the strict "less than" VaR requirement
-    assert config.threshold == pytest.approx(2.0)
-    assert not gb.criterion_satisfied(losses, gb.Criterion.VAR, config)
+    assert not gb.criterion_satisfied(losses, gb.Criterion.VAR, threshold, config.confidence)
 
 
 def test_criterion_satisfied_examples():
-    ggp = 1000.0
-    config = gb.LossConfig(ggp=ggp)
+    threshold, confidence = 10.0, 0.10
     zeros = np.zeros(20)
     for criterion in gb.Criterion:
-        assert gb.criterion_satisfied(zeros, criterion, config)
-    heavy = np.full(20, 0.02 * ggp)
+        assert gb.criterion_satisfied(zeros, criterion, threshold, confidence)
+    heavy = np.full(20, 2.0 * threshold)
     for criterion in gb.Criterion:
-        assert not gb.criterion_satisfied(heavy, criterion, config)
+        assert not gb.criterion_satisfied(heavy, criterion, threshold, confidence)
     # mean below threshold but a fat worst decile: expectation passes, AVaR fails
-    mixed = np.array([ggp * 0.02 / 3] * 9 + [0.03 * ggp])
-    assert gb.criterion_satisfied(mixed, gb.Criterion.EXPECTATION, config)
-    assert not gb.criterion_satisfied(mixed, gb.Criterion.AVAR, config)
+    mixed = np.array([2.0 * threshold / 3] * 9 + [3.0 * threshold])
+    assert gb.criterion_satisfied(mixed, gb.Criterion.EXPECTATION, threshold, confidence)
+    assert not gb.criterion_satisfied(mixed, gb.Criterion.AVAR, threshold, confidence)
 
 
 def test_average_var_tie_break_deterministic():
@@ -222,8 +223,7 @@ def test_empty_samples_rejected():
     with pytest.raises(ValueError):
         gb.average_var(np.array([]), 0.1)
     with pytest.raises(ValueError):
-        gb.criterion_satisfied(np.array([]), gb.Criterion.EXPECTATION,
-                               gb.LossConfig(ggp=1.0))
+        gb.criterion_satisfied(np.array([]), gb.Criterion.EXPECTATION, 1.0, 0.1)
 
 
 def test_criterion_parse():
@@ -241,8 +241,8 @@ def default_net():
 
 def test_monte_carlo_deterministic(default_net):
     net = default_net
-    params = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    params = gb.ShockParams()
+    config = gb.LossConfig()
     a = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 40, SEED)
     b = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 40, SEED)
     assert_tables_equal(a, b)
@@ -255,8 +255,8 @@ def test_monte_carlo_deterministic(default_net):
 
 def test_monte_carlo_thread_invariance(default_net):
     net = default_net
-    params = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    params = gb.ShockParams()
+    config = gb.LossConfig()
     # chunks of 20 so that four workers share the 60 scenarios
     serial = gb.simulate_records(
         net, params, gb.BailoutAllocation(), config, 60, SEED, 1, 20
@@ -271,8 +271,8 @@ def test_monte_carlo_thread_invariance(default_net):
 
 def test_huge_bailout_keeps_massive_big_solvent(default_net):
     net = default_net
-    params = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    params = gb.ShockParams()
+    config = gb.LossConfig()
     bailout = gb.BailoutAllocation(per_massive=10.0, per_big=10.0)
     table = gb.simulate_records(net, params, bailout, config, 25, SEED)
     central_deposits = net.sheets[gb.Tier.CENTRAL].deposits
@@ -289,8 +289,8 @@ def test_huge_bailout_keeps_massive_big_solvent(default_net):
 
 def test_insurance_dominance_per_scenario(default_net):
     net = default_net
-    params = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    params = gb.ShockParams()
+    config = gb.LossConfig()
     table = gb.simulate_records(
         net, params, gb.BailoutAllocation(), config, 50, SEED
     )
@@ -304,8 +304,8 @@ def test_insured_mean_below_green_line_at_knob_calibration():
     # floor pushes the insured mean just past the benchmark instead
     params = gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 0.6))
     net = gb.build_network(params)
-    shock = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp, deposit_insurance=True)
+    shock = gb.ShockParams()
+    config = gb.LossConfig(deposit_insurance=True)
     table = gb.simulate_records(
         net, shock, gb.BailoutAllocation(), config, 400, SEED, n_jobs=2
     )
@@ -314,8 +314,9 @@ def test_insured_mean_below_green_line_at_knob_calibration():
 
 
 def test_bailout_never_to_central():
-    with pytest.raises(ValueError):
-        gb.BailoutAllocation(per_central=1.0)
+    net = central_only_network()
+    injections = _injection_vector(net, gb.BailoutAllocation(per_massive=1.0, per_big=2.0))
+    assert injections.tolist() == [0.0, 1.0, 2.0]
     with pytest.raises(ValueError):
         gb.BailoutAllocation(per_massive=-0.5)
 
@@ -342,12 +343,10 @@ def test_bisect_min_synthetic():
 
 def test_frontier_trivial_threshold(default_net):
     net = default_net
-    params = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp, threshold_fraction=0.9)
-    points = gb.bailout_frontier(
-        net, params, config, gb.Criterion.EXPECTATION, [0.0, 0.01],
-        SEED, n_scenarios=60,
-    )
+    params = gb.ShockParams()
+    config = gb.LossConfig(threshold_fraction=0.9)
+    evaluator = _AllocationEvaluator(net, params, config, 60, SEED, 1)
+    points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION, [0.0, 0.01])
     assert all(p.attainable and p.per_massive == 0.0 for p in points)
     best = gb.minimal_total_bailout(points, net, gb.Criterion.EXPECTATION)
     assert best.total == 0.0
@@ -356,14 +355,13 @@ def test_frontier_trivial_threshold(default_net):
 
 def test_frontier_unattainable_reported(default_net):
     net = default_net
-    params = gb.ShockParams(n_banks=net.n_banks)
+    params = gb.ShockParams()
     # 1% of GGP is unreachable at the default calibration: the central bank
     # can never cover its outside obligation once the bonds are gone
-    config = gb.LossConfig(ggp=net.ggp, threshold_fraction=0.01)
-    points = gb.bailout_frontier(
-        net, params, config, gb.Criterion.EXPECTATION, [0.0],
-        SEED, n_scenarios=40, per_massive_cap=0.5,
-    )
+    config = gb.LossConfig(threshold_fraction=0.01)
+    evaluator = _AllocationEvaluator(net, params, config, 40, SEED, 1)
+    points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION, [0.0],
+                                 per_massive_cap=0.5)
     assert len(points) == 1
     assert not points[0].attainable
     with pytest.raises(ValueError):
@@ -371,21 +369,18 @@ def test_frontier_unattainable_reported(default_net):
 
 
 def test_frontier_rejects_bad_grid(default_net):
-    net = default_net
-    params = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    evaluator = _AllocationEvaluator(default_net, gb.ShockParams(), gb.LossConfig(),
+                                     10, SEED, 1)
     with pytest.raises(ValueError):
-        gb.bailout_frontier(net, params, config, gb.Criterion.VAR, [],
-                            SEED, n_scenarios=10)
+        gb.bailout_frontier(evaluator, gb.Criterion.VAR, [])
     with pytest.raises(ValueError):
-        gb.bailout_frontier(net, params, config, gb.Criterion.VAR, [0.02, 0.01],
-                            SEED, n_scenarios=10)
+        gb.bailout_frontier(evaluator, gb.Criterion.VAR, [0.02, 0.01])
 
 
 def test_evaluator_common_random_numbers_monotone(default_net):
     net = default_net
-    params = gb.ShockParams(n_banks=net.n_banks)
-    config = gb.LossConfig(ggp=net.ggp)
+    params = gb.ShockParams()
+    config = gb.LossConfig()
     ev = _AllocationEvaluator(net, params, config, 30, SEED, 1)
     small = ev.losses(gb.BailoutAllocation(per_big=0.0))
     large = ev.losses(gb.BailoutAllocation(per_big=0.2))
@@ -437,10 +432,10 @@ def scenario_assets_reference(net, shock, losses, bailout, config):
 @pytest.mark.parametrize("target,exempt", SHOCK_VARIANTS)
 def test_base_assets_in_place_matches_reference(default_net, target, exempt):
     net = default_net
-    shock = gb.ShockParams(n_banks=net.n_banks, applies_to=target, exempt_central=exempt)
-    config = gb.LossConfig(ggp=net.ggp, bond_recovery=0.3)
+    shock = gb.ShockParams(applies_to=target, exempt_central=exempt)
+    config = gb.LossConfig(bond_recovery=0.3)
     bailout = gb.BailoutAllocation(per_massive=0.7, per_big=0.03)
-    losses = gb.shocks.sample_loss_matrix(shock, SEED, range(4))
+    losses = gb.shocks.sample_loss_matrix(shock, net.n_banks, SEED, range(4))
     expected = scenario_assets_reference(net, shock, losses, bailout, config)
     base = _base_assets(net, shock, losses, config)
     assert np.shares_memory(base, losses)
@@ -467,9 +462,9 @@ def count_shock_draws(monkeypatch) -> list:
     calls = []
     real = risk.sample_loss_matrix
 
-    def counted(params, seed, indices):
+    def counted(params, n_banks, seed, indices):
         calls.append(indices)
-        return real(params, seed, indices)
+        return real(params, n_banks, seed, indices)
 
     monkeypatch.setattr(risk, "sample_loss_matrix", counted)
     return calls
@@ -483,8 +478,8 @@ def evaluate_all(net, shock, config):
 @pytest.mark.parametrize("target,exempt", SHOCK_VARIANTS)
 def test_evaluator_draws_each_chunk_once(small_net, monkeypatch, target, exempt):
     net = small_net
-    shock = gb.ShockParams(n_banks=net.n_banks, applies_to=target, exempt_central=exempt)
-    config = gb.LossConfig(ggp=net.ggp, bond_recovery=0.2)
+    shock = gb.ShockParams(applies_to=target, exempt_central=exempt)
+    config = gb.LossConfig(bond_recovery=0.2)
     calls = count_shock_draws(monkeypatch)
     evaluator, vectors = evaluate_all(net, shock, config)
     assert sorted(c.start for c in calls) == [0, 500, 1000]
@@ -498,8 +493,8 @@ def test_evaluator_draws_each_chunk_once(small_net, monkeypatch, target, exempt)
 @pytest.mark.parametrize("cached_chunks", [0, 1])
 def test_evaluator_redraws_beyond_cache_budget(small_net, monkeypatch, cached_chunks):
     net = small_net
-    shock = gb.ShockParams(n_banks=net.n_banks, exempt_central=True)
-    config = gb.LossConfig(ggp=net.ggp)
+    shock = gb.ShockParams(exempt_central=True)
+    config = gb.LossConfig()
     _, cached = evaluate_all(net, shock, config)
     budget = cached_chunks * risk.DEFAULT_BATCH_SIZE * net.n_banks * 8
     monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)

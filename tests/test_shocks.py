@@ -63,51 +63,49 @@ def test_beta_inverse_matches_longdouble_grid():
 
 
 def test_sample_scenario_forced_latent():
-    params = gb.ShockParams(n_banks=7)
-    scenario = gb.sample_scenario(params, SEED, 0, latent=(0.0, np.zeros(7)))
+    scenario = gb.sample_scenario(gb.ShockParams(), 7, SEED, 0, latent=(0.0, np.zeros(7)))
     expected = 1.0 - 0.5 ** 0.25
     assert np.allclose(scenario.loss_fraction, expected, atol=1e-15)
     assert scenario.loss_fraction.shape == (7,)
 
 
 def test_sample_scenario_deterministic():
-    params = gb.ShockParams(n_banks=100)
-    a = gb.sample_scenario(params, SEED, 42)
-    b = gb.sample_scenario(params, SEED, 42)
+    params = gb.ShockParams()
+    a = gb.sample_scenario(params, 100, SEED, 42)
+    b = gb.sample_scenario(params, 100, SEED, 42)
     assert np.array_equal(a.loss_fraction, b.loss_fraction)
-    c = gb.sample_scenario(params, SEED, 43)
+    c = gb.sample_scenario(params, 100, SEED, 43)
     assert not np.array_equal(a.loss_fraction, c.loss_fraction)
-    d = gb.sample_scenario(params, SEED + 1, 42)
+    d = gb.sample_scenario(params, 100, SEED + 1, 42)
     assert not np.array_equal(a.loss_fraction, d.loss_fraction)
 
 
 def test_sample_scenario_independent_of_batching():
-    params = gb.ShockParams(n_banks=10)
-    matrix = gb.shocks.sample_loss_matrix(params, SEED, range(5))
+    params = gb.ShockParams()
+    matrix = gb.shocks.sample_loss_matrix(params, 10, SEED, range(5))
     for i in range(5):
-        single = gb.sample_scenario(params, SEED, i)
+        single = gb.sample_scenario(params, 10, SEED, i)
         assert np.array_equal(matrix[i], single.loss_fraction)
 
 
 def test_losses_always_in_unit_interval():
-    params = gb.ShockParams(n_banks=1000)
+    params = gb.ShockParams()
     for idx in range(20):
-        losses = gb.sample_scenario(params, SEED + idx, idx).loss_fraction
+        losses = gb.sample_scenario(params, 1000, SEED + idx, idx).loss_fraction
         assert losses.min() >= 0.0 and losses.max() <= 1.0
 
 
 def test_marginal_fits_beta14():
     # independent marginals: one bank per scenario, no correlation
-    params = gb.ShockParams(n_banks=1, correlation=0.0)
-    draws = gb.shocks.sample_loss_matrix(params, SEED, range(20_000)).ravel()
+    params = gb.ShockParams(correlation=0.0)
+    draws = gb.shocks.sample_loss_matrix(params, 1, SEED, range(20_000)).ravel()
     result = stats.kstest(draws, lambda x: 1.0 - (1.0 - x) ** 4)
     assert result.pvalue > 0.01
     assert draws.mean() == pytest.approx(0.2, abs=0.01)
 
 
 def test_latent_correlation_quick():
-    params = gb.ShockParams(n_banks=2)
-    draws = np.array([gb.latent_draws(params, SEED, i) for i in range(20_000)], dtype=object)
+    draws = np.array([gb.latent_draws(2, SEED, i) for i in range(20_000)], dtype=object)
     z = np.array([
         math.sqrt(0.25) * m + math.sqrt(0.75) * e for m, e in draws
     ])
@@ -116,27 +114,26 @@ def test_latent_correlation_quick():
 
 
 def test_common_factor_monotonicity():
-    params = gb.ShockParams(n_banks=50)
+    params = gb.ShockParams()
     eps = np.linspace(-2.0, 2.0, 50)
-    low = gb.sample_scenario(params, SEED, 0, latent=(-1.0, eps)).loss_fraction
-    high = gb.sample_scenario(params, SEED, 0, latent=(1.5, eps)).loss_fraction
+    low = gb.sample_scenario(params, 50, SEED, 0, latent=(-1.0, eps)).loss_fraction
+    high = gb.sample_scenario(params, 50, SEED, 0, latent=(1.5, eps)).loss_fraction
     assert (high >= low).all()
 
 
 def test_general_beta_shapes_use_exact_marginal():
-    params = gb.ShockParams(n_banks=1, correlation=0.0, beta_a=2.0, beta_b=5.0)
-    draws = gb.shocks.sample_loss_matrix(params, SEED, range(5_000)).ravel()
+    params = gb.ShockParams(correlation=0.0, beta_a=2.0, beta_b=5.0)
+    draws = gb.shocks.sample_loss_matrix(params, 1, SEED, range(5_000)).ravel()
     result = stats.kstest(draws, lambda x: stats.beta.cdf(x, 2.0, 5.0))
     assert result.pvalue > 0.01
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        gb.ShockParams(n_banks=0)
+        gb.ShockParams(correlation=1.0)
     with pytest.raises(ValueError):
-        gb.ShockParams(n_banks=1, correlation=1.0)
-    with pytest.raises(ValueError):
-        gb.ShockParams(n_banks=1, correlation=-0.1)
-    with pytest.raises(ValueError):
-        gb.ShockParams(n_banks=1, beta_a=0.0)
-    assert gb.ShockParams(n_banks=1).mean_loss == pytest.approx(0.2)
+        gb.ShockParams(correlation=-0.1)
+    for shapes in ({"beta_a": 0.0}, {"beta_a": math.inf}, {"beta_b": math.nan}):
+        with pytest.raises(ValueError):
+            gb.ShockParams(**shapes)
+    assert gb.ShockParams().mean_loss == pytest.approx(0.2)
