@@ -20,7 +20,6 @@ from .clearing import (
     ClearingOutcome,
     DenseNetwork,
     clear_tiered_batch,
-    clearing_compressed,
     clearing_dense,
     expand_network,
     least_clearing_vector,
@@ -55,14 +54,6 @@ from .risk import (
     minimal_total_bailout,
     simulate_records,
 )
-from .shocks import (
-    ShockParams,
-    ShockScenario,
-    ShockTarget,
-    beta_1_4_inverse_cdf,
-    latent_draws,
-    sample_scenario,
-    std_normal_cdf,
-)
+from .shocks import ShockParams, ShockTarget, sample_loss_matrix
 
 __version__ = "0.1.0"

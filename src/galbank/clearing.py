@@ -105,15 +105,6 @@ class BatchClearingResult:
     iterations: int
     residuals: tuple           # sup-norm Picard residual per iteration
 
-    def outcome(self, row: int = 0) -> ClearingOutcome:
-        return ClearingOutcome(
-            payments=self.payments[row],
-            defaulted=self.defaulted[row],
-            shortfall=self.shortfall[row],
-            external_paid=float(self.external_paid[row]),
-            iterations=self.iterations,
-        )
-
 
 def _finish(payments, p_bar, ext_share, flag_tol):
     """(defaulted, shortfall, external_paid) of a converged payment vector."""
@@ -297,18 +288,6 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
         iterations=iterations,
         residuals=tuple(residuals),
     )
-
-
-def clearing_compressed(network: GalacticNetwork, scenario_assets: np.ndarray,
-                        tolerance: float = DEFAULT_TOLERANCE,
-                        flag_tol: float = DEFAULT_FLAG_TOL,
-                        start: str = "greatest") -> ClearingOutcome:
-    """Clearing outcome for a single scenario on the compressed network."""
-    batch = clear_tiered_batch(
-        network, np.asarray(scenario_assets, dtype=float)[None, :],
-        tolerance=tolerance, flag_tol=flag_tol, start=start,
-    )
-    return batch.outcome(0)
 
 
 def expand_network(network: GalacticNetwork, scenario_assets: np.ndarray) -> DenseNetwork:

@@ -50,6 +50,12 @@ class BankTier:
             )
 
 
+def _check_amount(name: str, value: Money) -> None:
+    # NaN fails the comparison too; an infinite amount would stall clearing
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class LiabilityProfile:
     """What one bank of a tier owes: totals per creditor tier plus outside debt."""
@@ -61,8 +67,7 @@ class LiabilityProfile:
 
     def __post_init__(self):
         for name in ("owed_to_central", "owed_to_massive", "owed_to_big", "owed_external"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            _check_amount(name, getattr(self, name))
 
     def owed_to(self, tier: Tier) -> Money:
         return (self.owed_to_central, self.owed_to_massive, self.owed_to_big)[tier]
@@ -82,8 +87,7 @@ class BalanceSheet:
             "bond_holdings_face",
             "deposits",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            _check_amount(name, getattr(self, name))
 
     @property
     def total_assets(self) -> Money:
@@ -153,6 +157,9 @@ class GalacticNetwork:
     outstanding_debt: Money
 
     def __post_init__(self):
+        if not (math.isfinite(self.ggp) and self.ggp > 0):
+            raise ValueError(f"ggp must be finite and positive, got {self.ggp}")
+        _check_amount("outstanding_debt", self.outstanding_debt)
         if tuple(t.tag for t in self.tiers) != (Tier.CENTRAL, Tier.MASSIVE, Tier.BIG):
             raise DegenerateNetworkError("tiers must be ordered (central, massive, big)")
         for t in (Tier.MASSIVE, Tier.BIG):

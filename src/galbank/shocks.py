@@ -7,7 +7,14 @@ equicorrelation imposed through a one-factor Gaussian copula:
     loss_i = 1 - (1 - u_i)^(1/4).
 
 Scenarios are keyed by (seed, scenario_index) through a counter-based
-Philox stream, so any degree of parallelism reproduces the same draws.
+Philox stream, so any chunking or degree of parallelism reproduces the
+same draws.  `sample_loss_matrix` is the one entry point and works a
+chunk at a time: each row's stream yields its common factor M into a
+(rows,) vector and its idiosyncratic normals straight into the row of the
+(rows, n_banks) output; one in-place pass over the chunk then scales,
+adds the common term, applies Phi and the inverse marginal, and clips to
+[0, 1].  Every element sees the same operations as in a per-scenario
+evaluation, so the result does not depend on how scenarios are grouped.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 
 class ShockTarget(Enum):
@@ -53,30 +60,18 @@ class ShockParams:
         return self.beta_a / (self.beta_a + self.beta_b)
 
 
-@dataclass(frozen=True)
-class ShockScenario:
-    scenario_index: int
-    loss_fraction: np.ndarray  # shape (n_banks,), values in [0, 1]
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF, exact to well below 1e-12; scalars or arrays."""
-    return special.ndtr(z)
-
-
-def beta_1_4_inverse_cdf(u):
-    """Inverse of the beta(1,4) CDF F(x) = 1 - (1-x)^4; scalars or arrays."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
-        raise ValueError("u must lie in [0, 1]")
-    out = 1.0 - (1.0 - arr) ** 0.25
-    return float(out) if np.isscalar(u) or arr.ndim == 0 else out
-
-
-def _inverse_marginal(params: ShockParams, u: np.ndarray) -> np.ndarray:
+def _inverse_marginal(params: ShockParams, u: np.ndarray) -> None:
+    """Overwrite the uniforms `u` with the marginal's quantiles."""
     if params.beta_a == 1.0 and params.beta_b == 4.0:
-        return 1.0 - (1.0 - u) ** 0.25
-    return stats.beta.ppf(u, params.beta_a, params.beta_b)
+        # beta(1,4): F(x) = 1 - (1-x)^4, so x = 1 - (1-u)^(1/4)
+        np.subtract(1.0, u, out=u)
+        np.power(u, 0.25, out=u)
+        np.subtract(1.0, u, out=u)
+    else:
+        from scipy import stats  # costs ~0.65 s of import; only this branch needs it
+        # row by row: ppf on a whole chunk holds several chunk-sized temporaries
+        for row in u:
+            row[...] = stats.beta.ppf(row, params.beta_a, params.beta_b)
 
 
 def _stream(seed: int, scenario_index: int) -> np.random.Generator:
@@ -87,30 +82,34 @@ def _stream(seed: int, scenario_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def latent_draws(n_banks: int, seed: int, scenario_index: int):
-    """(common factor, idiosyncratic vector) for one scenario's sub-stream."""
-    rng = _stream(seed, scenario_index)
-    common = rng.standard_normal()
-    idio = rng.standard_normal(n_banks)
-    return common, idio
+def _draw_latents(seed: int, indices, out: np.ndarray) -> np.ndarray:
+    """Fill `out` row by row with each scenario's idiosyncratic normals.
 
-
-def sample_scenario(params: ShockParams, n_banks: int, seed: int,
-                    scenario_index: int, latent=None) -> ShockScenario:
-    """Draw one scenario of per-bank loss fractions for `n_banks` banks.
-
-    `latent` optionally injects a fixed (common, idiosyncratic) pair for
-    tests; otherwise draws come from the (seed, scenario_index) stream.
+    Returns the common factors, one per row; each comes first on its
+    scenario's stream, before that row's idiosyncratic draws.
     """
-    if latent is None:
-        common, idio = latent_draws(n_banks, seed, scenario_index)
-    else:
-        common, idio = latent
-        idio = np.broadcast_to(np.asarray(idio, dtype=float), (n_banks,))
+    common = np.empty(out.shape[0])
+    for row, idx in enumerate(indices):
+        rng = _stream(seed, idx)
+        common[row] = rng.standard_normal()
+        rng.standard_normal(out=out[row])
+    return common
+
+
+def _copula_transform(params: ShockParams, common: np.ndarray,
+                      out: np.ndarray) -> None:
+    """Turn latent normals into loss fractions in place.
+
+    `out` holds idiosyncratic normals, shape (rows, n_banks), and `common`
+    the rows' common factors; on return `out` holds the clipped quantiles
+    of sqrt(rho) * common + sqrt(1 - rho) * out.
+    """
     rho = params.correlation
-    z = np.sqrt(rho) * common + np.sqrt(1.0 - rho) * idio
-    losses = _inverse_marginal(params, std_normal_cdf(z))
-    return ShockScenario(scenario_index, np.clip(losses, 0.0, 1.0))
+    out *= np.sqrt(1.0 - rho)
+    out += (np.sqrt(rho) * common)[:, None]
+    special.ndtr(out, out=out)
+    _inverse_marginal(params, out)
+    np.clip(out, 0.0, 1.0, out=out)
 
 
 def sample_loss_matrix(params: ShockParams, n_banks: int, seed: int,
@@ -118,6 +117,5 @@ def sample_loss_matrix(params: ShockParams, n_banks: int, seed: int,
     """Loss fractions for many scenarios, one row per scenario_index."""
     indices = list(indices)
     out = np.empty((len(indices), n_banks))
-    for row, idx in enumerate(indices):
-        out[row] = sample_scenario(params, n_banks, seed, idx).loss_fraction
+    _copula_transform(params, _draw_latents(seed, indices, out), out)
     return out

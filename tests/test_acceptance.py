@@ -11,12 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
 
 import galbank as gb
 from galbank.cli import main
 from galbank.clearing import clear_tiered_batch, clearing_dense, expand_network
 from galbank.network import _claims_face
 from galbank.risk import _AllocationEvaluator
+from galbank.shocks import _copula_transform, _draw_latents
 
 pytestmark = pytest.mark.slow
 
@@ -165,10 +167,10 @@ def test_c3_clearing_correctness():
         )
         net = gb.GalacticNetwork(tiers, profiles, sheets, ggp=1.0, outstanding_debt=0.0)
         assets = rng.uniform(0.0, 2.0, net.n_banks)
-        comp = gb.clearing_compressed(net, assets, tolerance=1e-12)
+        comp = clear_tiered_batch(net, assets[None], tolerance=1e-12)
         ref = clearing_dense(expand_network(net, assets), tolerance=1e-12)
         scale = max(float(np.abs(ref.payments).max()), 1e-9)
-        worst = max(worst, float(np.abs(comp.payments - ref.payments).max()) / scale)
+        worst = max(worst, float(np.abs(comp.payments[0] - ref.payments).max()) / scale)
     assert worst < 1e-8
 
     # greatest vs least agree on the calibrated network, 100 sampled scenarios
@@ -193,16 +195,20 @@ def test_c4_shock_statistics():
     assert abs(mean - 0.200) <= 0.005
 
     # latent pairwise correlation over 1e5 scenarios
-    z = np.empty((100_000, 2))
-    for i in range(100_000):
-        common, idio = gb.latent_draws(2, SEED, i)
-        z[i] = math.sqrt(0.25) * common + math.sqrt(0.75) * idio
+    idio = np.empty((100_000, 2))
+    common = _draw_latents(SEED, range(100_000), idio)
+    z = math.sqrt(0.25) * common[:, None] + math.sqrt(0.75) * idio
     corr = float(np.corrcoef(z[:, 0], z[:, 1])[0, 1])
     assert abs(corr - 0.25) <= 0.02
 
-    # inverse CDF against an extended-precision closed-form oracle, 1e6 points
-    u = np.linspace(0.0, 1.0, 1_000_001)
-    ours = gb.beta_1_4_inverse_cdf(u)
+    # inverse CDF against an extended-precision closed-form oracle, 1e6 points,
+    # through the pipeline's transform: latents Phi^-1(u), no common factor;
+    # the oracle inverts the uniforms the transform gives under beta(1,1)
+    z = special.ndtri(np.linspace(0.0, 1.0, 1_000_001))[None, :]
+    ours, u = z.copy(), z.copy()
+    _copula_transform(params, np.zeros(1), ours)
+    _copula_transform(gb.ShockParams(correlation=0.0, beta_a=1.0, beta_b=1.0),
+                      np.zeros(1), u)
     oracle = 1.0 - (1.0 - u.astype(np.longdouble)) ** np.longdouble(0.25)
     err = float(np.max(np.abs(ours - oracle.astype(float))))
     assert err <= 1e-12

@@ -182,21 +182,21 @@ def test_compressed_matches_dense_on_toy():
     )
     net = tiered((1, 2, 2), profiles)
     assets = np.array([0.5, 0.8, 0.3, 0.2, 0.9])
-    comp = gb.clearing_compressed(net, assets)
+    comp = clear_tiered_batch(net, assets[None])
     ref = clearing_dense(expand_network(net, assets))
     scale = np.maximum(np.abs(ref.payments), 1e-12)
-    assert np.max(np.abs(comp.payments - ref.payments) / scale) < 1e-10
-    assert comp.external_paid == pytest.approx(ref.external_paid, rel=1e-10)
+    assert np.max(np.abs(comp.payments[0] - ref.payments) / scale) < 1e-10
+    assert comp.external_paid[0] == pytest.approx(ref.external_paid, rel=1e-10)
 
 
 def test_compressed_matches_dense_random():
     rng = np.random.default_rng(20240301)
     for _ in range(20):
         net, assets = random_tiered(rng)
-        comp = gb.clearing_compressed(net, assets)
+        comp = clear_tiered_batch(net, assets[None])
         ref = clearing_dense(expand_network(net, assets))
         scale = max(float(np.abs(ref.payments).max()), 1e-9)
-        assert np.max(np.abs(comp.payments - ref.payments)) / scale < 1e-8
+        assert np.max(np.abs(comp.payments[0] - ref.payments)) / scale < 1e-8
 
 
 def test_compressed_solvent_identity_zero_iterations():
@@ -207,8 +207,8 @@ def test_compressed_solvent_identity_zero_iterations():
     )
     net = tiered((1, 3, 4), profiles)
     p_bar = np.array([1.0] + [0.2] * 3 + [0.1] * 4)
-    out = gb.clearing_compressed(net, p_bar + 1.0)
-    assert np.allclose(out.payments, p_bar)
+    out = clear_tiered_batch(net, (p_bar + 1.0)[None])
+    assert np.allclose(out.payments[0], p_bar)
     assert out.iterations == 0
     assert not out.defaulted.any()
 
@@ -218,9 +218,9 @@ def test_compressed_default_network_no_shock_bonds_honored():
     assets = (
         net.external_assets_vector() + net.bond_face_vector()
     )  # bonds paid in full, no shock
-    out = gb.clearing_compressed(net, assets)
+    out = clear_tiered_batch(net, assets[None])
     assert not out.defaulted.any()
-    assert out.external_paid == pytest.approx(2500.0, rel=1e-12)
+    assert out.external_paid[0] == pytest.approx(2500.0, rel=1e-12)
 
 
 def test_compressed_batch_consistent_with_single():
@@ -231,10 +231,10 @@ def test_compressed_batch_consistent_with_single():
     assets = (1.0 - losses) * ext[None, :]
     batch = clear_tiered_batch(net, assets)
     for row in range(3):
-        single = gb.clearing_compressed(net, assets[row])
+        single = clear_tiered_batch(net, assets[row][None])
         # batched rows stop on the batch-wide residual, so agreement is
         # within the convergence tolerance rather than bitwise
-        assert np.allclose(batch.payments[row], single.payments, atol=1e-5)
+        assert np.allclose(batch.payments[row], single.payments[0], atol=1e-5)
 
 
 def test_compressed_greatest_equals_least_on_calibrated():
@@ -261,7 +261,7 @@ def test_compressed_degenerate_self_split():
     with pytest.raises(gb.DegenerateNetworkError):
         sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0, 0.0) for _ in range(3))
         net = gb.GalacticNetwork(tiers, profiles, sheets, ggp=1.0, outstanding_debt=0.0)
-        gb.clearing_compressed(net, np.zeros(4))
+        clear_tiered_batch(net, np.zeros(4)[None])
 
 
 def test_picard_residuals_decrease():
@@ -277,9 +277,9 @@ def test_picard_residuals_decrease():
 def test_compressed_rejects_bad_inputs():
     net = gb.build_network()
     with pytest.raises(ValueError):
-        gb.clearing_compressed(net, np.zeros(5))
+        clear_tiered_batch(net, np.zeros(5)[None])
     with pytest.raises(ValueError):
-        gb.clearing_compressed(net, -np.ones(net.n_banks))
+        clear_tiered_batch(net, -np.ones(net.n_banks)[None])
     with pytest.raises(ValueError):
         clear_tiered_batch(net, np.zeros((1, net.n_banks)), start="sideways")
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,6 +80,40 @@ def test_negative_amounts_rejected():
         gb.LiabilityProfile(owed_to_central=-0.1)
     with pytest.raises(ValueError):
         gb.BalanceSheet(-1.0, 0.0, 0.0, 0.0)
+
+
+NON_FINITE_OR_NEGATIVE = (math.nan, math.inf, -math.inf, -0.1)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_OR_NEGATIVE)
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(gb.LiabilityProfile)])
+def test_liability_profile_rejects_bad_amount(field, bad):
+    # a NaN obligation used to build a network that clearing spun on for
+    # 100,000 iterations before "failed to converge"
+    with pytest.raises(ValueError, match=field):
+        gb.LiabilityProfile(**{field: bad})
+
+
+SHEET_FIELDS = [f.name for f in dataclasses.fields(gb.BalanceSheet)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_OR_NEGATIVE)
+@pytest.mark.parametrize("field", SHEET_FIELDS)
+def test_balance_sheet_rejects_bad_amount(field, bad):
+    amounts = dict.fromkeys(SHEET_FIELDS, 0.0)
+    with pytest.raises(ValueError, match=field):
+        gb.BalanceSheet(**{**amounts, field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("ggp", math.nan), ("ggp", math.inf), ("ggp", 0.0), ("ggp", -1.0),
+    ("outstanding_debt", math.nan), ("outstanding_debt", math.inf),
+    ("outstanding_debt", -1.0),
+])
+def test_network_rejects_bad_ggp_and_debt(field, bad):
+    net = gb.build_network()
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(net, **{field: bad})
 
 
 def test_zero_tier_count_rejected():

@@ -1,114 +1,146 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import galbank as gb
+from galbank.shocks import _copula_transform, _draw_latents, sample_loss_matrix
 
 SEED = 987654321
+INDEPENDENT = gb.ShockParams(correlation=0.0)
+# beta(1,1) is uniform, so under it the transform returns Phi of its latents
+UNIFORM = gb.ShockParams(correlation=0.0, beta_a=1.0, beta_b=1.0)
 
 
-def test_std_normal_cdf_examples():
-    assert gb.std_normal_cdf(0.0) == 0.5
-    assert abs(gb.std_normal_cdf(1.959964) - 0.975) < 1e-8
-    assert gb.std_normal_cdf(-8.0) == pytest.approx(6.22096057427178e-16, rel=1e-10)
+def transform(params, idio, common=0.0):
+    """The pipeline's loss fractions for injected latents, one row."""
+    out = np.array(idio, dtype=float, ndmin=2)
+    _copula_transform(params, np.full(out.shape[0], common), out)
+    return out[0]
 
 
-def test_std_normal_cdf_against_high_precision_oracle():
+def test_normal_cdf_examples():
+    phi = transform(UNIFORM, [0.0, 1.959964, -8.0, -1.0, 1.0])
+    assert phi[0] == 0.5
+    assert abs(phi[1] - 0.975) < 1e-8
+    assert phi[2] == pytest.approx(6.22096057427178e-16, rel=1e-10)
+    assert phi[3] + phi[4] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_normal_cdf_against_high_precision_oracle():
     mpmath.mp.dps = 40
-    for z in np.linspace(-8.0, 8.0, 41):
-        exact = float(mpmath.ncdf(mpmath.mpf(float(z))))
-        assert abs(gb.std_normal_cdf(float(z)) - exact) <= 1e-12
-
-
-def test_std_normal_cdf_array():
-    z = np.array([-1.0, 0.0, 1.0])
-    out = gb.std_normal_cdf(z)
-    assert out.shape == (3,)
-    assert out[1] == 0.5
-    assert out[0] + out[2] == pytest.approx(1.0, abs=1e-15)
+    z = np.linspace(-8.0, 8.0, 41)
+    phi = transform(UNIFORM, z)
+    for zi, ours in zip(z, phi):
+        exact = float(mpmath.ncdf(mpmath.mpf(float(zi))))
+        assert abs(ours - exact) <= 1e-12
 
 
 def test_beta_inverse_examples():
-    assert gb.beta_1_4_inverse_cdf(0.0) == 0.0
-    assert gb.beta_1_4_inverse_cdf(1.0) == 1.0
     # F(0.2) = 1 - 0.8^4 = 0.5904 in closed form
-    assert gb.beta_1_4_inverse_cdf(0.5904) == pytest.approx(0.2, abs=1e-12)
-
-
-def test_beta_inverse_domain_errors():
-    for bad in (-0.01, 1.01, float("nan")):
-        with pytest.raises(ValueError):
-            gb.beta_1_4_inverse_cdf(bad)
-    with pytest.raises(ValueError):
-        gb.beta_1_4_inverse_cdf(np.array([0.5, 1.5]))
+    x = transform(INDEPENDENT, [-np.inf, np.inf, special.ndtri(0.5904)])
+    assert x[0] == 0.0
+    assert x[1] == 1.0
+    assert x[2] == pytest.approx(0.2, abs=1e-12)
 
 
 @given(u=st.floats(0.0, 1.0, allow_nan=False))
 def test_beta_inverse_round_trip(u):
-    x = gb.beta_1_4_inverse_cdf(u)
+    x = transform(INDEPENDENT, [special.ndtri(u)])[0]
     assert 0.0 <= x <= 1.0
     back = 1.0 - (1.0 - x) ** 4
     assert abs(back - u) <= 1e-12
 
 
 def test_beta_inverse_matches_longdouble_grid():
-    u = np.linspace(0.0, 1.0, 100_001)
-    ours = gb.beta_1_4_inverse_cdf(u)
-    oracle = 1.0 - (1.0 - u.astype(np.longdouble)) ** np.longdouble(0.25)
+    z = special.ndtri(np.linspace(0.0, 1.0, 100_001))
+    ours = transform(INDEPENDENT, z)
+    # the oracle inverts the very uniforms the transform's marginal receives
+    u = transform(UNIFORM, z).astype(np.longdouble)
+    oracle = 1.0 - (1.0 - u) ** np.longdouble(0.25)
     assert np.max(np.abs(ours - oracle.astype(float))) <= 1e-12
 
 
-def test_sample_scenario_forced_latent():
-    scenario = gb.sample_scenario(gb.ShockParams(), 7, SEED, 0, latent=(0.0, np.zeros(7)))
+def test_transform_forced_latent():
+    losses = transform(gb.ShockParams(), np.zeros(7))
     expected = 1.0 - 0.5 ** 0.25
-    assert np.allclose(scenario.loss_fraction, expected, atol=1e-15)
-    assert scenario.loss_fraction.shape == (7,)
+    assert np.allclose(losses, expected, atol=1e-15)
+    assert losses.shape == (7,)
 
 
-def test_sample_scenario_deterministic():
+def test_loss_matrix_deterministic():
     params = gb.ShockParams()
-    a = gb.sample_scenario(params, 100, SEED, 42)
-    b = gb.sample_scenario(params, 100, SEED, 42)
-    assert np.array_equal(a.loss_fraction, b.loss_fraction)
-    c = gb.sample_scenario(params, 100, SEED, 43)
-    assert not np.array_equal(a.loss_fraction, c.loss_fraction)
-    d = gb.sample_scenario(params, 100, SEED + 1, 42)
-    assert not np.array_equal(a.loss_fraction, d.loss_fraction)
+    a = sample_loss_matrix(params, 100, SEED, [42])
+    b = sample_loss_matrix(params, 100, SEED, [42])
+    assert np.array_equal(a, b)
+    c = sample_loss_matrix(params, 100, SEED, [43])
+    assert not np.array_equal(a, c)
+    d = sample_loss_matrix(params, 100, SEED + 1, [42])
+    assert not np.array_equal(a, d)
 
 
-def test_sample_scenario_independent_of_batching():
-    params = gb.ShockParams()
-    matrix = gb.shocks.sample_loss_matrix(params, 10, SEED, range(5))
-    for i in range(5):
-        single = gb.sample_scenario(params, 10, SEED, i)
-        assert np.array_equal(matrix[i], single.loss_fraction)
+@pytest.mark.parametrize("params", [
+    gb.ShockParams(), gb.ShockParams(beta_a=2.0, beta_b=5.0),
+], ids=["beta_1_4", "beta_2_5"])
+def test_loss_matrix_independent_of_chunking(params):
+    # thread invariance rests on this: a scenario's row never depends on
+    # which other scenarios share its chunk
+    whole = sample_loss_matrix(params, 10, SEED, range(5))
+    split = np.concatenate([
+        sample_loss_matrix(params, 10, SEED, [0, 1]),
+        sample_loss_matrix(params, 10, SEED, [2, 3, 4]),
+    ])
+    assert np.array_equal(whole, split)
+    picked = sample_loss_matrix(params, 10, SEED, [4, 0, 3])
+    assert np.array_equal(picked, whole[[4, 0, 3]])
+
+
+# sha256 of the float64 bytes of a 50-bank, 8-scenario draw at the documented
+# seed.  The golden CSVs run only the default beta(1,4) marginal; these pin the
+# general-beta branch and the other correlations bit for bit.
+PINNED = {
+    "beta_2_5": (gb.ShockParams(beta_a=2.0, beta_b=5.0),
+                 "e5315d99104a115a1e7ae6599f1f45da47117e1ee19f23d5fdab08684387e53d"),
+    "correlation_0": (gb.ShockParams(correlation=0.0),
+                      "69cc0e9b07f7fcde34b5b0fa0d77a0d6809e9b675bf7cf3981fd8c2084e67623"),
+    "correlation_0.6": (gb.ShockParams(correlation=0.6),
+                        "62f9fc210648f61256ea3244b4376ccb9c909c81690c9eb37738cee7e730f30d"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_loss_matrix_bits_pinned(name):
+    params, digest = PINNED[name]
+    losses = sample_loss_matrix(params, 50, 19770525, range(8))
+    assert hashlib.sha256(losses.tobytes()).hexdigest() == digest
 
 
 def test_losses_always_in_unit_interval():
     params = gb.ShockParams()
     for idx in range(20):
-        losses = gb.sample_scenario(params, 1000, SEED + idx, idx).loss_fraction
+        losses = sample_loss_matrix(params, 1000, SEED + idx, [idx])
         assert losses.min() >= 0.0 and losses.max() <= 1.0
 
 
 def test_marginal_fits_beta14():
     # independent marginals: one bank per scenario, no correlation
-    params = gb.ShockParams(correlation=0.0)
-    draws = gb.shocks.sample_loss_matrix(params, 1, SEED, range(20_000)).ravel()
+    draws = sample_loss_matrix(INDEPENDENT, 1, SEED, range(20_000)).ravel()
     result = stats.kstest(draws, lambda x: 1.0 - (1.0 - x) ** 4)
     assert result.pvalue > 0.01
     assert draws.mean() == pytest.approx(0.2, abs=0.01)
 
 
 def test_latent_correlation_quick():
-    draws = np.array([gb.latent_draws(2, SEED, i) for i in range(20_000)], dtype=object)
-    z = np.array([
-        math.sqrt(0.25) * m + math.sqrt(0.75) * e for m, e in draws
-    ])
+    idio = np.empty((20_000, 2))
+    common = _draw_latents(SEED, range(20_000), idio)
+    z = math.sqrt(0.25) * common[:, None] + math.sqrt(0.75) * idio
     corr = np.corrcoef(z[:, 0], z[:, 1])[0, 1]
     assert corr == pytest.approx(0.25, abs=0.03)
 
@@ -116,16 +148,27 @@ def test_latent_correlation_quick():
 def test_common_factor_monotonicity():
     params = gb.ShockParams()
     eps = np.linspace(-2.0, 2.0, 50)
-    low = gb.sample_scenario(params, 50, SEED, 0, latent=(-1.0, eps)).loss_fraction
-    high = gb.sample_scenario(params, 50, SEED, 0, latent=(1.5, eps)).loss_fraction
+    low = transform(params, eps, common=-1.0)
+    high = transform(params, eps, common=1.5)
     assert (high >= low).all()
 
 
 def test_general_beta_shapes_use_exact_marginal():
     params = gb.ShockParams(correlation=0.0, beta_a=2.0, beta_b=5.0)
-    draws = gb.shocks.sample_loss_matrix(params, 1, SEED, range(5_000)).ravel()
+    draws = sample_loss_matrix(params, 1, SEED, range(5_000)).ravel()
     result = stats.kstest(draws, lambda x: stats.beta.cdf(x, 2.0, 5.0))
     assert result.pvalue > 0.01
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats takes most of a second to import and only the general-beta
+    # marginal needs it, so the CLI must not pull it in at start-up
+    src = os.path.dirname(os.path.dirname(gb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, galbank.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_params_validation():
