@@ -26,12 +26,18 @@ def transform(params, idio, common=0.0):
     return out[0]
 
 
-def test_normal_cdf_examples():
-    phi = transform(UNIFORM, [0.0, 1.959964, -8.0, -1.0, 1.0])
+def test_std_normal_cdf_examples():
+    phi = transform(UNIFORM, [0.0, 1.959964, -8.0])
     assert phi[0] == 0.5
     assert abs(phi[1] - 0.975) < 1e-8
     assert phi[2] == pytest.approx(6.22096057427178e-16, rel=1e-10)
-    assert phi[3] + phi[4] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_std_normal_cdf_array():
+    phi = transform(UNIFORM, np.array([-1.0, 0.0, 1.0]))
+    assert phi.shape == (3,)
+    assert phi[1] == 0.5
+    assert phi[0] + phi[2] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normal_cdf_against_high_precision_oracle():
