@@ -53,6 +53,7 @@ MASSIVE_PROFILE = LiabilityProfile(
 BIG_PROFILE = LiabilityProfile(
     owed_to_central=0.1, owed_to_massive=0.47, owed_to_big=0.002
 )
+PROFILES = (CENTRAL_PROFILE, MASSIVE_PROFILE, BIG_PROFILE)
 
 DEFAULT_TIER_COUNTS = (1, 175, 17_325)
 DEFAULT_CAPITAL_BUFFERS = (0.0, 0.05, 0.05)
@@ -86,6 +87,13 @@ class CalibrationParams:
             raise ValueError("ggp_endor must be positive")
         if len(self.tier_counts) != 3 or any(c < 1 for c in self.tier_counts):
             raise DegenerateNetworkError(f"bad tier counts {self.tier_counts}")
+        for t in Tier:
+            # a same-tier debt is split over the tier's other banks
+            if PROFILES[t].owed_to(t) > 0 and self.tier_counts[t] < 2:
+                raise DegenerateNetworkError(
+                    f"tier_counts gives tier {t.name} {self.tier_counts[t]} bank, but its "
+                    f"banks owe their own tier; it needs at least 2"
+                )
         if len(self.capital_buffer_per_tier) != 3:
             raise ValueError("capital_buffer_per_tier needs one entry per tier")
 
@@ -155,7 +163,6 @@ def build_network(params: CalibrationParams | None = None) -> GalacticNetwork:
     params = params or CalibrationParams()
     counts = params.tier_counts
     tiers = tuple(BankTier(t, counts[t]) for t in Tier)
-    profiles = (CENTRAL_PROFILE, MASSIVE_PROFILE, BIG_PROFILE)
 
     debt = outstanding_debt(params)
     central_bond, per_massive_bond = bond_allocation(debt, counts[Tier.MASSIVE])
@@ -163,8 +170,8 @@ def build_network(params: CalibrationParams | None = None) -> GalacticNetwork:
 
     sheets = []
     for t in Tier:
-        obligation = total_obligation(profiles[t])
-        claims = _claims_face(counts, profiles, t)
+        obligation = total_obligation(PROFILES[t])
+        claims = _claims_face(counts, PROFILES, t)
         buffer = params.capital_buffer_per_tier[t]
         external = max(0.0, (1.0 + buffer) * obligation - claims - bonds[t])
         assets = external + claims + bonds[t]
@@ -179,7 +186,7 @@ def build_network(params: CalibrationParams | None = None) -> GalacticNetwork:
 
     return GalacticNetwork(
         tiers=tiers,
-        profiles=profiles,
+        profiles=PROFILES,
         sheets=tuple(sheets),
         ggp=params.ggp_endor,
         outstanding_debt=debt,

@@ -9,6 +9,10 @@ deposits of defaulted banks and the defaults per tier.  The real-economy
 loss derives from it: the external shortfall plus, when deposit insurance
 is absent, the full deposits of every defaulted bank.
 
+The frontier's evaluator forms the same table from the per-tier payment
+totals and default counts of the fictitious-default solve
+(`clear_tier_sums`) on each chunk's pre-bailout assets, sorted once per run.
+
 The risk statistics (`expected_loss`, `exceedance_probability`,
 `average_var`, `criterion_satisfied`) take a 1-D loss array in that row
 order, so ties among the worst losses go to the lower scenario index.
@@ -27,15 +31,23 @@ from enum import Enum
 
 import numpy as np
 
-from .clearing import BatchClearingResult, _block_rows, clear_tiered_batch
+from .clearing import (
+    BatchClearingResult,
+    SortedTiers,
+    TierSumsResult,
+    _TierSystem,
+    _block_rows,
+    clear_tier_sums,
+    clear_tiered_batch,
+)
 from .network import GalacticNetwork, Money, Tier
 from .shocks import ShockParams, ShockTarget, sample_loss_matrix
 
 log = logging.getLogger(__name__)
 
 DEFAULT_BATCH_SIZE = 500
-# bytes of pre-bailout asset matrices a frontier evaluator keeps across
-# allocations; chunks beyond it are redrawn on every evaluation
+# bytes of sorted pre-bailout assets (`SortedTiers`) a frontier evaluator
+# keeps across allocations; chunks beyond it are redrawn on every evaluation
 BASE_CACHE_BYTES = 2**30
 # slack for cross-allocation monotonicity checks; clearing tolerance can
 # perturb payments by ~tolerance * max obligation
@@ -147,6 +159,23 @@ class ScenarioTable:
         )
 
     @classmethod
+    def from_tier_sums(cls, network: GalacticNetwork,
+                       cleared: TierSumsResult) -> "ScenarioTable":
+        """Accounting from per-tier payment totals and default counts."""
+        sys = _TierSystem(network)
+        sums, defaults = cleared.sums, cleared.defaults
+        central = Tier.CENTRAL
+        deposits = np.array([network.sheets[t].deposits for t in Tier])
+        return cls(
+            external_shortfall=network.total_external_obligation()
+            - sums @ sys.ext_share_tier,
+            central_shortfall=network.counts[central] * sys.p_bar_tier[central]
+            - sums[:, central],
+            deposits_lost=defaults @ deposits,
+            defaults_by_tier=defaults,
+        )
+
+    @classmethod
     def concat(cls, tables) -> "ScenarioTable":
         return cls(*(
             np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)
@@ -183,11 +212,14 @@ def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
     return losses
 
 
+def _tier_injections(bailout: BailoutAllocation) -> np.ndarray:
+    """Pre-clearing cash per bank of each tier; none to the central bank."""
+    return np.array([0.0, bailout.per_massive, bailout.per_big])
+
+
 def _injection_vector(network: GalacticNetwork, bailout: BailoutAllocation) -> np.ndarray:
     """Pre-clearing cash per bank: the allocation, none to the central bank."""
-    return np.repeat(
-        np.array([0.0, bailout.per_massive, bailout.per_big]), network.counts
-    )
+    return np.repeat(_tier_injections(bailout), network.counts)
 
 
 def _chunks(n_scenarios: int, batch_size: int = DEFAULT_BATCH_SIZE) -> list[range]:
@@ -197,53 +229,46 @@ def _chunks(n_scenarios: int, batch_size: int = DEFAULT_BATCH_SIZE) -> list[rang
     ]
 
 
+def _draw_base(network: GalacticNetwork, shock_params: ShockParams,
+               config: LossConfig, seed: int, idx: range) -> np.ndarray:
+    """A chunk's pre-bailout assets, in a fresh array private to the caller."""
+    losses = sample_loss_matrix(shock_params, network.n_banks, seed, idx)
+    return _base_assets(network, shock_params, losses, config)
+
+
+def _run_chunks(run_chunk, n_chunks: int, n_jobs: int):
+    """run_chunk(pos) for every chunk, on a thread pool when n_jobs > 1."""
+    if n_jobs > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            list(pool.map(run_chunk, range(n_chunks)))
+    else:
+        for pos in range(n_chunks):
+            run_chunk(pos)
+
+
 def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
                      bailout: BailoutAllocation, config: LossConfig,
                      n_scenarios: int, seed: int, n_jobs: int = 1,
-                     batch_size: int = DEFAULT_BATCH_SIZE, *,
-                     base_cache: list | None = None) -> ScenarioTable:
+                     batch_size: int = DEFAULT_BATCH_SIZE) -> ScenarioTable:
     """Scenario accounting for n_scenarios independent shock draws.
 
     Scenario i is a pure function of (seed, i) and the inputs; the worker
     count only affects wall time, never results.
-
-    `base_cache` holds one slot per leading chunk for that chunk's
-    pre-bailout asset matrix (`_base_assets`).  An empty slot (None) is
-    filled on first use and reused on later calls whose arguments differ
-    only in `bailout`; chunks past the last slot are drawn afresh.  Each
-    chunk writes only its own slot.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
 
     chunks = _chunks(n_scenarios, batch_size)
-    slots = [] if base_cache is None else base_cache
     injections = _injection_vector(network, bailout)[None, :]
     tables: list[ScenarioTable] = [None] * len(chunks)
 
-    def draw_base(idx: range) -> np.ndarray:
-        losses = sample_loss_matrix(shock_params, network.n_banks, seed, idx)
-        return _base_assets(network, shock_params, losses, config)
-
     def run_chunk(pos: int):
-        idx = chunks[pos]
-        if pos < len(slots):
-            if slots[pos] is None:
-                slots[pos] = draw_base(idx)
-            assets = slots[pos] + injections
-        else:
-            assets = draw_base(idx)
-            assets += injections  # private to this chunk: no second matrix
+        assets = _draw_base(network, shock_params, config, seed, chunks[pos])
+        assets += injections  # private to this chunk: no second matrix
         cleared = clear_tiered_batch(network, assets)
         tables[pos] = ScenarioTable.from_clearing(network, cleared)
 
-    if n_jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(run_chunk, range(len(chunks))))
-    else:
-        for pos in range(len(chunks)):
-            run_chunk(pos)
-
+    _run_chunks(run_chunk, len(chunks), n_jobs)
     return ScenarioTable.concat(tables)
 
 
@@ -319,34 +344,57 @@ class _AllocationEvaluator:
     never increase any scenario's loss.
 
     A bailout only adds a per-tier constant after the shock, so each chunk's
-    pre-bailout assets are drawn once and kept for every later allocation,
-    for as many leading chunks as fit in BASE_CACHE_BYTES.
+    pre-bailout assets are drawn and sorted per tier once (`SortedTiers`),
+    on the first evaluation, and every allocation is one fictitious-default
+    solve on them (`clear_tier_sums`).  The sorted chunks are kept for as
+    many leading chunks as fit in BASE_CACHE_BYTES; later chunks are drawn
+    and sorted again on every evaluation, so no scenario is dropped.
     """
 
     def __init__(self, network, shock_params, config, n_scenarios, seed, n_jobs):
+        if n_scenarios < 1:
+            raise ValueError("n_scenarios must be at least 1")
         self.network = network
         self.shock_params = shock_params
         self.config = config
-        self.n_scenarios = n_scenarios
         self.seed = seed
         self.n_jobs = n_jobs
         self.threshold = loss_threshold(network, config)
         self.cache: dict[tuple[float, float], np.ndarray] = {}
-        row_bytes = network.n_banks * np.dtype(float).itemsize
-        self.bases: list[np.ndarray | None] = [
-            None for idx in _chunks(n_scenarios)
-            if idx.stop * row_bytes <= BASE_CACHE_BYTES
+        self.chunks = _chunks(n_scenarios)
+        row_bytes = SortedTiers.bytes_per_row(network.n_banks)
+        self.tiers: list[SortedTiers | None] = [
+            None for idx in self.chunks if idx.stop * row_bytes <= BASE_CACHE_BYTES
         ]
+
+    def _sorted(self, pos: int) -> SortedTiers:
+        """Chunk pos's sorted pre-bailout assets, drawn at most once if cached."""
+        if pos < len(self.tiers) and self.tiers[pos] is not None:
+            return self.tiers[pos]
+        base = _draw_base(self.network, self.shock_params, self.config, self.seed,
+                          self.chunks[pos])
+        tiers = SortedTiers.from_assets(self.network, base)
+        if pos < len(self.tiers):
+            self.tiers[pos] = tiers  # each chunk writes only its own slot
+        return tiers
+
+    def table(self, alloc: BailoutAllocation) -> ScenarioTable:
+        """Scenario accounting at one allocation, one solve per chunk."""
+        shift = _tier_injections(alloc)
+        tables: list[ScenarioTable] = [None] * len(self.chunks)
+
+        def run_chunk(pos: int):
+            cleared = clear_tier_sums(self.network, self._sorted(pos), shift)
+            tables[pos] = ScenarioTable.from_tier_sums(self.network, cleared)
+
+        _run_chunks(run_chunk, len(self.chunks), self.n_jobs)
+        return ScenarioTable.concat(tables)
 
     def losses(self, alloc: BailoutAllocation) -> np.ndarray:
         key = (alloc.per_massive, alloc.per_big)
         if key in self.cache:
             return self.cache[key]
-        table = simulate_records(
-            self.network, self.shock_params, alloc, self.config,
-            self.n_scenarios, self.seed, self.n_jobs, base_cache=self.bases,
-        )
-        vec = table.loss(self.config.deposit_insurance)
+        vec = self.table(alloc).loss(self.config.deposit_insurance)
         self._check_monotone(key, vec)
         self.cache[key] = vec
         return vec

@@ -144,6 +144,22 @@ def test_non_finite_numbers_rejected_before_output(tmp_path, capsys, data, locat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("counts,tier", [([1, 1, 1], "MASSIVE"), ([1, 175, 1], "BIG")])
+def test_single_bank_tier_with_same_tier_debt_is_config_error(tmp_path, capsys, counts,
+                                                              tier):
+    data = {"calibration": {"tier_counts": counts}}
+    with pytest.raises(gb.ConfigError, match=rf"tier_counts .* tier {tier} 1 bank"):
+        gb.parse_config(data)
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    for command in ("calibrate", "simulate", "frontier"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: calibration: tier_counts")
+        assert f"tier {tier} 1 bank" in err and "needs at least 2" in err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(gb.ConfigError, match="not found"):
         gb.load_config(tmp_path / "nope.json")
