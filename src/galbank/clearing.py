@@ -12,19 +12,31 @@ convention, under which a bank's inflow depends on payments only through
 the three tier sums:
 
 * `clear_tiered_batch`: Picard iteration over the whole payment vector.
-  It is bound by memory traffic, not arithmetic.  Each iteration computes
-  the tier inflow base for the whole batch from the tier sums, then sweeps
-  the batch a few scenario rows at a time (`_block_rows`, sized to the
-  per-core L2 cache): the rows' new iterate goes into one small block
-  buffer, the next iteration's tier sums and the rows' residual are taken
-  from it while it is in cache, and it is copied back over the old iterate.
-  So an iteration streams the iterate and the assets through memory once,
-  and a call holds two batch-wide arrays (the iterate and, at the end, the
-  shortfall) besides the caller's assets.  Blocking changes no result bit:
-  every element sees the same operations in the same order as in a
-  full-width sweep, each row's tier sum is the same pairwise sum over the
-  same contiguous row segment, and a maximum does not depend on the order
-  it is taken in.
+  It is bound by memory traffic, not arithmetic.  Scenario rows are
+  independent but for the batch-wide stopping rule: every row stops at the
+  batch's sweep, the first at which every row is within tolerance.  So the
+  batch is cleared a few rows at a time (`_block_rows`, sized to the
+  per-core L2 cache), and each block runs all its sweeps while it stays in
+  cache.  Its iterate alternates between two block buffers, the next
+  sweep's tier sums and the block's residual are taken from the new
+  iterate, and the block stops at the first sweep within tolerance that is
+  no earlier than the latest stop of the blocks before it.  Its final
+  iterate and default flags go straight into the batch-wide outputs.
+  After the last block, a block that stopped before the batch's sweep is
+  reloaded from `payments`, with its tier sums kept, and swept on to it (a
+  top-up).  If its residual there has risen above the tolerance again, it
+  sweeps on to its next sweep within tolerance, that becomes the batch's
+  sweep, and the check repeats.  So the assets stream through memory about
+  once per call rather than once per sweep, and a call holds two
+  batch-wide arrays, the float payments and the bool default flags,
+  besides the caller's assets.  Blocking changes no result bit: every row
+  runs exactly the sweeps of the full-width loop, every element sees the
+  same operations in the same order, each row's tier sum is the same
+  pairwise sum over the same contiguous row segment, a block's 3x3
+  inflow-base product gives each row the bits the whole batch's product
+  gives it (the bitwise tests against the full-width loop check this for
+  the BLAS in use), and a maximum does not depend on the order it is
+  taken in.
 
 * `clear_tier_sums`: Eisenberg and Noe's (2001) fictitious-default
   algorithm on the three tier sums.  A bank of tier d defaults exactly when
@@ -67,9 +79,10 @@ SINGULAR_COND = 1e12
 # many ulps of pbar (1 + c) below its threshold: at such a tie the threshold's
 # rounding (a few ulps of pbar (1 + c)) decides, not the network
 TIE_ULPS = 16
-# Per-core L2 cache of the 2-core reference box.  The tiered sweep clears a
-# few scenario rows at a time so that their new iterate, old iterate and
-# assets stay in L2 together (4 rows at 17,501 banks; 3 to 7 time alike).
+# Per-core L2 cache of the 2-core reference box.  The tiered sweep runs a
+# few scenario rows at a time through all their sweeps, so that the rows'
+# two iterate buffers and their assets stay in L2 together (4 rows at
+# 17,501 banks; 3 to 6 time alike on a 500-row chunk).
 L2_CACHE_BYTES = 2 * 2**20
 
 
@@ -127,17 +140,9 @@ class BatchClearingResult:
 
     payments: np.ndarray       # (n_scenarios, n_banks)
     defaulted: np.ndarray      # bool, same shape
-    shortfall: np.ndarray
     external_paid: np.ndarray  # (n_scenarios,)
     iterations: int
     residuals: tuple           # sup-norm Picard residual per iteration
-
-
-def _finish(payments, p_bar, ext_share, flag_tol):
-    """(defaulted, shortfall, external_paid) of a converged payment vector."""
-    shortfall = np.subtract(p_bar, payments)
-    np.maximum(shortfall, 0.0, out=shortfall)
-    return shortfall > flag_tol, shortfall, payments @ ext_share
 
 
 def _picard_dense(net: DenseNetwork, tolerance: float, start: str):
@@ -166,9 +171,9 @@ def _dense_outcome(net, tolerance, flag_tol, start) -> ClearingOutcome:
     p_bar = net.p_bar
     with np.errstate(divide="ignore", invalid="ignore"):
         ext_share = np.where(p_bar > 0, net.external_obligation / p_bar, 0.0)
-    defaulted, shortfall, ext_paid = _finish(p, p_bar, ext_share, flag_tol)
+    shortfall = np.maximum(p_bar - p, 0.0)
     log.debug("dense clearing: %d banks, %d iterations", net.n, iters)
-    return ClearingOutcome(p, defaulted, shortfall, float(ext_paid), iters)
+    return ClearingOutcome(p, shortfall > flag_tol, shortfall, float(p @ ext_share), iters)
 
 
 def clearing_dense(net: DenseNetwork, tolerance: float = DEFAULT_TOLERANCE,
@@ -224,11 +229,10 @@ class _TierSystem:
             if counts[d] > 1:
                 self.self_coef[d] = share[d, d] / (counts[d] - 1.0)
 
-        self.tier_of_bank = network.tier_of_bank()
+        tier_of_bank = network.tier_of_bank()
         self.p_bar_tier = p_bar
-        self.p_bar_row = p_bar[self.tier_of_bank]
-        self.self_row = self.self_coef[self.tier_of_bank]
-        self.ext_share_row = self.ext_share_tier[self.tier_of_bank]
+        self.p_bar_row = p_bar[tier_of_bank]
+        self.ext_share_row = self.ext_share_tier[tier_of_bank]
         self.slices = [network.tier_slice(t) for t in Tier]
         self.scale = p_bar.max() if p_bar.max() > 0 else 1.0
 
@@ -240,7 +244,8 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
     """Clear many asset scenarios at once on the tier-compressed network.
 
     `scenario_assets` has shape (n_scenarios, n_banks): post-shock,
-    post-bailout cash plus surviving bond value per bank.
+    post-bailout cash plus surviving bond value per bank.  Every row stops at
+    the batch's sweep: the first at which every row is within tolerance.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -252,68 +257,95 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
     # NaN fails the comparison too; `initial` lets an empty batch through
     if not assets.min(initial=0.0) >= 0.0:
         raise ValueError("scenario assets must be non-negative and not NaN")
-
-    sys = _TierSystem(network)
-    if start == "greatest":
-        p = np.tile(sys.p_bar_row, (assets.shape[0], 1))
-    elif start == "least":
-        p = np.zeros_like(assets)
-    else:
+    if start not in ("greatest", "least"):
         raise ValueError("start must be 'greatest' or 'least'")
 
-    rows = p.shape[0]
-    block = _block_rows(p.shape[1])
-    blk_buf = np.empty((min(block, rows), p.shape[1]))
-    # tier sums of the current iterate; the sweep refreshes them block by block
-    sums = np.stack([p[:, s].sum(axis=1) for s in sys.slices], axis=1)
-    row_resid = np.empty(rows)
-    residuals = []
-    iterations = 0
-    for iterations in range(MAX_ITERATIONS):
-        # per-tier inflow base: cross-tier terms plus the own-tier sum term
-        base = sums @ sys.cross + sums * sys.self_coef[None, :]
-        for r0 in range(0, rows, block):
-            r1 = min(r0 + block, rows)
-            old = p[r0:r1]
-            blk = blk_buf[:r1 - r0]
+    sys = _TierSystem(network)
+    limit = tolerance * sys.scale
+    rows, n = assets.shape
+    payments = np.empty_like(assets)
+    defaulted = np.empty(assets.shape, dtype=bool)
+    sums = np.empty((rows, len(Tier)))  # per row, the tier sums of its iterate
+    row_resid = np.empty(rows)          # per row, the residual of its last sweep
+    size = _block_rows(n)
+    blocks = [(r0, min(r0 + size, rows)) for r0 in range(0, rows, size)]
+    last = [-1] * len(blocks)  # per block, the last sweep it ran
+    pair = np.empty((2, min(size, rows), n))
+    resid = []  # per sweep, the largest residual over the blocks run so far
+    stop = 0    # the batch's stopping sweep, as far as the blocks run so far tell
+
+    def sweep_block(b):
+        """Run block b on from its last sweep to the first sweep >= `stop`
+        within tolerance (or to the last allowed sweep), then store it."""
+        r0, r1 = blocks[b]
+        cur, nxt = pair[:, :r1 - r0]
+        s = last[b]
+        if s < 0:
+            if start == "greatest":
+                np.copyto(cur, sys.p_bar_row)
+            else:
+                cur.fill(0.0)
             for d, sl in enumerate(sys.slices):
-                tier = blk[:, sl]
-                np.multiply(old[:, sl], -sys.self_coef[d], out=tier)
-                tier += base[r0:r1, d, None]
+                sums[r0:r1, d] = cur[:, sl].sum(axis=1)
+        else:
+            cur[...] = payments[r0:r1]  # a top-up: its tier sums are kept
+        block_resid = []
+        while True:
+            s += 1
+            # per-tier inflow base: cross-tier terms plus the own-tier sum term
+            base = sums[r0:r1] @ sys.cross + sums[r0:r1] * sys.self_coef[None, :]
+            for d, sl in enumerate(sys.slices):
+                tier = nxt[:, sl]
+                np.multiply(cur[:, sl], -sys.self_coef[d], out=tier)
+                tier += base[:, d, None]
                 tier += assets[r0:r1, sl]
                 np.minimum(tier, sys.p_bar_tier[d], out=tier)
                 sums[r0:r1, d] = tier.sum(axis=1)
-            # the old rows are spent: take |new - old| in place, then overwrite
-            np.subtract(old, blk, out=old)
-            np.abs(old, out=old)
-            old.max(axis=1, out=row_resid[r0:r1])
-            old[...] = blk
-        # an array max, unlike Python's max(), keeps a NaN residual
-        resid = float(row_resid.max(initial=0.0))
-        if resid <= tolerance * sys.scale:
-            break
-        residuals.append(resid)
-    else:
+            # the old iterate is spent: take |new - old| in it, then swap
+            np.subtract(cur, nxt, out=cur)
+            np.abs(cur, out=cur)
+            cur.max(axis=1, out=row_resid[r0:r1])
+            block_resid.append(row_resid[r0:r1].max())
+            cur, nxt = nxt, cur
+            if (s >= stop and block_resid[-1] <= limit) or s == MAX_ITERATIONS - 1:
+                break
+        for i, r in enumerate(block_resid, start=last[b] + 1):
+            if i == len(resid):
+                resid.append(r)
+            else:
+                # np.maximum, unlike Python's max(), keeps a NaN residual
+                resid[i] = np.maximum(resid[i], r)
+        last[b] = s
+        payments[r0:r1] = cur
+        np.subtract(sys.p_bar_row, cur, out=nxt)
+        np.maximum(nxt, 0.0, out=nxt)
+        np.greater(nxt, flag_tol, out=defaulted[r0:r1])
+
+    # `stop` never passes the batch's sweep: a block stops at its first sweep
+    # within tolerance at or after `stop`, and the batch's sweep is one.  Once
+    # every block has run exactly to `stop`, all are within tolerance there,
+    # so `stop` is the batch's sweep.  Blocks behind it are topped up.
+    while behind := [b for b in range(len(blocks)) if last[b] != stop]:
+        for b in behind:
+            sweep_block(b)
+            stop = max(stop, last[b])
+    if blocks and not resid[stop] <= limit:
         raise RuntimeError(
             f"tiered clearing failed to converge in {MAX_ITERATIONS} iterations: "
-            f"last residuals {', '.join(f'{r:.3g}' for r in residuals[-3:])} "
-            f"against tolerance {tolerance * sys.scale:.3g}; largest final "
+            f"last residuals {', '.join(f'{r:.3g}' for r in resid[-3:])} "
+            f"against tolerance {limit:.3g}; largest final "
             f"residual in scenario row {int(np.argmax(row_resid))}"
         )
 
-    p_bar_row = np.broadcast_to(sys.p_bar_row, assets.shape)
-    defaulted, shortfall, ext_paid = _finish(p, p_bar_row, sys.ext_share_row, flag_tol)
     log.debug(
-        "tiered clearing: %d scenarios x %d banks, %d iterations",
-        assets.shape[0], assets.shape[1], iterations,
+        "tiered clearing: %d scenarios x %d banks, %d iterations", rows, n, stop,
     )
     return BatchClearingResult(
-        payments=p,
+        payments=payments,
         defaulted=defaulted,
-        shortfall=shortfall,
-        external_paid=ext_paid,
-        iterations=iterations,
-        residuals=tuple(residuals),
+        external_paid=payments @ sys.ext_share_row,
+        iterations=stop,
+        residuals=tuple(float(r) for r in resid[:stop]),
     )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -149,9 +150,11 @@ class ScenarioTable:
             (defaulted[r:r + block, None, :] @ deposits).ravel()
             for r in range(0, defaulted.shape[0], block)
         ])
+        owed = _TierSystem(network).p_bar_tier[Tier.CENTRAL]
+        central = cleared.payments[:, slices[Tier.CENTRAL]]
         return cls(
             external_shortfall=network.total_external_obligation() - cleared.external_paid,
-            central_shortfall=cleared.shortfall[:, slices[Tier.CENTRAL]].sum(axis=1),
+            central_shortfall=np.maximum(owed - central, 0.0).sum(axis=1),
             deposits_lost=deposits_lost,
             defaults_by_tier=np.stack(
                 [defaulted[:, sl].sum(axis=1) for sl in slices], axis=1
@@ -236,10 +239,22 @@ def _draw_base(network: GalacticNetwork, shock_params: ShockParams,
     return _base_assets(network, shock_params, losses, config)
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_chunks(run_chunk, n_chunks: int, n_jobs: int):
-    """run_chunk(pos) for every chunk, on a thread pool when n_jobs > 1."""
-    if n_jobs > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+    """run_chunk(pos) for every chunk, on a thread pool when n_jobs > 1.
+
+    Each worker holds a chunk's arrays, so the pool never exceeds the chunks
+    or the usable cores, whatever n_jobs asks for.
+    """
+    workers = min(n_jobs, n_chunks, _usable_cores())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, range(n_chunks)))
     else:
         for pos in range(n_chunks):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,9 +299,11 @@ def test_compressed_shortfall_in_own_buffer_and_assets_untouched():
     assets = (1.0 - losses) * net.external_assets_vector()[None, :]
     before = assets.copy()
     batch = clear_tiered_batch(net, assets)
-    p_bar_row = _TierSystem(net).p_bar_row[None, :]
-    assert np.array_equal(batch.shortfall, np.maximum(p_bar_row - batch.payments, 0.0))
-    assert not np.shares_memory(batch.shortfall, batch.payments)
+    # the result carries no shortfall array: a caller derives it from payments
+    shortfall = np.maximum(_TierSystem(net).p_bar_row[None, :] - batch.payments, 0.0)
+    assert np.array_equal(batch.defaulted, shortfall > clearing.DEFAULT_FLAG_TOL)
+    assert batch.defaulted.any() and not batch.defaulted.all()
+    assert not np.shares_memory(batch.payments, assets)
     # callers may keep reusing their asset matrix, e.g. a cached pre-bailout base
     assert np.array_equal(assets, before)
 
@@ -366,7 +374,6 @@ def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
     shortfall = np.maximum(sys.p_bar_row[None, :] - p, 0.0)
     return {
         "payments": p,
-        "shortfall": shortfall,
         "defaulted": shortfall > flag_tol,
         "external_paid": p @ sys.ext_share_row,
         "iterations": iterations,
@@ -374,9 +381,9 @@ def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
     }
 
 
-def assert_matches_reference(network, assets, start):
-    batch = clear_tiered_batch(network, assets, start=start)
-    ref = full_width_reference(network, assets, start=start)
+def assert_matches_reference(network, assets, start, tolerance=clearing.DEFAULT_TOLERANCE):
+    batch = clear_tiered_batch(network, assets, tolerance=tolerance, start=start)
+    ref = full_width_reference(network, assets, tolerance=tolerance, start=start)
     for field, expected in ref.items():
         assert np.array_equal(getattr(batch, field), expected), field
 
@@ -413,6 +420,104 @@ def test_blocked_sweep_bitwise_on_calibrated_partial_block():
     assert 37 % _block_rows(net.n_banks) != 0
     for start in ("greatest", "least"):
         assert_matches_reference(net, assets, start)
+
+
+def graded_draw():
+    """A random tiered network and six asset rows, from deep default to solvent.
+
+    Alone, the rows stop after 44, 37, 10, 7, 0 and 5 sweeps from the
+    greatest start and 41, 41, 13, 10, 4 and 6 from the least.
+    """
+    rng = np.random.default_rng(30)
+    net, _ = random_tiered(rng)
+    scale = np.array([0.2, 0.5, 1.0, 1.0, 2.0, 4.0])[:, None]
+    return net, rng.uniform(0.0, 2.0, size=(6, net.n_banks)) * scale
+
+
+def one_block_of(monkeypatch, net, rows):
+    monkeypatch.setattr(clearing, "L2_CACHE_BYTES", rows * 3 * 8 * net.n_banks)
+    assert _block_rows(net.n_banks) == rows
+
+
+@pytest.mark.parametrize("start", ["greatest", "least"])
+@pytest.mark.parametrize("rows,block", [([5, 0], 1), ([4, 5, 2, 3, 0], 2)],
+                         ids=["top-up", "ragged"])
+def test_blocked_sweep_bitwise_when_early_blocks_stop_first(monkeypatch, start, rows, block):
+    net, assets = graded_draw()
+    one_block_of(monkeypatch, net, block)
+    batch = assets[rows]
+    # the first block settles alone before the batch does, and the sweeps up
+    # to the batch's stop still move its bits: it must be run on from
+    # `payments` after the last block (ragged in the second case)
+    alone = full_width_reference(net, batch[:block], start=start)
+    ref = full_width_reference(net, batch, start=start)
+    assert alone["iterations"] < ref["iterations"]
+    assert not np.array_equal(alone["payments"], ref["payments"][:block])
+    assert_matches_reference(net, batch, start)
+
+
+def stop_sweep(residuals, limit, first=0):
+    return next(s for s in range(first, len(residuals)) if residuals[s] <= limit)
+
+
+@pytest.mark.parametrize("start,rows,limit", [("greatest", [1, 2], 0.85),
+                                              ("least", [1, 4], 1.02)])
+def test_blocked_sweep_bitwise_when_a_stopped_block_rebounds(monkeypatch, start, rows,
+                                                             limit):
+    net, assets = graded_draw()
+    one_block_of(monkeypatch, net, 1)
+    tolerance = limit / _TierSystem(net).scale
+    first, second = (full_width_reference(net, assets[r:r + 1], tolerance=1e-14,
+                                          start=start)["residuals"] for r in rows)
+    # the first row is within the limit before the second row is, and above
+    # it again at the sweep where the second row first is
+    a = stop_sweep(first, limit)
+    b = stop_sweep(second, limit, a)
+    assert a < b and first[b] > limit
+    assert_matches_reference(net, assets[rows], start, tolerance)
+
+
+def test_blocked_sweep_holds_no_batch_wide_scratch():
+    net = gb.build_network()
+    losses = gb.shocks.sample_loss_matrix(gb.ShockParams(), net.n_banks, 19770525, range(64))
+    assets = (1.0 - losses) * net.external_assets_vector()[None, :]
+    del losses
+    block = _block_rows(net.n_banks)
+    tracemalloc.start()
+    try:
+        clear_tiered_batch(net, assets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # payments and defaulted are the result; the sweep adds its block buffers
+    # (measured 11.5 MB in all; a full-width iterate and shortfall took 20.2 MB)
+    allowed = assets.nbytes + assets.size + 3 * block * net.n_banks * 8 + 2**20
+    assert peak <= allowed
+
+
+CLEAR_DIGESTS = """
+import hashlib
+import galbank as gb
+net = gb.build_network()
+shock = gb.ShockParams()
+losses = gb.sample_loss_matrix(shock, net.n_banks, 19770525, range(40))
+cleared = gb.clear_tiered_batch(net, gb.risk._base_assets(net, shock, losses, gb.LossConfig()))
+for array in (cleared.payments, cleared.defaulted, cleared.external_paid):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+def test_tiered_batch_bits_independent_of_blas_threads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(gb.__file__).resolve().parents[1])
+    digests = [
+        subprocess.run([sys.executable, "-c", CLEAR_DIGESTS], env=env | extra, check=True,
+                       capture_output=True, text=True, timeout=300).stdout
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert len(digests[0].split()) == 3
+    assert digests[0] == digests[1]
 
 
 # --- fictitious-default solve on sorted tiers --------------------------------

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 import galbank as gb
 from galbank import report, risk
 from galbank.cli import main
-from galbank.clearing import SortedTiers, clear_tiered_batch
+from galbank.clearing import SortedTiers, _TierSystem, clear_tiered_batch
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 
 SEED = 20240917
@@ -96,12 +99,14 @@ def test_deposits_counted_only_without_insurance(tmp_path):
 
 # --- vectorised accounting against the per-row loop --------------------------
 
-def _records_from_arrays(indices, network, defaulted, shortfall, external_paid):
+def _records_from_arrays(indices, network, defaulted, payments, external_paid):
     """The per-row accounting loop the vectorised pass replaced, as the oracle.
 
     One (index, external, central, deposits, n_defaults, by_tier) tuple per
-    row; row r of the arrays is scenario indices[r].
+    row; row r of the arrays is scenario indices[r].  The shortfall is
+    derived from the payments, as the full-width Picard loop formed it.
     """
+    shortfall = np.maximum(_TierSystem(network).p_bar_row[None, :] - payments, 0.0)
     deposits = network.deposits_vector()
     slices = [network.tier_slice(t) for t in gb.Tier]
     central = slices[gb.Tier.CENTRAL]
@@ -148,7 +153,7 @@ def test_vectorised_pass_bitwise_equals_row_loop(default_net, bailout, rows):
     assert cleared.defaulted.any() and not cleared.defaulted.all()
     table = gb.ScenarioTable.from_clearing(net, cleared)
     assert_table_matches_records(table, _records_from_arrays(
-        idx, net, cleared.defaulted, cleared.shortfall, cleared.external_paid
+        idx, net, cleared.defaulted, cleared.payments, cleared.external_paid
     ))
 
 
@@ -166,7 +171,7 @@ def test_chunked_table_bitwise_equals_row_loop_with_ragged_chunk(
         start = len(records)
         records.extend(_records_from_arrays(
             range(start, start + assets.shape[0]), network,
-            cleared.defaulted, cleared.shortfall, cleared.external_paid,
+            cleared.defaulted, cleared.payments, cleared.external_paid,
         ))
         return cleared
 
@@ -257,11 +262,13 @@ def test_monte_carlo_deterministic(default_net):
         assert np.array_equal(getattr(head, column), getattr(a, column)[:7]), column
 
 
-def test_monte_carlo_thread_invariance(default_net):
+def test_monte_carlo_thread_invariance(default_net, monkeypatch):
     net = default_net
     params = gb.ShockParams()
     config = gb.LossConfig()
-    # chunks of 20 so that four workers share the 60 scenarios
+    # chunks of 20 so that four workers share the 60 scenarios, even on a
+    # box with fewer cores than that
+    monkeypatch.setattr(risk, "_usable_cores", lambda: 4)
     serial = gb.simulate_records(
         net, params, gb.BailoutAllocation(), config, 60, SEED, 1, 20
     )
@@ -552,6 +559,7 @@ def test_evaluator_thread_count_keeps_bits(small_net, monkeypatch):
     try:
         for n_jobs in (1, 4):
             calls = count_shock_draws(monkeypatch)
+            monkeypatch.setattr(risk, "_usable_cores", lambda: 4)  # past the pool's cap
             evaluator = _AllocationEvaluator(small_net, shock, config, 4_000, SEED, n_jobs)
             vectors[n_jobs] = [evaluator.losses(a) for a in CACHE_ALLOCATIONS]
             assert sorted(c.start for c in calls) == list(range(0, 4_000, 500))
@@ -583,3 +591,63 @@ def test_cli_frontier_csv_same_for_one_and_two_threads(tmp_path):
     # the bisection found interior minima, not only 0 or the cap
     rows = runs["1"][1][0].decode().splitlines()[2:]
     assert any(row.split(",")[2] not in ("0", "", "8") for row in rows)
+
+
+@pytest.mark.parametrize("n_jobs,n_chunks,cores,workers", [
+    (20, 5, 2, 2), (20, 3, 8, 3), (4, 10, 8, 4), (1, 10, 8, None), (20, 10, 1, None),
+    (20, 1, 8, None),
+])
+def test_chunk_pool_bounded_by_chunks_and_cores(monkeypatch, n_jobs, n_chunks, cores,
+                                                workers):
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size asked for and runs the chunks in order."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(risk, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(risk, "_usable_cores", lambda: cores)
+    ran = []
+    risk._run_chunks(ran.append, n_chunks, n_jobs)
+    assert ran == list(range(n_chunks))
+    assert sizes == ([] if workers is None else [workers])
+
+
+def test_usable_cores_within_cpu_count():
+    assert 1 <= risk._usable_cores() <= (os.cpu_count() or 1)
+
+
+def _simulate_losses_csv(tmp_path, blas_threads: str) -> bytes:
+    """losses.csv of a 500-scenario headline run in a fresh process."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = str(Path(gb.__file__).resolve().parents[1])
+    out = tmp_path / f"blas-{blas_threads}"
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from galbank.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "simulate", "--scenarios", "500",
+         "--seed", "19770525", "--out", str(out)],
+        env=env, check=True, capture_output=True, timeout=300,
+    )
+    return (out / "losses.csv").read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two BLAS threads")
+@pytest.mark.xfail(strict=True, reason=(
+    "from_clearing sums each row's deposits with a BLAS dot over all banks, which "
+    "OpenBLAS splits over its threads; the tier-sum accounting of ROADMAP item 2 "
+    "removes this"))
+def test_losses_csv_independent_of_blas_threads(tmp_path):
+    assert _simulate_losses_csv(tmp_path, "1") == _simulate_losses_csv(tmp_path, "2")
