@@ -35,6 +35,16 @@ EXIT_GAPS = 3
 EXIT_IO = 4
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galbank",
@@ -46,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scenarios", type=int, default=None,
                         help="override config scenario count")
     common.add_argument("--out", type=Path, default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads; never changes results")
     common.add_argument("--overwrite", action="store_true",
                         help="allow writing into an existing non-empty --out")
@@ -122,7 +132,7 @@ def cmd_simulate(args) -> int:
         loss = replace(loss, deposit_insurance=True)
     table = simulate_records(
         network, config.shock, bailout, loss,
-        config.n_scenarios, config.seed, n_jobs=max(1, args.threads),
+        config.n_scenarios, config.seed, n_jobs=args.threads,
     )
     report.write_losses_csv(out / "losses.csv", table, loss)
     report.write_histogram_csv(out / "histogram.csv", table, network)
@@ -146,8 +156,7 @@ def cmd_frontier(args) -> int:
         list(Criterion) if args.criterion == "all" else [Criterion.parse(args.criterion)]
     )
     evaluator = _AllocationEvaluator(
-        network, config.shock, config.loss, config.n_scenarios, config.seed,
-        max(1, args.threads),
+        network, config.shock, config.loss, config.n_scenarios, config.seed, args.threads,
     )
     frontiers = {}
     minima = []

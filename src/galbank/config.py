@@ -61,6 +61,9 @@ class RunConfig:
     def __post_init__(self):
         if self.n_scenarios < 1:
             raise ConfigError("config.n_scenarios: must be >= 1")
+        # the shock streams are keyed by the seed as an unsigned 64-bit word
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"config.seed: must lie in [0, 2**64), got {self.seed}")
 
 
 def _require(condition: bool, location: str, message: str):

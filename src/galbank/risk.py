@@ -11,7 +11,8 @@ is absent, the full deposits of every defaulted bank.
 
 The frontier's evaluator forms the same table from the per-tier payment
 totals and default counts of the fictitious-default solve
-(`clear_tier_sums`) on each chunk's pre-bailout assets, sorted once per run.
+(`clear_tier_sums`) on each chunk's pre-bailout assets, sorted per tier and
+cut to the banks that default without a bailout, once per run.
 
 The risk statistics (`expected_loss`, `exceedance_probability`,
 `average_var`, `criterion_satisfied`) take a 1-D loss array in that row
@@ -26,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -40,6 +42,7 @@ from .clearing import (
     _block_rows,
     clear_tier_sums,
     clear_tiered_batch,
+    defaulting_prefixes,
 )
 from .network import GalacticNetwork, Money, Tier
 from .shocks import ShockParams, ShockTarget, sample_loss_matrix
@@ -47,9 +50,15 @@ from .shocks import ShockParams, ShockTarget, sample_loss_matrix
 log = logging.getLogger(__name__)
 
 DEFAULT_BATCH_SIZE = 500
-# bytes of sorted pre-bailout assets (`SortedTiers`) a frontier evaluator
-# keeps across allocations; chunks beyond it are redrawn on every evaluation
+# bytes of kept pre-bailout assets (`SortedTiers`) a frontier evaluator keeps
+# across allocations; chunks that do not fit are rebuilt on every evaluation
 BASE_CACHE_BYTES = 2**30
+# scenario rows a frontier chunk is drawn, sorted and solved in at a time:
+# their full rows are the build's only chunk-scale scratch (4.5 MB at 17,501
+# banks), and the zero-shift solve's per-call cost stays small beside the
+# draws.  A 1,000-scenario acceptance frontier on 2 threads peaked at 67, 76
+# and 93 MB with 32, 64 and 128 rows.
+SUB_BLOCK_ROWS = 32
 # slack for cross-allocation monotonicity checks; clearing tolerance can
 # perturb payments by ~tolerance * max obligation
 MONOTONE_SLACK = 1e-3
@@ -359,11 +368,15 @@ class _AllocationEvaluator:
     never increase any scenario's loss.
 
     A bailout only adds a per-tier constant after the shock, so each chunk's
-    pre-bailout assets are drawn and sorted per tier once (`SortedTiers`),
-    on the first evaluation, and every allocation is one fictitious-default
-    solve on them (`clear_tier_sums`).  The sorted chunks are kept for as
-    many leading chunks as fit in BASE_CACHE_BYTES; later chunks are drawn
-    and sorted again on every evaluation, so no scenario is dropped.
+    pre-bailout assets are drawn and sorted per tier once, on the first
+    evaluation, and every allocation is one fictitious-default solve on them
+    (`clear_tier_sums`).  No bailout defaults a bank that survives without
+    one, so a chunk keeps, per scenario and tier, only the assets of the
+    banks that default at zero bailout plus one (`defaulting_prefixes`),
+    built SUB_BLOCK_ROWS scenarios at a time.  A chunk joins the cache on
+    its first build if its bytes fit in what is left of BASE_CACHE_BYTES;
+    the others are rebuilt on every evaluation, so no scenario is dropped.
+    Which chunks are cached may depend on thread timing; results never do.
     """
 
     def __init__(self, network, shock_params, config, n_scenarios, seed, n_jobs):
@@ -377,20 +390,26 @@ class _AllocationEvaluator:
         self.threshold = loss_threshold(network, config)
         self.cache: dict[tuple[float, float], np.ndarray] = {}
         self.chunks = _chunks(n_scenarios)
-        row_bytes = SortedTiers.bytes_per_row(network.n_banks)
-        self.tiers: list[SortedTiers | None] = [
-            None for idx in self.chunks if idx.stop * row_bytes <= BASE_CACHE_BYTES
-        ]
+        self.tiers: list[SortedTiers | None] = [None] * len(self.chunks)
+        self.cached_bytes = 0
+        self._cache_lock = threading.Lock()
 
     def _sorted(self, pos: int) -> SortedTiers:
-        """Chunk pos's sorted pre-bailout assets, drawn at most once if cached."""
-        if pos < len(self.tiers) and self.tiers[pos] is not None:
+        """Chunk pos's kept pre-bailout assets, built at most once if cached."""
+        if self.tiers[pos] is not None:
             return self.tiers[pos]
-        base = _draw_base(self.network, self.shock_params, self.config, self.seed,
-                          self.chunks[pos])
-        tiers = SortedTiers.from_assets(self.network, base)
-        if pos < len(self.tiers):
-            self.tiers[pos] = tiers  # each chunk writes only its own slot
+        idx = self.chunks[pos]
+        tiers = defaulting_prefixes(self.network, (
+            _draw_base(self.network, self.shock_params, self.config, self.seed,
+                       idx[lo:lo + SUB_BLOCK_ROWS])
+            for lo in range(0, len(idx), SUB_BLOCK_ROWS)
+        ))
+        # what is left of the budget only shrinks, so a chunk that does not
+        # fit on its first build never will
+        with self._cache_lock:
+            if self.cached_bytes + tiers.nbytes <= BASE_CACHE_BYTES:
+                self.tiers[pos] = tiers
+                self.cached_bytes += tiers.nbytes
         return tiers
 
     def table(self, alloc: BailoutAllocation) -> ScenarioTable:

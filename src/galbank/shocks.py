@@ -75,10 +75,9 @@ def _inverse_marginal(params: ShockParams, u: np.ndarray) -> None:
 
 
 def _stream(seed: int, scenario_index: int) -> np.random.Generator:
-    key = np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF, scenario_index & 0xFFFFFFFFFFFFFFFF],
-        dtype=np.uint64,
-    )
+    # a seed outside [0, 2**64) raises OverflowError rather than wrapping onto
+    # another seed's streams
+    key = np.array([seed, scenario_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -17,6 +17,7 @@ from galbank.clearing import (
     clear_tier_sums,
     clear_tiered_batch,
     clearing_dense,
+    defaulting_prefixes,
     expand_network,
     least_clearing_vector,
 )
@@ -536,25 +537,35 @@ def sort_tiers(network, assets):
     return SortedTiers.from_assets(network, np.array(assets, dtype=float))
 
 
+def kept(tiers, row, tier):
+    """The sorted assets `tiers` keeps for one row and tier."""
+    start = tiers.starts[row, tier]
+    return tiers.values[start:start + tiers.lengths[row, tier]]
+
+
 def test_sorted_tiers_layout_and_bytes():
     rng = np.random.default_rng(3)
     net, _ = random_tiered(rng)
     assets = rng.uniform(0.0, 2.0, size=(4, net.n_banks))
     work = assets.copy()
     tiers = SortedTiers.from_assets(net, work)
-    for t in gb.Tier:
-        expected = np.sort(assets[:, net.tier_slice(t)], axis=1)
-        assert np.array_equal(tiers.values[t], expected)
-        assert np.shares_memory(tiers.values[t], work)  # sorted in place
+    assert np.shares_memory(tiers.values, work)  # sorted in place
+    assert tiers.sizes == net.counts and (tiers.lengths == net.counts).all()
+    for r in range(4):
+        for t in gb.Tier:
+            assert np.array_equal(kept(tiers, r, t), np.sort(assets[r, net.tier_slice(t)]))
     lo = rng.integers(0, 3, size=(4, 3)) * np.array(net.counts) // 3
     hi = np.minimum(lo + rng.integers(0, 4, size=(4, 3)), net.counts)
     between = tiers.sums_between(lo, hi)
+    bound = rng.uniform(0.0, 2.0, size=(4, 3))
+    below = tiers.count_below(bound)
     for r in range(4):
         for t in gb.Tier:
-            assert between[r, t] == tiers.values[t][r, lo[r, t]:hi[r, t]].sum()
+            assert between[r, t] == kept(tiers, r, t)[lo[r, t]:hi[r, t]].sum()
+            assert below[r, t] == (kept(tiers, r, t) < bound[r, t]).sum()
     assert (between[hi == lo] == 0.0).all()
     assert tiers.rows == 4
-    assert tiers.nbytes == 4 * SortedTiers.bytes_per_row(net.n_banks)
+    assert tiers.nbytes == work.nbytes + tiers.starts.nbytes + tiers.lengths.nbytes
 
 
 # the solve against the dense oracle: tier sums within this fraction of the
@@ -584,6 +595,37 @@ def test_tier_sums_match_dense_and_picard(seed, rows, shift):
         surely = tier_totals(net, ref.shortfall > flag + near)
         maybe = tier_totals(net, ref.shortfall > flag - near)
         assert (surely <= out.defaults[r]).all() and (out.defaults[r] <= maybe).all()
+
+
+def assert_results_equal(a, b):
+    for field in ("sums", "defaults", "rounds", "defaulting"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), block=st.integers(1, 3),
+       shift=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), min_size=3, max_size=3))
+def test_kept_prefixes_give_the_bits_of_the_full_sort(seed, rows, block, shift):
+    rng = np.random.default_rng(seed)
+    net, _ = random_tiered(rng)
+    assets = rng.uniform(0.0, 2.0, size=(rows, net.n_banks))
+    full = sort_tiers(net, assets)
+    prefixes = defaulting_prefixes(
+        net, (np.array(assets[r:r + block]) for r in range(0, rows, block)))
+    k0 = clear_tier_sums(net, full, [0.0, 0.0, 0.0]).defaulting
+    assert np.array_equal(prefixes.lengths, np.minimum(k0 + 1, net.counts))
+    for r in range(rows):
+        for t in gb.Tier:
+            assert np.array_equal(kept(prefixes, r, t),
+                                  kept(full, r, t)[:prefixes.lengths[r, t]])
+    out = clear_tier_sums(net, full, shift)
+    assert_results_equal(clear_tier_sums(net, prefixes, shift), out)
+    # each row clears alone to the bits it has in the batch
+    for r in range(rows):
+        alone = clear_tier_sums(net, SortedTiers(full.values, full.starts[r:r + 1],
+                                                 full.lengths[r:r + 1], full.sizes), shift)
+        for field in ("sums", "defaults", "defaulting"):
+            assert np.array_equal(getattr(alone, field)[0], getattr(out, field)[r]), field
 
 
 @pytest.fixture(scope="module")
@@ -649,13 +691,12 @@ def test_tier_sums_residual_checked_per_row(monkeypatch):
     net, assets = toy_net()
     real_solve = np.linalg.solve
 
-    def off_in_row_1(a, b):
-        x = real_solve(a, b)
-        if x.shape[0] > 1:
-            x[1] += 1e-3
-        return x
+    def off(a, b):
+        # only rows that gained a default are solved: here row 1 alone
+        assert a.shape[0] == 1
+        return real_solve(a, b) + 1e-3
 
-    monkeypatch.setattr(np.linalg, "solve", off_in_row_1)
+    monkeypatch.setattr(np.linalg, "solve", off)
     with pytest.raises(RuntimeError, match=r"residual .* in scenario row 1 exceeds tolerance"):
         clear_tier_sums(net, sort_tiers(net, assets), [0, 0, 0])
 
@@ -688,6 +729,19 @@ def test_tier_sums_singular_system_names_row(monkeypatch):
     with pytest.raises(RuntimeError, match=r"singular tier system in scenario row 1 "
                                            r"\(condition number .*defaults per tier \["):
         clear_tier_sums(net, sort_tiers(net, assets), [0, 0, 0])
+
+
+def test_prefix_cut_at_a_bailout_fails_at_zero_shift():
+    net, assets = toy_net()
+    full = sort_tiers(net, assets)
+    shift = [0.0, 5.0, 5.0]
+    k = clear_tier_sums(net, full, shift).defaulting
+    cut = SortedTiers(full.values, full.starts, np.minimum(k + 1, full.lengths), full.sizes)
+    assert_results_equal(clear_tier_sums(net, cut, shift), clear_tier_sums(net, full, shift))
+    # without the bailout row 1 defaults in both tiers, past the one asset each kept
+    with pytest.raises(RuntimeError, match=r"scenario row 1, tier MASSIVE: all 1 kept assets "
+                                           r"of 2 lie below the threshold.*monotonicity"):
+        clear_tier_sums(net, cut, [0.0, 0.0, 0.0])
 
 
 def test_tier_sums_reject_bad_inputs():

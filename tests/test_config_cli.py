@@ -208,6 +208,41 @@ def test_cli_overwrite_protection(tmp_path, capsys):
     assert main(["calibrate", "--out", str(out), "--overwrite"]) == 0
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_cli_seed_outside_64_bits_is_config_error(tmp_path, capsys, seed):
+    # the shock streams take the seed as an unsigned 64-bit key; -1 used to
+    # draw the scenarios of 2**64 - 1
+    with pytest.raises(gb.ConfigError, match=r"config\.seed: must lie in \[0, 2\*\*64\)"):
+        gb.parse_config({"seed": seed})
+    out = tmp_path / "out"
+    for command in ("calibrate", "simulate", "frontier"):
+        assert main([command, "--seed", str(seed), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config.seed: must lie in [0, 2**64), got {seed}" in err
+    assert not out.exists()
+
+
+def test_cli_seed_range_ends_run_apart(tmp_path):
+    losses = []
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / str(seed)
+        assert main(["simulate", "--seed", str(seed), "--scenarios", "2",
+                     "--out", str(out)]) == 0
+        losses.append((out / "losses.csv").read_bytes())
+    assert losses[0] != losses[1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    for command in ("calibrate", "simulate", "frontier"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--threads", threads, "--out", str(out)])
+        assert info.value.code == 2
+        assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_deterministic_and_thread_invariant(tmp_path):
     args = ["simulate", "--scenarios", "250", "--seed", "11"]
     out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import galbank as gb
 from galbank import report, risk
 from galbank.cli import main
-from galbank.clearing import SortedTiers, _TierSystem, clear_tiered_batch
+from galbank.clearing import _TierSystem, clear_tiered_batch
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 
 SEED = 20240917
@@ -481,9 +482,23 @@ def count_shock_draws(monkeypatch) -> list:
     return calls
 
 
-def evaluate_all(net, shock, config):
-    evaluator = _AllocationEvaluator(net, shock, config, CACHE_SCENARIOS, SEED, 2)
+def evaluate_all(net, shock, config, n_jobs=2):
+    evaluator = _AllocationEvaluator(net, shock, config, CACHE_SCENARIOS, SEED, n_jobs)
     return evaluator, [evaluator.losses(a) for a in CACHE_ALLOCATIONS]
+
+
+def draws_per_scenario(calls, n_scenarios) -> np.ndarray:
+    """How often each scenario's shocks were drawn, from `count_shock_draws`."""
+    assert max(len(c) for c in calls) <= risk.SUB_BLOCK_ROWS
+    return np.bincount([i for c in calls for i in c], minlength=n_scenarios)
+
+
+def expected_draws(evaluator, evaluations) -> np.ndarray:
+    """A cached chunk is drawn once; any other once per evaluation."""
+    return np.concatenate([
+        np.full(len(idx), 1 if tiers is not None else evaluations)
+        for idx, tiers in zip(evaluator.chunks, evaluator.tiers)
+    ])
 
 
 # The evaluator's fictitious-default losses against the Picard sweep of
@@ -501,7 +516,7 @@ def test_evaluator_draws_each_chunk_once(small_net, monkeypatch, target, exempt)
     config = gb.LossConfig(bond_recovery=0.2)
     calls = count_shock_draws(monkeypatch)
     evaluator, vectors = evaluate_all(net, shock, config)
-    assert sorted(c.start for c in calls) == [0, 500, 1000]
+    assert (draws_per_scenario(calls, CACHE_SCENARIOS) == 1).all()
     assert all(tiers is not None for tiers in evaluator.tiers)
     assert len({float(v.mean()) for v in vectors}) == len(vectors)
     for alloc, vec in zip(CACHE_ALLOCATIONS, vectors):
@@ -510,19 +525,31 @@ def test_evaluator_draws_each_chunk_once(small_net, monkeypatch, target, exempt)
         assert np.array_equal(evaluator.table(alloc).defaults_by_tier, table.defaults_by_tier)
 
 
+def chunk_bytes(net, shock, config) -> list[int]:
+    """Bytes each chunk keeps when every chunk is cached."""
+    evaluator, _ = evaluate_all(net, shock, config)
+    return [tiers.nbytes for tiers in evaluator.tiers]
+
+
 @pytest.mark.parametrize("cached_chunks", [0, 1, 2])
 def test_evaluator_redraws_beyond_cache_budget(small_net, monkeypatch, cached_chunks):
     net = small_net
     shock = gb.ShockParams(exempt_central=True)
     config = gb.LossConfig()
     _, cached = evaluate_all(net, shock, config)
-    budget = cached_chunks * risk.DEFAULT_BATCH_SIZE * SortedTiers.bytes_per_row(net.n_banks)
+    sizes = chunk_bytes(net, shock, config)
+    # on one thread the chunks are built in order; the last, partial chunk
+    # holds less than either full one
+    assert sizes[2] < min(sizes[:2])
+    budget = sum(sizes[:cached_chunks])
     monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)
     calls = count_shock_draws(monkeypatch)
-    evaluator, vectors = evaluate_all(net, shock, config)
-    assert len(evaluator.tiers) == cached_chunks
-    assert sum(tiers.nbytes for tiers in evaluator.tiers) == budget
-    assert len(calls) == cached_chunks + (3 - cached_chunks) * len(CACHE_ALLOCATIONS)
+    evaluator, vectors = evaluate_all(net, shock, config, n_jobs=1)
+    assert [tiers is not None for tiers in evaluator.tiers] == [
+        pos < cached_chunks for pos in range(3)]
+    assert evaluator.cached_bytes == budget
+    assert np.array_equal(draws_per_scenario(calls, CACHE_SCENARIOS),
+                          expected_draws(evaluator, len(CACHE_ALLOCATIONS)))
     # cached and redrawn chunks give the same bits
     for a, b in zip(cached, vectors):
         assert np.array_equal(a, b)
@@ -530,39 +557,81 @@ def test_evaluator_redraws_beyond_cache_budget(small_net, monkeypatch, cached_ch
 
 def test_evaluator_cache_stays_within_budget(small_net, monkeypatch):
     net = small_net
-    # one byte short of two chunks: only the first chunk is kept
-    budget = 2 * risk.DEFAULT_BATCH_SIZE * SortedTiers.bytes_per_row(net.n_banks) - 1
+    shock, config = gb.ShockParams(), gb.LossConfig()
+    sizes = chunk_bytes(net, shock, config)
+    # one byte short of the first two chunks: the second does not fit, and
+    # the smaller last chunk joins in what is left
+    budget = sizes[0] + sizes[1] - 1
     monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)
-    evaluator, _ = evaluate_all(net, gb.ShockParams(), gb.LossConfig())
-    held = sum(tiers.nbytes for tiers in evaluator.tiers)
-    assert len(evaluator.tiers) == 1 and 0 < held <= budget
+    evaluator, _ = evaluate_all(net, shock, config, n_jobs=1)
+    assert [tiers is not None for tiers in evaluator.tiers] == [True, False, True]
+    assert evaluator.cached_bytes == sizes[0] + sizes[2] <= budget
+
+
+def acceptance_net():
+    return gb.build_network(gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 2.0)))
 
 
 def test_evaluator_cache_cap_on_calibrated_network(default_net):
-    # 140,008 bytes per scenario: 7,500 scenarios (15 chunks) fit in 1 GiB
-    evaluator = _AllocationEvaluator(default_net, gb.ShockParams(), gb.LossConfig(),
-                                     10_000, SEED, 1)
-    row_bytes = SortedTiers.bytes_per_row(default_net.n_banks)
-    assert row_bytes == 140_008
-    assert len(evaluator.tiers) == 15
-    assert 7_500 * row_bytes <= risk.BASE_CACHE_BYTES < 8_000 * row_bytes
+    # A full sort holds 140,008 bytes per scenario (17,501 assets): 7,500
+    # scenarios in 1 GiB.  A chunk keeps each tier's defaulting banks at zero
+    # bailout, plus one, and 48 bytes of starts and lengths per scenario.
+    # At the default calibration about 82% of big banks default (113,655
+    # bytes per scenario measured here: 9,400 scenarios fit); at the
+    # acceptance calibration about 1% do (1,654 bytes: 20 chunks, 10,000
+    # scenarios, take 16 MiB, under 2% of the budget).
+    for net, shock, low, high in [
+        (default_net, gb.ShockParams(), 100_000, 130_000),
+        (acceptance_net(), gb.ShockParams(exempt_central=True), 1_000, 2_500),
+    ]:
+        evaluator = _AllocationEvaluator(net, shock, gb.LossConfig(), 500, SEED, 1)
+        tiers = evaluator._sorted(0)
+        assert evaluator.cached_bytes == tiers.nbytes
+        assert low * 500 <= tiers.nbytes <= high * 500
+    assert 20 * tiers.nbytes < 0.02 * risk.BASE_CACHE_BYTES
+
+
+def test_frontier_chunk_build_holds_one_sub_block():
+    # sorting a whole 500-scenario chunk at once would hold 70 MB
+    net = acceptance_net()
+    evaluator = _AllocationEvaluator(net, gb.ShockParams(exempt_central=True),
+                                     gb.LossConfig(), 500, SEED, 1)
+    tracemalloc.start()
+    try:
+        tiers = evaluator._sorted(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = risk.SUB_BLOCK_ROWS * net.n_banks * 8
+    assert peak <= scratch + tiers.nbytes + 2**20
 
 
 def test_evaluator_thread_count_keeps_bits(small_net, monkeypatch):
-    # eight chunks on more workers than cores, switching threads often: every
-    # chunk is still drawn once and the losses keep their bits
+    # eight chunks on more workers than cores, switching threads often, with
+    # room for about half of them in the cache: every scenario is drawn once
+    # if its chunk is cached and once per evaluation if not, the cache never
+    # passes its budget, and the losses keep their bits
     shock = gb.ShockParams()
     config = gb.LossConfig(bond_recovery=0.2)
+    whole = _AllocationEvaluator(small_net, shock, config, 4_000, SEED, 1)
+    whole.losses(CACHE_ALLOCATIONS[0])
+    budget = whole.cached_bytes // 2
     vectors = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for n_jobs in (1, 4):
+            monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)
             calls = count_shock_draws(monkeypatch)
             monkeypatch.setattr(risk, "_usable_cores", lambda: 4)  # past the pool's cap
             evaluator = _AllocationEvaluator(small_net, shock, config, 4_000, SEED, n_jobs)
             vectors[n_jobs] = [evaluator.losses(a) for a in CACHE_ALLOCATIONS]
-            assert sorted(c.start for c in calls) == list(range(0, 4_000, 500))
+            cached = [tiers for tiers in evaluator.tiers if tiers is not None]
+            assert 0 < len(cached) < len(evaluator.chunks)
+            assert evaluator.cached_bytes == sum(t.nbytes for t in cached)
+            assert evaluator.cached_bytes <= risk.BASE_CACHE_BYTES
+            assert np.array_equal(draws_per_scenario(calls, 4_000),
+                                  expected_draws(evaluator, len(CACHE_ALLOCATIONS)))
             monkeypatch.undo()
     finally:
         sys.setswitchinterval(interval)

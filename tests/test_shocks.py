@@ -128,6 +128,13 @@ def test_loss_matrix_bits_pinned(name):
     assert hashlib.sha256(losses.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 would alias 0
+    with pytest.raises(OverflowError):
+        sample_loss_matrix(gb.ShockParams(), 3, seed, range(1))
+
+
 def test_losses_always_in_unit_interval():
     params = gb.ShockParams()
     for idx in range(20):
