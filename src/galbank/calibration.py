@@ -67,9 +67,6 @@ class CalibrationParams:
     ds1_paid_fraction: float = 0.5
     ds2_total_cost: Money = 419.0
     ggp_endor: Money = 6090.0
-    growth_rate: float = 0.02
-    manhattan_expenditures: tuple = MANHATTAN_EXPENDITURES
-    us_gdp: tuple = US_GDP
     tier_counts: tuple[int, int, int] = DEFAULT_TIER_COUNTS
     capital_buffer_per_tier: tuple[float, float, float] = DEFAULT_CAPITAL_BUFFERS
     banking_sector_ggp_fraction: float = 0.60  # narrative statistic only
@@ -78,8 +75,6 @@ class CalibrationParams:
         for name in ("ds1_paid_fraction", "banking_sector_ggp_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.growth_rate <= -1.0:
-            raise ValueError("growth_rate must exceed -1")
         for name in ("ds1_total_cost", "ds2_total_cost"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DegenerateNetworkError, GalacticNetwork, Money, Tier
+from .network import GalacticNetwork, Money, Tier
 
 log = logging.getLogger(__name__)
 
@@ -175,30 +175,31 @@ def _picard_dense(net: DenseNetwork, tolerance: float, start: str):
     )
 
 
-def _dense_outcome(net, tolerance, flag_tol, start) -> ClearingOutcome:
+def _dense_outcome(net, tolerance, start) -> ClearingOutcome:
     p, iters = _picard_dense(net, tolerance, start)
     p_bar = net.p_bar
     with np.errstate(divide="ignore", invalid="ignore"):
         ext_share = np.where(p_bar > 0, net.external_obligation / p_bar, 0.0)
     shortfall = np.maximum(p_bar - p, 0.0)
     log.debug("dense clearing: %d banks, %d iterations", net.n, iters)
-    return ClearingOutcome(p, shortfall > flag_tol, shortfall, float(p @ ext_share), iters)
+    return ClearingOutcome(p, shortfall > DEFAULT_FLAG_TOL, shortfall,
+                           float(p @ ext_share), iters)
 
 
-def clearing_dense(net: DenseNetwork, tolerance: float = DEFAULT_TOLERANCE,
-                   flag_tol: float = DEFAULT_FLAG_TOL) -> ClearingOutcome:
+def clearing_dense(net: DenseNetwork,
+                   tolerance: float = DEFAULT_TOLERANCE) -> ClearingOutcome:
     """Greatest clearing vector of a dense network (Picard from total obligations)."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    return _dense_outcome(net, tolerance, flag_tol, "greatest")
+    return _dense_outcome(net, tolerance, "greatest")
 
 
-def least_clearing_vector(net: DenseNetwork, tolerance: float = DEFAULT_TOLERANCE,
-                          flag_tol: float = DEFAULT_FLAG_TOL) -> ClearingOutcome:
+def least_clearing_vector(net: DenseNetwork,
+                          tolerance: float = DEFAULT_TOLERANCE) -> ClearingOutcome:
     """Least clearing vector (Picard from zero); uniqueness diagnostic."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    return _dense_outcome(net, tolerance, flag_tol, "least")
+    return _dense_outcome(net, tolerance, "least")
 
 
 class _TierSystem:
@@ -219,12 +220,6 @@ class _TierSystem:
         )
         ext = np.array([network.profiles[t].owed_external for t in Tier])
         p_bar = owed.sum(axis=1) + ext
-
-        for d in Tier:
-            if counts[d] < 2 and owed[d, d] > 0:
-                raise DegenerateNetworkError(
-                    f"tier {d.name} has one bank but a same-tier liability"
-                )
 
         with np.errstate(divide="ignore", invalid="ignore"):
             share = np.where(p_bar[:, None] > 0, owed / p_bar[:, None], 0.0)
@@ -248,7 +243,6 @@ class _TierSystem:
 
 def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
                        tolerance: float = DEFAULT_TOLERANCE,
-                       flag_tol: float = DEFAULT_FLAG_TOL,
                        start: str = "greatest") -> BatchClearingResult:
     """Clear many asset scenarios at once on the tier-compressed network.
 
@@ -328,7 +322,7 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
         payments[r0:r1] = cur
         np.subtract(sys.p_bar_row, cur, out=nxt)
         np.maximum(nxt, 0.0, out=nxt)
-        np.greater(nxt, flag_tol, out=defaulted[r0:r1])
+        np.greater(nxt, DEFAULT_FLAG_TOL, out=defaulted[r0:r1])
 
     # `stop` never passes the batch's sweep: a block stops at its first sweep
     # within tolerance at or after `stop`, and the batch's sweep is one.  Once
@@ -436,10 +430,11 @@ class SortedTiers:
 class TierSumsResult:
     """Greatest clearing vector of many scenarios, as per-tier totals."""
 
-    sums: np.ndarray        # (rows, 3) payments per tier, Q
-    defaults: np.ndarray    # (rows, 3) banks per tier whose shortfall exceeds flag_tol
-    rounds: int             # fictitious-default rounds (linear solves)
-    defaulting: np.ndarray  # (rows, 3) banks per tier in the final defaulting set
+    sums: np.ndarray           # (rows, 3) payments per tier, Q
+    defaults: np.ndarray       # (rows, 3) banks per tier short by over DEFAULT_FLAG_TOL
+    rounds: int                # fictitious-default rounds (linear solves)
+    defaulting: np.ndarray     # (rows, 3) banks per tier in the final defaulting set
+    external_paid: np.ndarray  # (rows,) paid on the outside obligation, Q
 
 
 def _inflow_base(sums: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -552,7 +547,7 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
         )
     defaults = count_below(top - base - DEFAULT_FLAG_TOL * one_c)
     log.debug("tier-sum clearing: %d scenarios, %d rounds", tiers.rows, rounds)
-    return TierSumsResult(sums=sums, defaults=defaults, rounds=rounds, defaulting=k)
+    return TierSumsResult(sums, defaults, rounds, k, sums @ sys.ext_share_tier)
 
 
 def defaulting_prefixes(network: GalacticNetwork, blocks) -> SortedTiers:
@@ -611,10 +606,6 @@ def expand_network(network: GalacticNetwork, scenario_assets: np.ndarray) -> Den
                 continue
             cols = network.tier_slice(d)
             if c == d:
-                if counts[d] < 2:
-                    raise DegenerateNetworkError(
-                        f"tier {d.name} has one bank but a same-tier liability"
-                    )
                 block = np.full((counts[c], counts[d]), owed / (counts[d] - 1))
                 np.fill_diagonal(block, 0.0)
             else:

@@ -136,8 +136,8 @@ def cmd_simulate(args) -> int:
     )
     report.write_losses_csv(out / "losses.csv", table, loss)
     report.write_histogram_csv(out / "histogram.csv", table, network)
-    report.write_summary_csv(out / "summary.csv", table, network, loss)
     stats = report.summary_stats(table, network, loss)
+    report.write_summary_csv(out / "summary.csv", stats)
     print(f"scenarios: {config.n_scenarios}  seed: {config.seed}")
     print(f"mean_loss_no_insurance_q: {stats['mean_loss_no_insurance']:.3f} "
           f"({100 * stats['mean_loss_no_insurance_ggp_fraction']:.2f}% of GGP)")

@@ -133,26 +133,11 @@ def _shock_target(block, key, location):
         ) from None
 
 
-def _year_series(block, key, location):
-    raw = block[key]
-    _require(isinstance(raw, list) and raw, f"{location}.{key}",
-             "expected a non-empty list of [year, value] pairs")
-    for i, pair in enumerate(raw):
-        _require(
-            isinstance(pair, list) and len(pair) == 2
-            and _is_integer(pair[0]) and _is_number(pair[1]),
-            f"{location}.{key}[{i}]", "expected [year, finite value]",
-        )
-    return tuple((year, float(value)) for year, value in raw)
-
-
 # each block's dataclass and a type-checking reader per field
 _BLOCKS = {
     "calibration": (CalibrationParams, {
         "ds1_total_cost": _number, "ds1_paid_fraction": _number,
-        "ds2_total_cost": _number, "ggp_endor": _number, "growth_rate": _number,
-        "manhattan_expenditures": _year_series, "us_gdp": _year_series,
-        "tier_counts": _tier_counts,
+        "ds2_total_cost": _number, "ggp_endor": _number, "tier_counts": _tier_counts,
         "capital_buffer_per_tier": partial(_numbers, count=3),
         "banking_sector_ggp_fraction": _number,
     }),
@@ -194,8 +179,9 @@ def _parse_grid(block: dict) -> GridSpec:
         step = _number(block, "per_big_step", loc)
         _require(step > 0, f"{loc}.per_big_step", "must be > 0")
         _require(stop >= start, f"{loc}.per_big_stop", "must be >= per_big_start")
-        n = int(round((stop - start) / step)) + 1
-        values["per_big"] = tuple(round(start + i * step, 9) for i in range(n))
+        count = (stop - start) / step
+        _require(math.isfinite(count), f"{loc}.per_big_step", "the point count overflows")
+        values["per_big"] = tuple(round(start + i * step, 9) for i in range(round(count) + 1))
     return GridSpec(**values)
 
 

@@ -206,9 +206,6 @@ class GalacticNetwork:
     def deposits_vector(self) -> np.ndarray:
         return self._per_bank([self.sheets[t].deposits for t in Tier])
 
-    def obligations_per_tier(self) -> np.ndarray:
-        return np.array([total_obligation(self.profiles[t]) for t in Tier])
-
     def total_external_obligation(self) -> Money:
         return sum(self.counts[t] * self.profiles[t].owed_external for t in Tier)
 

@@ -153,8 +153,8 @@ def summary_stats(table: ScenarioTable, network: GalacticNetwork,
     return stats
 
 
-def write_summary_csv(path: Path, table, network, config):
-    stats = summary_stats(table, network, config)
+def write_summary_csv(path: Path, stats: dict[str, float]):
+    """The statistics of `summary_stats`, one metric per row."""
     _write_rows(path, "amounts in Q unless the metric says fraction",
                 ["metric", "value"], list(stats.items()))
 

@@ -38,13 +38,12 @@ from .clearing import (
     BatchClearingResult,
     SortedTiers,
     TierSumsResult,
-    _TierSystem,
     _block_rows,
     clear_tier_sums,
     clear_tiered_batch,
     defaulting_prefixes,
 )
-from .network import GalacticNetwork, Money, Tier
+from .network import GalacticNetwork, Money, Tier, total_obligation
 from .shocks import ShockParams, ShockTarget, sample_loss_matrix
 
 log = logging.getLogger(__name__)
@@ -159,7 +158,7 @@ class ScenarioTable:
             (defaulted[r:r + block, None, :] @ deposits).ravel()
             for r in range(0, defaulted.shape[0], block)
         ])
-        owed = _TierSystem(network).p_bar_tier[Tier.CENTRAL]
+        owed = total_obligation(network.profiles[Tier.CENTRAL])
         central = cleared.payments[:, slices[Tier.CENTRAL]]
         return cls(
             external_shortfall=network.total_external_obligation() - cleared.external_paid,
@@ -174,17 +173,14 @@ class ScenarioTable:
     def from_tier_sums(cls, network: GalacticNetwork,
                        cleared: TierSumsResult) -> "ScenarioTable":
         """Accounting from per-tier payment totals and default counts."""
-        sys = _TierSystem(network)
-        sums, defaults = cleared.sums, cleared.defaults
         central = Tier.CENTRAL
+        owed = network.counts[central] * total_obligation(network.profiles[central])
         deposits = np.array([network.sheets[t].deposits for t in Tier])
         return cls(
-            external_shortfall=network.total_external_obligation()
-            - sums @ sys.ext_share_tier,
-            central_shortfall=network.counts[central] * sys.p_bar_tier[central]
-            - sums[:, central],
-            deposits_lost=defaults @ deposits,
-            defaults_by_tier=defaults,
+            external_shortfall=network.total_external_obligation() - cleared.external_paid,
+            central_shortfall=owed - cleared.sums[:, central],
+            deposits_lost=cleared.defaults @ deposits,
+            defaults_by_tier=cleared.defaults,
         )
 
     @classmethod
@@ -388,7 +384,7 @@ class _AllocationEvaluator:
         self.seed = seed
         self.n_jobs = n_jobs
         self.threshold = loss_threshold(network, config)
-        self.cache: dict[tuple[float, float], np.ndarray] = {}
+        self.cache: dict[BailoutAllocation, np.ndarray] = {}
         self.chunks = _chunks(n_scenarios)
         self.tiers: list[SortedTiers | None] = [None] * len(self.chunks)
         self.cached_bytes = 0
@@ -425,26 +421,25 @@ class _AllocationEvaluator:
         return ScenarioTable.concat(tables)
 
     def losses(self, alloc: BailoutAllocation) -> np.ndarray:
-        key = (alloc.per_massive, alloc.per_big)
-        if key in self.cache:
-            return self.cache[key]
+        if alloc in self.cache:
+            return self.cache[alloc]
         vec = self.table(alloc).loss(self.config.deposit_insurance)
-        self._check_monotone(key, vec)
-        self.cache[key] = vec
+        self._check_monotone(alloc, vec)
+        self.cache[alloc] = vec
         return vec
 
-    def _check_monotone(self, key, vec):
-        for other_key, other_vec in self.cache.items():
-            if key[0] >= other_key[0] and key[1] >= other_key[1]:
+    def _check_monotone(self, alloc, vec):
+        for other, other_vec in self.cache.items():
+            if alloc.dominates(other):
                 hi, lo = vec, other_vec
-            elif key[0] <= other_key[0] and key[1] <= other_key[1]:
+            elif other.dominates(alloc):
                 hi, lo = other_vec, vec
             else:
                 continue
             worst = float((hi - lo).max(initial=0.0))
             if worst > MONOTONE_SLACK:
                 raise RuntimeError(
-                    f"loss not monotone in bailout: allocation {key} vs {other_key} "
+                    f"loss not monotone in bailout: allocation {alloc} vs {other} "
                     f"raises a scenario loss by {worst:.6f} Q"
                 )
 
@@ -489,7 +484,8 @@ def _bisect_min(satisfied, lo: float, hi: float, resolution: float) -> float | N
     """Smallest x in [lo, hi] with satisfied(x), to within resolution.
 
     Assumes monotonicity: once satisfied, larger x stays satisfied.
-    Returns None when even hi fails.
+    Returns None when even hi fails.  A resolution below the float spacing
+    at the answer ends the search where lo and hi are adjacent floats.
     """
     if satisfied(lo):
         return lo
@@ -498,6 +494,8 @@ def _bisect_min(satisfied, lo: float, hi: float, resolution: float) -> float | N
     # invariant: lo fails, hi passes
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if satisfied(mid):
             hi = mid
         else:

@@ -147,8 +147,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         gb.CalibrationParams(ds1_paid_fraction=1.5)
     with pytest.raises(ValueError):
-        gb.CalibrationParams(growth_rate=-1.0)
-    with pytest.raises(ValueError):
         gb.CalibrationParams(ds2_total_cost=-1.0)
     with pytest.raises(gb.DegenerateNetworkError):
         gb.CalibrationParams(tier_counts=(1, 0, 5))

@@ -341,7 +341,7 @@ def test_non_convergence_names_iterations_residuals_and_row(monkeypatch):
 # --- blocked sweep against the full-width loop ------------------------------
 
 def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
-                         flag_tol=clearing.DEFAULT_FLAG_TOL, start="greatest"):
+                         start="greatest"):
     """The tiered Picard loop as one full-width sweep per iteration.
 
     The blocked solver must reproduce it bit for bit.
@@ -375,7 +375,7 @@ def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
     shortfall = np.maximum(sys.p_bar_row[None, :] - p, 0.0)
     return {
         "payments": p,
-        "defaulted": shortfall > flag_tol,
+        "defaulted": shortfall > clearing.DEFAULT_FLAG_TOL,
         "external_paid": p @ sys.ext_share_row,
         "iterations": iterations,
         "residuals": tuple(residuals),
@@ -530,7 +530,7 @@ def tier_totals(network, per_bank):
 
 
 def tier_obligations(network):
-    return np.array(network.counts) * network.obligations_per_tier()
+    return np.array(network.counts) * _TierSystem(network).p_bar_tier
 
 
 def sort_tiers(network, assets):
@@ -585,7 +585,7 @@ def test_tier_sums_match_dense_and_picard(seed, rows, shift):
     bound = TIER_SUM_REL * np.maximum(tier_obligations(net), 1e-12)
     picard = clear_tiered_batch(net, per_bank, tolerance=1e-13)
     assert (np.abs(out.sums - tier_totals(net, picard.payments)) <= bound).all()
-    scale = net.obligations_per_tier().max()
+    scale = _TierSystem(net).p_bar_tier.max()
     for r in range(rows):
         ref = clearing_dense(expand_network(net, per_bank[r]), tolerance=1e-13)
         assert (np.abs(out.sums[r] - tier_totals(net, ref.payments)) <= bound).all()

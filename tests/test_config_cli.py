@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import galbank as gb
-from galbank import config as config_module
+from galbank import config as config_module, report
 from galbank.cli import main
 from galbank.config import DEFAULT_SEED
 
@@ -40,7 +40,8 @@ def test_empty_config_is_headline_run():
     assert config.loss.threshold_fraction == 0.01
 
 
-@pytest.mark.parametrize("block,cls", [("shock", gb.ShockParams), ("loss", gb.LossConfig)])
+@pytest.mark.parametrize("block,cls", [("shock", gb.ShockParams), ("loss", gb.LossConfig),
+                                       ("calibration", gb.CalibrationParams)])
 def test_block_keys_are_dataclass_fields(block, cls):
     _, readers = config_module._BLOCKS[block]
     assert readers.keys() == {f.name for f in fields(cls)}
@@ -59,6 +60,37 @@ def test_unknown_field_rejected_with_location():
         gb.parse_config({"calibration": {"ds3_total_cost": 1.0}})
     with pytest.raises(gb.ConfigError, match=r"config\.output_dir"):
         gb.parse_config({"output_dir": "x"})
+    # calibration inputs that no output read, now removed
+    for key, value in (("growth_rate", 0.02), ("manhattan_expenditures", [[1942, 16.1]]),
+                       ("us_gdp", [[1942, 182.5]])):
+        with pytest.raises(gb.ConfigError, match=rf"calibration\.{key}: unknown field"):
+            gb.parse_config({"calibration": {key: value}})
+
+
+# a valid value other than the default for every calibration input
+NON_DEFAULT_CALIBRATION = {
+    "ds1_total_cost": 100.0,
+    "ds1_paid_fraction": 0.25,
+    "ds2_total_cost": 300.0,
+    "ggp_endor": 5000.0,
+    "tier_counts": (1, 10, 50),
+    "capital_buffer_per_tier": (0.0, 0.1, 0.05),
+    "banking_sector_ggp_fraction": 0.5,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(gb.CalibrationParams)])
+def test_every_calibration_field_reaches_an_output(tmp_path, name):
+    default = gb.CalibrationParams()
+    params = gb.CalibrationParams(**{name: NON_DEFAULT_CALIBRATION[name]})
+    assert getattr(params, name) != getattr(default, name)
+    summaries = []
+    for p in (default, params):
+        path = tmp_path / f"{len(summaries)}.csv"
+        report.write_network_summary(path, gb.build_network(p), p)
+        summaries.append(path.read_bytes())
+    assert gb.build_network(params) != gb.build_network(default) or \
+        summaries[0] != summaries[1]
 
 
 def test_invalid_values_rejected():
@@ -92,6 +124,17 @@ def test_grid_parsing():
             gb.parse_config({"grid": {"per_big": [0.0], range_key: 0.01}})
 
 
+def test_grid_range_point_count_overflow_is_config_error(tmp_path, capsys):
+    data = {"grid": {"per_big_stop": 1e300, "per_big_step": 1e-300}}
+    with pytest.raises(gb.ConfigError, match=r"grid\.per_big_step: .*overflows"):
+        gb.parse_config(data)
+    out = tmp_path / "out"
+    assert main(["frontier", "--config", str(write_config(tmp_path, data)),
+                 "--out", str(out)]) == 2
+    assert "grid.per_big_step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shock_and_loss_blocks_flow_through():
     config = gb.parse_config(
         {
@@ -120,7 +163,7 @@ NON_FINITE = [
     ({"shock": {"beta_a": float("inf")}}, r"shock\.beta_a"),
     ({"loss": {"confidence": float("nan")}}, r"loss\.confidence"),
     ({"calibration": {"ggp_endor": float("inf")}}, r"calibration\.ggp_endor"),
-    ({"calibration": {"us_gdp": [[1945, float("nan")]]}}, r"calibration\.us_gdp\[0\]"),
+    ({"calibration": {"ds1_paid_fraction": float("nan")}}, r"calibration\.ds1_paid_fraction"),
     ({"calibration": {"capital_buffer_per_tier": [0.0, float("-inf"), 0.05]}},
      r"calibration\.capital_buffer_per_tier"),
     ({"grid": {"per_massive_cap": float("inf")}}, r"grid\.per_massive_cap"),

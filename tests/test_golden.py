@@ -36,10 +36,7 @@ workloads = _load_workloads()
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=[pytest.mark.slow] if w.command == "frontier" else [])
-    for name, w in workloads.WORKLOADS.items()
-])
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_workload_csv_bytes_match_references(tmp_path, name):
     workload = workloads.WORKLOADS[name]
     seed = workloads.REFERENCE_SEED

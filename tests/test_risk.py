@@ -353,6 +353,42 @@ def test_bisect_min_synthetic():
     assert _bisect_min(lambda x: False, 0.0, 8.0, 0.001) is None
 
 
+@pytest.mark.parametrize("resolution,max_calls", [
+    # both ends, then one halving of the width 8 per call down to 0.001
+    (0.001, 2 + 13),
+    # below the float spacing at 0.5: halving until lo and hi are adjacent
+    (1e-17, 2 + 64),
+])
+def test_bisect_min_ends_below_float_spacing(resolution, max_calls):
+    calls = []
+
+    def pred(x):
+        calls.append(x)
+        assert len(calls) <= max_calls, "bisection did not stop"
+        return x >= 0.5
+
+    found = _bisect_min(pred, 0.0, 8.0, resolution)
+    assert found >= 0.5 and found - 0.5 <= max(resolution, np.spacing(0.5))
+    if resolution == 0.001:
+        assert len(calls) == max_calls  # the float check stops no step early
+    else:
+        assert found == 0.5
+
+
+def test_evaluator_checks_monotone_by_dominance(small_net):
+    ev = _AllocationEvaluator(small_net, gb.ShockParams(), gb.LossConfig(), 1, SEED, 1)
+    ev.cache[gb.BailoutAllocation(per_massive=0.1)] = np.array([1.0])
+    # neither allocation dominates the other: no comparison
+    ev._check_monotone(gb.BailoutAllocation(per_big=0.1), np.array([5.0]))
+    ev._check_monotone(gb.BailoutAllocation(per_massive=0.2),
+                       np.array([1.0 + risk.MONOTONE_SLACK]))
+    with pytest.raises(RuntimeError, match="not monotone"):
+        ev._check_monotone(gb.BailoutAllocation(per_massive=0.2, per_big=0.1),
+                           np.array([1.5]))
+    with pytest.raises(RuntimeError, match="not monotone"):
+        ev._check_monotone(gb.BailoutAllocation(), np.array([0.5]))
+
+
 def test_frontier_trivial_threshold(default_net):
     net = default_net
     params = gb.ShockParams()
