@@ -14,29 +14,35 @@ the three tier sums:
 * `clear_tiered_batch`: Picard iteration over the whole payment vector.
   It is bound by memory traffic, not arithmetic.  Scenario rows are
   independent but for the batch-wide stopping rule: every row stops at the
-  batch's sweep, the first at which every row is within tolerance.  So the
-  batch is cleared a few rows at a time (`_block_rows`, sized to the
-  per-core L2 cache), and each block runs all its sweeps while it stays in
-  cache.  Its iterate alternates between two block buffers, the next
-  sweep's tier sums and the block's residual are taken from the new
-  iterate, and the block stops at the first sweep within tolerance that is
-  no earlier than the latest stop of the blocks before it.  Its final
-  iterate and default flags go straight into the batch-wide outputs.
-  After the last block, a block that stopped before the batch's sweep is
-  reloaded from `payments`, with its tier sums kept, and swept on to it (a
-  top-up).  If its residual there has risen above the tolerance again, it
-  sweeps on to its next sweep within tolerance, that becomes the batch's
-  sweep, and the check repeats.  So the assets stream through memory about
-  once per call rather than once per sweep, and a call holds two
-  batch-wide arrays, the float payments and the bool default flags,
-  besides the caller's assets.  Blocking changes no result bit: every row
-  runs exactly the sweeps of the full-width loop, every element sees the
-  same operations in the same order, each row's tier sum is the same
-  pairwise sum over the same contiguous row segment, a block's 3x3
-  inflow-base product gives each row the bits the whole batch's product
-  gives it (the bitwise tests against the full-width loop check this for
-  the BLAS in use), and a maximum does not depend on the order it is
-  taken in.
+  batch's sweep, the first at which every row is within tolerance.  So
+  `clear_in_blocks` clears a batch a few rows at a time (`_block_rows`,
+  sized to the per-core L2 cache), each block through all its sweeps while
+  it stays in cache, and the caller keeps only per-row results: `simulate`
+  draws a chunk's assets 32 rows at a time, in the order it clears them, so
+  no batch-wide float array exists.  A block stops at the first sweep within tolerance
+  that is no earlier than the latest stop of the blocks before it
+  (`min_iterations`).  Blocks run in row order, and `simulate` orders each
+  chunk's rows by descending common factor M (the first draw on each
+  scenario's stream), so the worst-shocked block usually sets the batch's
+  sweep first.  A block that stopped before a later block raised it is
+  drawn again and cleared from the start, to the new stop or past it; the
+  check repeats until every block stopped at the same sweep.  Row order
+  decides only how often this fallback runs (at no benchmark seed), and
+  blocking changes no result bit: every row runs exactly the sweeps of the
+  full-width loop, every element sees the same operations in the same
+  order, each row's tier sum is the same pairwise sum over the same
+  contiguous row segment, a block's 3x3 inflow-base product gives each row
+  the bits the whole batch's product gives it (the bitwise tests against
+  the full-width loop check this for the BLAS in use), and a maximum does
+  not depend on the order it is taken in.  A block makes no n-wide BLAS
+  call: only the central bank owes outside the system, so its payments
+  times its outside share are the outside payment.  With one central bank
+  (every shipped calibration) that has the bits of the full-row product;
+  with several, the few terms are summed in another order than a BLAS dot
+  would sum them, and the last bits can differ.  `simulate`'s per-row
+  deposits dot over the default flags runs after the last block, in one
+  burst: OpenBLAS threads spin between calls, so a dot per block would
+  hold the cores the sweep needs.
 
 * `clear_tier_sums`: Eisenberg and Noe's (2001) fictitious-default
   algorithm on the three tier sums.  A bank of tier d defaults exactly when
@@ -67,6 +73,7 @@ CSVs depend only on whether each criterion holds, and they do not move.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -233,106 +240,77 @@ class _TierSystem:
             if counts[d] > 1:
                 self.self_coef[d] = share[d, d] / (counts[d] - 1.0)
 
-        tier_of_bank = network.tier_of_bank()
         self.p_bar_tier = p_bar
-        self.p_bar_row = p_bar[tier_of_bank]
-        self.ext_share_row = self.ext_share_tier[tier_of_bank]
+        self.p_bar_row = p_bar[network.tier_of_bank()]
         self.slices = [network.tier_slice(t) for t in Tier]
         self.scale = p_bar.max() if p_bar.max() > 0 else 1.0
 
 
-def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
-                       tolerance: float = DEFAULT_TOLERANCE,
-                       start: str = "greatest") -> BatchClearingResult:
-    """Clear many asset scenarios at once on the tier-compressed network.
+@functools.lru_cache(maxsize=8)
+def _tier_system(network: GalacticNetwork) -> _TierSystem:
+    """The network's `_TierSystem`, built once: `simulate` clears a chunk in
+    125 calls, and the solvers only read it."""
+    return _TierSystem(network)
 
-    `scenario_assets` has shape (n_scenarios, n_banks): post-shock,
-    post-bailout cash plus surviving bond value per bank.  Every row stops at
-    the batch's sweep: the first at which every row is within tolerance.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    assets = np.atleast_2d(np.asarray(scenario_assets, dtype=float))
-    if assets.shape[1] != network.n_banks:
-        raise ValueError(
-            f"expected {network.n_banks} banks per scenario, got {assets.shape[1]}"
-        )
+
+def _check_assets(assets: np.ndarray) -> None:
     # NaN fails the comparison too; `initial` lets an empty batch through
     if not assets.min(initial=0.0) >= 0.0:
         raise ValueError("scenario assets must be non-negative and not NaN")
+
+
+def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
+                       tolerance: float = DEFAULT_TOLERANCE, start: str = "greatest",
+                       min_iterations: int = 0) -> BatchClearingResult:
+    """Clear many asset scenarios at once on the tier-compressed network.
+
+    `scenario_assets` (n_scenarios, n_banks): post-shock, post-bailout cash
+    plus surviving bond value per bank.  Every row stops at the batch's
+    sweep: the first, at or after sweep `min_iterations`, at which every row
+    is within tolerance.
+    """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     if start not in ("greatest", "least"):
         raise ValueError("start must be 'greatest' or 'least'")
-
-    sys = _TierSystem(network)
-    limit = tolerance * sys.scale
+    assets = np.atleast_2d(np.asarray(scenario_assets, dtype=float))
     rows, n = assets.shape
-    payments = np.empty_like(assets)
-    defaulted = np.empty(assets.shape, dtype=bool)
+    if n != network.n_banks:
+        raise ValueError(f"expected {network.n_banks} banks per scenario, got {n}")
+    _check_assets(assets)
+
+    sys = _tier_system(network)
+    limit = tolerance * sys.scale
+    cur, nxt = np.empty((rows, n)), np.empty((rows, n))
+    if start == "greatest":
+        np.copyto(cur, sys.p_bar_row)
+    else:
+        cur.fill(0.0)
     sums = np.empty((rows, len(Tier)))  # per row, the tier sums of its iterate
+    for d, sl in enumerate(sys.slices):
+        sums[:, d] = cur[:, sl].sum(axis=1)
     row_resid = np.empty(rows)          # per row, the residual of its last sweep
-    size = _block_rows(n)
-    blocks = [(r0, min(r0 + size, rows)) for r0 in range(0, rows, size)]
-    last = [-1] * len(blocks)  # per block, the last sweep it ran
-    pair = np.empty((2, min(size, rows), n))
-    resid = []  # per sweep, the largest residual over the blocks run so far
-    stop = 0    # the batch's stopping sweep, as far as the blocks run so far tell
-
-    def sweep_block(b):
-        """Run block b on from its last sweep to the first sweep >= `stop`
-        within tolerance (or to the last allowed sweep), then store it."""
-        r0, r1 = blocks[b]
-        cur, nxt = pair[:, :r1 - r0]
-        s = last[b]
-        if s < 0:
-            if start == "greatest":
-                np.copyto(cur, sys.p_bar_row)
-            else:
-                cur.fill(0.0)
-            for d, sl in enumerate(sys.slices):
-                sums[r0:r1, d] = cur[:, sl].sum(axis=1)
-        else:
-            cur[...] = payments[r0:r1]  # a top-up: its tier sums are kept
-        block_resid = []
-        while True:
-            s += 1
-            # per-tier inflow base: cross-tier terms plus the own-tier sum term
-            base = sums[r0:r1] @ sys.cross + sums[r0:r1] * sys.self_coef[None, :]
-            for d, sl in enumerate(sys.slices):
-                tier = nxt[:, sl]
-                np.multiply(cur[:, sl], -sys.self_coef[d], out=tier)
-                tier += base[:, d, None]
-                tier += assets[r0:r1, sl]
-                np.minimum(tier, sys.p_bar_tier[d], out=tier)
-                sums[r0:r1, d] = tier.sum(axis=1)
-            # the old iterate is spent: take |new - old| in it, then swap
-            np.subtract(cur, nxt, out=cur)
-            np.abs(cur, out=cur)
-            cur.max(axis=1, out=row_resid[r0:r1])
-            block_resid.append(row_resid[r0:r1].max())
-            cur, nxt = nxt, cur
-            if (s >= stop and block_resid[-1] <= limit) or s == MAX_ITERATIONS - 1:
-                break
-        for i, r in enumerate(block_resid, start=last[b] + 1):
-            if i == len(resid):
-                resid.append(r)
-            else:
-                # np.maximum, unlike Python's max(), keeps a NaN residual
-                resid[i] = np.maximum(resid[i], r)
-        last[b] = s
-        payments[r0:r1] = cur
-        np.subtract(sys.p_bar_row, cur, out=nxt)
-        np.maximum(nxt, 0.0, out=nxt)
-        np.greater(nxt, DEFAULT_FLAG_TOL, out=defaulted[r0:r1])
-
-    # `stop` never passes the batch's sweep: a block stops at its first sweep
-    # within tolerance at or after `stop`, and the batch's sweep is one.  Once
-    # every block has run exactly to `stop`, all are within tolerance there,
-    # so `stop` is the batch's sweep.  Blocks behind it are topped up.
-    while behind := [b for b in range(len(blocks)) if last[b] != stop]:
-        for b in behind:
-            sweep_block(b)
-            stop = max(stop, last[b])
-    if blocks and not resid[stop] <= limit:
+    resid = []                          # per sweep, the largest residual
+    while True:
+        s = len(resid)
+        # per-tier inflow base: cross-tier terms plus the own-tier sum term
+        base = sums @ sys.cross + sums * sys.self_coef[None, :]
+        for d, sl in enumerate(sys.slices):
+            tier = nxt[:, sl]
+            np.multiply(cur[:, sl], -sys.self_coef[d], out=tier)
+            tier += base[:, d, None]
+            tier += assets[:, sl]
+            np.minimum(tier, sys.p_bar_tier[d], out=tier)
+            sums[:, d] = tier.sum(axis=1)
+        # the old iterate is spent: take |new - old| in it, then swap
+        np.subtract(cur, nxt, out=cur)
+        np.abs(cur, out=cur)
+        cur.max(axis=1, out=row_resid)
+        resid.append(row_resid.max(initial=0.0))
+        cur, nxt = nxt, cur
+        if (s >= min_iterations and resid[-1] <= limit) or s == MAX_ITERATIONS - 1:
+            break
+    if not resid[-1] <= limit:
         raise RuntimeError(
             f"tiered clearing failed to converge in {MAX_ITERATIONS} iterations: "
             f"last residuals {', '.join(f'{r:.3g}' for r in resid[-3:])} "
@@ -340,16 +318,51 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
             f"residual in scenario row {int(np.argmax(row_resid))}"
         )
 
-    log.debug(
-        "tiered clearing: %d scenarios x %d banks, %d iterations", rows, n, stop,
-    )
+    log.debug("tiered clearing: %d scenarios x %d banks, %d iterations", rows, n, s)
+    np.subtract(sys.p_bar_row, cur, out=nxt)
+    np.maximum(nxt, 0.0, out=nxt)
     return BatchClearingResult(
-        payments=payments,
-        defaulted=defaulted,
-        external_paid=payments @ sys.ext_share_row,
-        iterations=stop,
-        residuals=tuple(float(r) for r in resid[:stop]),
+        payments=cur,
+        defaulted=nxt > DEFAULT_FLAG_TOL,
+        # only the central bank owes outside the system (the network checks it)
+        external_paid=(cur[:, sys.slices[Tier.CENTRAL]]
+                       * sys.ext_share_tier[Tier.CENTRAL]).sum(axis=1),
+        iterations=s,
+        residuals=tuple(float(r) for r in resid[:s]),
     )
+
+
+def clear_in_blocks(rows: int, n_banks: int, clear_block) -> int:
+    """Clear a batch a cache-sized block of rows at a time, to the batch's sweep.
+
+    `clear_block(r0, r1, min_iterations)` clears rows r0 to r1 - 1 with
+    `clear_tiered_batch(..., min_iterations=min_iterations)`, keeps what it
+    needs of the result and returns its `iterations`; a row cleared again
+    must get the same assets.  Blocks run in row order, so a caller puts the
+    rows it expects to need the most sweeps first.  Once every block stopped
+    at the same sweep, each row holds the bits the whole batch cleared at
+    once would give it.  Returns the number of blocks cleared again because
+    a later block raised the stop.
+    """
+    size = _block_rows(n_banks)
+    blocks = [(r0, min(r0 + size, rows)) for r0 in range(0, rows, size)]
+    last = [-1] * len(blocks)  # per block, the sweep it stopped at
+    stop = 0    # the batch's sweep, as far as the blocks cleared so far tell
+    again = 0
+    # `stop` never passes the batch's sweep: a block stops at its first sweep
+    # within tolerance at or after `stop`, and the batch's sweep is one.  Once
+    # every block has stopped exactly at `stop`, all are within tolerance
+    # there, so `stop` is the batch's sweep.
+    while behind := [b for b in range(len(blocks)) if last[b] != stop]:
+        for b in behind:
+            again += last[b] >= 0
+            last[b] = clear_block(*blocks[b], stop)
+            if last[b] < stop:  # it would be cleared again forever
+                raise RuntimeError(f"rows {blocks[b][0]} to {blocks[b][1] - 1} stopped at "
+                                   f"sweep {last[b]}, before min_iterations {stop}")
+            stop = max(stop, last[b])
+    log.debug("blockwise clearing: %d blocks, %d cleared again", len(blocks), again)
+    return again
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,9 +390,7 @@ class SortedTiers:
             raise ValueError(
                 f"expected (rows, {network.n_banks}) assets, got shape {assets.shape}"
             )
-        # NaN fails the comparison too; `initial` lets an empty batch through
-        if not assets.min(initial=0.0) >= 0.0:
-            raise ValueError("scenario assets must be non-negative and not NaN")
+        _check_assets(assets)
         slices = [network.tier_slice(d) for d in Tier]
         for sl in slices:
             assets[:, sl].sort(axis=1)
@@ -474,7 +485,7 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
             f"the network {list(network.counts)}"
         )
 
-    sys = _TierSystem(network)
+    sys = _tier_system(network)
     coef = sys.cross + np.diag(sys.self_coef)
     one_c = 1.0 + sys.self_coef
     full = counts * sys.p_bar_tier

@@ -24,6 +24,9 @@ from .shocks import ShockParams, ShockTarget
 
 DEFAULT_SEED = 19770525
 DEFAULT_SCENARIOS = 10_000
+# most points a per_big range may give: each is a bisection of about 15
+# frontier evaluations, so a mistyped step fails instead of running for days
+MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -181,6 +184,8 @@ def _parse_grid(block: dict) -> GridSpec:
         _require(stop >= start, f"{loc}.per_big_stop", "must be >= per_big_start")
         count = (stop - start) / step
         _require(math.isfinite(count), f"{loc}.per_big_step", "the point count overflows")
+        _require(round(count) < MAX_GRID_POINTS, f"{loc}.per_big_step",
+                 f"gives {round(count) + 1:,} points, more than {MAX_GRID_POINTS:,}")
         values["per_big"] = tuple(round(start + i * step, 9) for i in range(round(count) + 1))
     return GridSpec(**values)
 

@@ -1,11 +1,13 @@
 """Loss accounting, Monte Carlo estimation, risk criteria and bailout search.
 
-`simulate_records` clears the scenarios a chunk at a time and accounts each
-cleared chunk in one vectorised pass.  The result is a `ScenarioTable`:
-numpy columns with one row per scenario, in scenario-index order, holding
-the outside world's shortfall on claims against the system (the central
-bank's unpaid external obligation), the central bank's own shortfall, the
-deposits of defaulted banks and the defaults per tier.  The real-economy
+`simulate_records` runs the scenarios a chunk at a time: it draws and
+clears each chunk a cache-sized block of rows at a time (`clear_in_blocks`)
+and accounts it in one vectorised pass over its default flags.
+The result is a `ScenarioTable`: numpy columns with one row per scenario,
+in scenario-index order, holding the outside world's shortfall on claims
+against the system (the central bank's unpaid external obligation), the
+central bank's own shortfall, the deposits of defaulted banks and the
+defaults per tier.  The real-economy
 loss derives from it: the external shortfall plus, when deposit insurance
 is absent, the full deposits of every defaulted bank.
 
@@ -24,6 +26,7 @@ bisects them over the loss column under common random numbers.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -35,16 +38,16 @@ from enum import Enum
 import numpy as np
 
 from .clearing import (
-    BatchClearingResult,
     SortedTiers,
     TierSumsResult,
     _block_rows,
+    clear_in_blocks,
     clear_tier_sums,
     clear_tiered_batch,
     defaulting_prefixes,
 )
 from .network import GalacticNetwork, Money, Tier, total_obligation
-from .shocks import ShockParams, ShockTarget, sample_loss_matrix
+from .shocks import ShockParams, ShockTarget, common_factors, sample_loss_matrix
 
 log = logging.getLogger(__name__)
 
@@ -52,10 +55,10 @@ DEFAULT_BATCH_SIZE = 500
 # bytes of kept pre-bailout assets (`SortedTiers`) a frontier evaluator keeps
 # across allocations; chunks that do not fit are rebuilt on every evaluation
 BASE_CACHE_BYTES = 2**30
-# scenario rows a frontier chunk is drawn, sorted and solved in at a time:
-# their full rows are the build's only chunk-scale scratch (4.5 MB at 17,501
-# banks), and the zero-shift solve's per-call cost stays small beside the
-# draws.  A 1,000-scenario acceptance frontier on 2 threads peaked at 67, 76
+# scenario rows a frontier chunk is drawn, sorted and solved in at a time,
+# and a `simulate` chunk is drawn in: their full rows are the chunk's only
+# chunk-scale float scratch (4.5 MB at 17,501 banks), and per-call costs stay
+# small beside the draws.  A 1,000-scenario acceptance frontier on 2 threads peaked at 67, 76
 # and 93 MB with 32, 64 and 128 rows.
 SUB_BLOCK_ROWS = 32
 # slack for cross-allocation monotonicity checks; clearing tolerance can
@@ -139,10 +142,11 @@ class ScenarioTable:
         return self.external_shortfall + self.deposits_lost
 
     @classmethod
-    def from_clearing(cls, network: GalacticNetwork,
-                      cleared: BatchClearingResult) -> "ScenarioTable":
-        """Accounting for every row of a cleared batch at once."""
-        defaulted = cleared.defaulted
+    def from_clearing(cls, network: GalacticNetwork, defaulted: np.ndarray,
+                      central_paid: np.ndarray, external_paid: np.ndarray) -> "ScenarioTable":
+        """Accounting for every row of a cleared batch at once, from its
+        (rows, n_banks) default flags, its central banks' payments and its
+        payments on the outside obligation."""
         if defaulted.shape[1] != network.n_banks:
             raise ValueError(
                 f"cleared batch has {defaulted.shape[1]} banks, "
@@ -159,10 +163,9 @@ class ScenarioTable:
             for r in range(0, defaulted.shape[0], block)
         ])
         owed = total_obligation(network.profiles[Tier.CENTRAL])
-        central = cleared.payments[:, slices[Tier.CENTRAL]]
         return cls(
-            external_shortfall=network.total_external_obligation() - cleared.external_paid,
-            central_shortfall=np.maximum(owed - central, 0.0).sum(axis=1),
+            external_shortfall=network.total_external_obligation() - external_paid,
+            central_shortfall=np.maximum(owed - central_paid, 0.0).sum(axis=1),
             deposits_lost=deposits_lost,
             defaults_by_tier=np.stack(
                 [defaulted[:, sl].sum(axis=1) for sl in slices], axis=1
@@ -200,6 +203,16 @@ def loss_threshold(network: GalacticNetwork, config: LossConfig) -> Money:
     return config.threshold_fraction * network.ggp
 
 
+@functools.lru_cache(maxsize=8)
+def _asset_vectors(network: GalacticNetwork, bond_recovery: float) -> tuple:
+    """Per-bank outside assets and recovered bond value, built once per
+    network: `simulate` draws a chunk in 125 blocks.  Read-only."""
+    vectors = network.external_assets_vector(), bond_recovery * network.bond_face_vector()
+    for v in vectors:
+        v.flags.writeable = False
+    return vectors
+
+
 def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
                  losses: np.ndarray, config: LossConfig) -> np.ndarray:
     """Post-shock, post-bond-default cash per bank, before any bailout.
@@ -207,8 +220,7 @@ def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
     Works in place: `losses` must be private to the caller and becomes the
     result.
     """
-    external = network.external_assets_vector()
-    bond_value = config.bond_recovery * network.bond_face_vector()
+    external, bond_value = _asset_vectors(network, config.bond_recovery)
     if shock_params.exempt_central:
         losses[:, network.tier_slice(Tier.CENTRAL)] = 0.0
     np.subtract(1.0, losses, out=losses)
@@ -239,7 +251,7 @@ def _chunks(n_scenarios: int, batch_size: int = DEFAULT_BATCH_SIZE) -> list[rang
 
 def _draw_base(network: GalacticNetwork, shock_params: ShockParams,
                config: LossConfig, seed: int, idx: range) -> np.ndarray:
-    """A chunk's pre-bailout assets, in a fresh array private to the caller."""
+    """Pre-bailout assets of scenarios `idx`, in a fresh array private to the caller."""
     losses = sample_loss_matrix(shock_params, network.n_banks, seed, idx)
     return _base_assets(network, shock_params, losses, config)
 
@@ -280,13 +292,42 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
 
     chunks = _chunks(n_scenarios, batch_size)
     injections = _injection_vector(network, bailout)[None, :]
+    central = network.tier_slice(Tier.CENTRAL)
     tables: list[ScenarioTable] = [None] * len(chunks)
 
     def run_chunk(pos: int):
-        assets = _draw_base(network, shock_params, config, seed, chunks[pos])
-        assets += injections  # private to this chunk: no second matrix
-        cleared = clear_tiered_batch(network, assets)
-        tables[pos] = ScenarioTable.from_clearing(network, cleared)
+        idx = chunks[pos]
+        defaulted = np.empty((len(idx), network.n_banks), dtype=bool)
+        central_paid = np.empty((len(idx), network.counts[Tier.CENTRAL]))
+        external_paid = np.empty(len(idx))
+        # rows in descending order of their common factor M, so the first
+        # block cleared is the worst-shocked; rows are drawn SUB_BLOCK_ROWS at
+        # a time in this order (a draw per 4-row block costs as many GIL
+        # hand-offs between workers as a sweep)
+        order = np.argsort(-common_factors(seed, idx), kind="stable")
+        drawn = [0, 0, None]  # rows start to stop - 1 of `order`, their assets
+
+        def clear_block(r0: int, r1: int, min_iterations: int) -> int:
+            start, stop, assets = drawn
+            if not start <= r0 < r1 <= stop:
+                drawn[2] = assets = None  # free these rows before drawing the next
+                start, stop = r0, max(r1, min(r0 + SUB_BLOCK_ROWS, len(idx)))
+                assets = _draw_base(network, shock_params, config, seed,
+                                    [idx[i] for i in order[start:stop]])
+                assets += injections
+                drawn[:] = start, stop, assets
+            cleared = clear_tiered_batch(network, assets[r0 - start:r1 - start],
+                                         min_iterations=min_iterations)
+            rows = order[r0:r1]
+            defaulted[rows] = cleared.defaulted
+            central_paid[rows] = cleared.payments[:, central]
+            external_paid[rows] = cleared.external_paid
+            return cleared.iterations
+
+        clear_in_blocks(len(idx), network.n_banks, clear_block)
+        # the deposits dots run here, in one burst over the chunk's flags
+        tables[pos] = ScenarioTable.from_clearing(network, defaulted, central_paid,
+                                                  external_paid)
 
     _run_chunks(run_chunk, len(chunks), n_jobs)
     return ScenarioTable.concat(tables)

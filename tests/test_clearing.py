@@ -14,6 +14,7 @@ from galbank.clearing import (
     SortedTiers,
     _TierSystem,
     _block_rows,
+    clear_in_blocks,
     clear_tier_sums,
     clear_tiered_batch,
     clearing_dense,
@@ -344,7 +345,7 @@ def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
                          start="greatest"):
     """The tiered Picard loop as one full-width sweep per iteration.
 
-    The blocked solver must reproduce it bit for bit.
+    The solver, whole or a block at a time, must reproduce it bit for bit.
     """
     sys = _TierSystem(network)
     if start == "greatest":
@@ -376,17 +377,58 @@ def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
     return {
         "payments": p,
         "defaulted": shortfall > clearing.DEFAULT_FLAG_TOL,
-        "external_paid": p @ sys.ext_share_row,
+        "external_paid": p @ np.repeat(sys.ext_share_tier, network.counts),
         "iterations": iterations,
         "residuals": tuple(residuals),
     }
 
 
+def blockwise(network, assets, start="greatest", tolerance=clearing.DEFAULT_TOLERANCE):
+    """`clear_in_blocks` over `assets`, each block's assets a fresh copy as
+    `simulate` draws them.  Returns the batch's fields assembled from each
+    block's last call, the blocks cleared again and each row's clear count."""
+    rows = assets.shape[0]
+    got = {"payments": np.full(assets.shape, np.nan),
+           "defaulted": np.zeros(assets.shape, dtype=bool),
+           "external_paid": np.full(rows, np.nan)}
+    last = {}  # per block, its last call's result
+    clears = np.zeros(rows, dtype=int)
+
+    def clear_block(r0, r1, min_iterations):
+        batch = clear_tiered_batch(network, assets[r0:r1].copy(), tolerance=tolerance,
+                                   start=start, min_iterations=min_iterations)
+        for field in got:
+            got[field][r0:r1] = getattr(batch, field)
+        last[r0] = batch
+        clears[r0:r1] += 1
+        return batch.iterations
+
+    again = clear_in_blocks(rows, network.n_banks, clear_block)
+    # every block stopped at the batch's sweep; a sweep's residual is the
+    # largest of the blocks'
+    iterations = {batch.iterations for batch in last.values()}
+    assert len(iterations) == 1
+    got["iterations"] = iterations.pop()
+    got["residuals"] = tuple(
+        float(r) for r in np.max([batch.residuals for batch in last.values()], axis=0))
+    return got, again, clears
+
+
 def assert_matches_reference(network, assets, start, tolerance=clearing.DEFAULT_TOLERANCE):
-    batch = clear_tiered_batch(network, assets, tolerance=tolerance, start=start)
+    """The whole batch at once and block by block equal the full-width loop
+    in every field; returns the blocks cleared again."""
     ref = full_width_reference(network, assets, tolerance=tolerance, start=start)
+    whole = clear_tiered_batch(network, assets, tolerance=tolerance, start=start)
+    got, again, clears = blockwise(network, assets, start, tolerance)
     for field, expected in ref.items():
-        assert np.array_equal(getattr(batch, field), expected), field
+        assert np.array_equal(getattr(whole, field), expected), field
+        assert np.array_equal(got[field], expected), field
+    # each block is cleared once, plus once per time it was cleared again
+    block = _block_rows(network.n_banks)
+    firsts = clears[::block]
+    assert np.array_equal(np.repeat(firsts, block)[:clears.size], clears)
+    assert (firsts >= 1).all() and int((firsts - 1).sum()) == again
+    return again
 
 
 @settings(max_examples=40, deadline=None)
@@ -448,13 +490,13 @@ def test_blocked_sweep_bitwise_when_early_blocks_stop_first(monkeypatch, start, 
     one_block_of(monkeypatch, net, block)
     batch = assets[rows]
     # the first block settles alone before the batch does, and the sweeps up
-    # to the batch's stop still move its bits: it must be run on from
-    # `payments` after the last block (ragged in the second case)
+    # to the batch's stop still move its bits: it must be cleared again from
+    # the start after the last block (ragged in the second case)
     alone = full_width_reference(net, batch[:block], start=start)
     ref = full_width_reference(net, batch, start=start)
     assert alone["iterations"] < ref["iterations"]
     assert not np.array_equal(alone["payments"], ref["payments"][:block])
-    assert_matches_reference(net, batch, start)
+    assert assert_matches_reference(net, batch, start) >= 1
 
 
 def stop_sweep(residuals, limit, first=0):
@@ -478,6 +520,76 @@ def test_blocked_sweep_bitwise_when_a_stopped_block_rebounds(monkeypatch, start,
     assert_matches_reference(net, assets[rows], start, tolerance)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2, 3]),
+       rows=st.integers(1, 10), start=st.sampled_from(["greatest", "least"]))
+def test_blocked_sweep_bitwise_in_any_row_order(seed, block, rows, start):
+    rng = np.random.default_rng(seed)
+    net, _ = random_tiered(rng)
+    # rows from deep default to solvent in random order, so blocks stop at
+    # different sweeps and later blocks often raise the stop
+    scale = rng.choice([0.2, 0.5, 1.0, 4.0], size=(rows, 1))
+    assets = rng.uniform(0.0, 2.0, size=(rows, net.n_banks)) * scale
+    with pytest.MonkeyPatch.context() as mp:
+        one_block_of(mp, net, block)
+        assert_matches_reference(net, assets, start)
+
+
+@pytest.mark.parametrize("start", ["greatest", "least"])
+def test_worst_block_first_clears_no_block_again(monkeypatch, start):
+    net, assets = graded_draw()
+    one_block_of(monkeypatch, net, 1)
+    # alone, row 4 stops after 0 or 4 sweeps, row 0 after 44 or 41: the
+    # solvent block first, the deep one raises the stop and the solvent one is
+    # cleared again; the deep one first, neither is
+    assert assert_matches_reference(net, assets[[4, 0]], start) == 1
+    assert assert_matches_reference(net, assets[[0, 4]], start) == 0
+
+
+def test_block_that_stops_before_the_floor_is_an_error(monkeypatch):
+    net, assets = graded_draw()
+    one_block_of(monkeypatch, net, 1)
+    batch = assets[[0, 4]]  # alone, row 0 stops after 44 sweeps, row 4 after 0
+
+    def ignores_floor(r0, r1, min_iterations):
+        return clear_tiered_batch(net, batch[r0:r1]).iterations
+
+    # cleared again to its own stop, row 4 would never reach the batch's
+    with pytest.raises(RuntimeError, match="rows 1 to 1 stopped at sweep 0, before "
+                                           "min_iterations 44"):
+        clear_in_blocks(2, net.n_banks, ignores_floor)
+
+
+def test_min_iterations_delays_the_stop():
+    net, assets = graded_draw()
+    row = assets[4:5]  # solvent: stops after 0 sweeps alone
+    later = clear_tiered_batch(net, row, min_iterations=3)
+    assert clear_tiered_batch(net, row).iterations == 0 and later.iterations == 3
+    assert len(later.residuals) == 3
+
+
+def test_several_central_banks_pay_outside_within_tolerance():
+    # the outside payment sums the central banks' own terms: with two central
+    # banks it may differ in the last bits from a dot over the whole row, and
+    # it agrees with the dense solver within the clearing tolerance
+    profiles = (
+        gb.LiabilityProfile(0.4, 0.3, 0.2, 6.0),
+        gb.LiabilityProfile(1.0, 0.4, 0.6, 0.0),
+        gb.LiabilityProfile(0.2, 0.5, 0.1, 0.0),
+    )
+    rng = np.random.default_rng(11)
+    net = tiered((2, 3, 4), profiles)
+    assert net.counts[gb.Tier.CENTRAL] == 2
+    assets = rng.uniform(0.0, 4.0, size=(5, net.n_banks))
+    batch = clear_tiered_batch(net, assets, tolerance=1e-13)
+    dot = batch.payments @ np.repeat(_TierSystem(net).ext_share_tier, net.counts)
+    assert np.allclose(batch.external_paid, dot, rtol=4 * np.finfo(float).eps, atol=0)
+    for row in range(5):
+        ref = clearing_dense(expand_network(net, assets[row]), tolerance=1e-13)
+        assert batch.external_paid[row] == pytest.approx(ref.external_paid, rel=1e-10)
+        assert np.array_equal(batch.defaulted[row], ref.defaulted)
+
+
 def test_blocked_sweep_holds_no_batch_wide_scratch():
     net = gb.build_network()
     losses = gb.shocks.sample_loss_matrix(gb.ShockParams(), net.n_banks, 19770525, range(64))
@@ -486,14 +598,79 @@ def test_blocked_sweep_holds_no_batch_wide_scratch():
     block = _block_rows(net.n_banks)
     tracemalloc.start()
     try:
-        clear_tiered_batch(net, assets)
+        defaulted = np.empty(assets.shape, dtype=bool)
+
+        def clear_block(r0, r1, min_iterations):
+            batch = clear_tiered_batch(net, assets[r0:r1], min_iterations=min_iterations)
+            defaulted[r0:r1] = batch.defaulted
+            return batch.iterations
+
+        clear_in_blocks(64, net.n_banks, clear_block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # payments and defaulted are the result; the sweep adds its block buffers
-    # (measured 11.5 MB in all; a full-width iterate and shortfall took 20.2 MB)
-    allowed = assets.nbytes + assets.size + 3 * block * net.n_banks * 8 + 2**20
+    # the bool flags are the only (rows, n) array; a block adds its iterate
+    # buffers and flags but no (rows, n) float array (measured 2.4 MB in all;
+    # 11.5 MB with a payments result, 20.2 MB with a full-width iterate and
+    # shortfall too)
+    allowed = defaulted.nbytes + 3 * block * net.n_banks * 8 + 2**20
     assert peak <= allowed
+
+
+def simulate_calls(monkeypatch):
+    """Record every `clear_tiered_batch` call `simulate` makes: its assets and result."""
+    calls = []
+    real = gb.risk.clear_tiered_batch
+
+    def clear_and_keep(network, assets, **kwargs):
+        calls.append((assets.copy(), real(network, assets, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gb.risk, "clear_tiered_batch", clear_and_keep)
+    return calls
+
+
+@pytest.mark.parametrize("order", ["worst-first", "best-first"])
+def test_simulate_sweep_bitwise_equals_full_width(monkeypatch, order):
+    # `simulate` draws each block just before it clears it: whatever the
+    # block order, each row's last call holds the full-width loop's payments,
+    # flags, outside payment, iterations and residuals on the chunk's drawn
+    # matrix, and the table keeps its bits; best first runs the fallback
+    net = gb.build_network(gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 2.0)))
+    shock, config = gb.ShockParams(exempt_central=True), gb.LossConfig(deposit_insurance=True)
+    bailout = gb.BailoutAllocation(per_massive=1.0, per_big=0.05)
+    rows, chunk, seed = 60, 40, 19770525
+    expected = gb.simulate_records(net, shock, bailout, config, rows, seed, 1, chunk)
+    if order == "best-first":
+        real = gb.risk.common_factors
+        monkeypatch.setattr(gb.risk, "common_factors", lambda seed, idx: -real(seed, idx))
+    calls = simulate_calls(monkeypatch)
+    table = gb.simulate_records(net, shock, bailout, config, rows, seed, 1, chunk)
+    for column in ("external_shortfall", "central_shortfall", "deposits_lost",
+                   "defaults_by_tier"):
+        assert np.array_equal(getattr(table, column), getattr(expected, column)), column
+    injections = gb.risk._injection_vector(net, bailout)[None, :]
+    blocks = 0
+    for lo in range(0, rows, chunk):
+        assets = gb.risk._draw_base(net, shock, config, seed, range(lo, min(lo + chunk, rows)))
+        assets += injections
+        ref = full_width_reference(net, assets)
+        final = {}  # per row, its last call
+        for drawn, batch in calls:
+            at = [np.flatnonzero((assets == row).all(axis=1)) for row in drawn]
+            if all(len(a) == 1 for a in at):
+                final.update({int(a[0]): (batch, i) for i, a in enumerate(at)})
+        assert sorted(final) == list(range(len(assets)))
+        blocks += -(-len(assets) // _block_rows(net.n_banks))
+        for r, (batch, i) in final.items():
+            for field in ("payments", "defaulted", "external_paid"):
+                assert np.array_equal(getattr(batch, field)[i], ref[field][r]), field
+            assert batch.iterations == ref["iterations"]
+            assert np.all(np.array(batch.residuals) <= ref["residuals"])
+        assert ref["residuals"] == tuple(float(r) for r in np.max(
+            [batch.residuals for batch, _ in final.values()], axis=0))
+    again = len(calls) - blocks
+    assert (again > 0) == (order == "best-first")
 
 
 CLEAR_DIGESTS = """

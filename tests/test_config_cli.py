@@ -135,6 +135,25 @@ def test_grid_range_point_count_overflow_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_grid_range_point_cap(tmp_path, capsys, monkeypatch):
+    cap = config_module.MAX_GRID_POINTS
+    at_cap = {"per_big_stop": cap - 1.0, "per_big_step": 1.0}
+    assert len(gb.parse_config({"grid": at_cap}).grid.per_big) == cap
+    monkeypatch.setattr(config_module, "range", None, raising=False)  # nothing may be built
+    for step in (1e-6, 1e-300):
+        data = {"grid": {"per_big_stop": 1.0, "per_big_step": step}}
+        with pytest.raises(gb.ConfigError, match=r"grid\.per_big_step: gives .* points, more than"):
+            gb.parse_config(data)
+        out = tmp_path / f"out-{step}"
+        assert main(["frontier", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)]) == 2
+        assert "grid.per_big_step" in capsys.readouterr().err
+        assert not out.exists()
+    one_past = {"per_big_stop": float(cap), "per_big_step": 1.0}
+    with pytest.raises(gb.ConfigError, match=f"gives {cap + 1:,} points"):
+        gb.parse_config({"grid": one_past})
+
+
 def test_shock_and_loss_blocks_flow_through():
     config = gb.parse_config(
         {

@@ -42,8 +42,15 @@ def central_only_network(obligation=10.0):
 
 # --- loss accounting --------------------------------------------------------
 
+def table_of(network, cleared):
+    """`ScenarioTable.from_clearing` on a `clear_tiered_batch` result."""
+    central = cleared.payments[:, network.tier_slice(gb.Tier.CENTRAL)]
+    return gb.ScenarioTable.from_clearing(network, cleared.defaulted, central,
+                                          cleared.external_paid)
+
+
 def account(network, assets):
-    return gb.ScenarioTable.from_clearing(network, clear_tiered_batch(network, assets))
+    return table_of(network, clear_tiered_batch(network, assets))
 
 
 def test_loss_zero_when_everyone_pays():
@@ -77,7 +84,7 @@ def test_loss_size_mismatch_rejected():
     toy = central_only_network()
     cleared = clear_tiered_batch(toy, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        gb.ScenarioTable.from_clearing(net, cleared)
+        table_of(net, cleared)
 
 
 def test_deposits_counted_only_without_insurance(tmp_path):
@@ -152,7 +159,7 @@ def test_vectorised_pass_bitwise_equals_row_loop(default_net, bailout, rows):
     assets = _base_assets(net, shock, losses, config)
     cleared = clear_tiered_batch(net, assets + _injection_vector(net, bailout)[None, :])
     assert cleared.defaulted.any() and not cleared.defaulted.all()
-    table = gb.ScenarioTable.from_clearing(net, cleared)
+    table = table_of(net, cleared)
     assert_table_matches_records(table, _records_from_arrays(
         idx, net, cleared.defaulted, cleared.payments, cleared.external_paid
     ))
@@ -164,23 +171,27 @@ def test_chunked_table_bitwise_equals_row_loop_with_ragged_chunk(
     net = default_net
     shock = gb.ShockParams()
     config = gb.LossConfig()
-    records = []
+    records = {}
     real_clear = risk.clear_tiered_batch
+    losses = gb.shocks.sample_loss_matrix(shock, net.n_banks, SEED, range(80))
+    drawn = _base_assets(net, shock, losses, config) + _injection_vector(net, bailout)
+    del losses
 
-    def clear_and_record(network, assets):
-        cleared = real_clear(network, assets)
-        start = len(records)
-        records.extend(_records_from_arrays(
-            range(start, start + assets.shape[0]), network,
-            cleared.defaulted, cleared.payments, cleared.external_paid,
-        ))
+    def clear_and_record(network, assets, **kwargs):
+        # `simulate` clears a block of rows per call, worst first: find its
+        # scenarios by their assets; a block cleared again replaces its records
+        cleared = real_clear(network, assets, **kwargs)
+        indices = [int(np.flatnonzero((drawn == row).all(axis=1))[0]) for row in assets]
+        for record in _records_from_arrays(indices, network, cleared.defaulted,
+                                           cleared.payments, cleared.external_paid):
+            records[record[0]] = record
         return cleared
 
     monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_record)
     # chunks of 37, 37 and a ragged 6, run in order on one thread
     table = gb.simulate_records(net, shock, bailout, config, 80, SEED, 1, 37)
     assert len(records) == len(table) == 80
-    assert_table_matches_records(table, records)
+    assert_table_matches_records(table, [records[i] for i in sorted(records)])
 
 
 # --- risk statistics --------------------------------------------------------
@@ -640,6 +651,57 @@ def test_frontier_chunk_build_holds_one_sub_block():
         tracemalloc.stop()
     scratch = risk.SUB_BLOCK_ROWS * net.n_banks * 8
     assert peak <= scratch + tiers.nbytes + 2**20
+
+
+def test_simulate_chunk_holds_no_float_matrix(default_net):
+    # a 500-scenario chunk is drawn SUB_BLOCK_ROWS rows at a time and cleared
+    # and accounted a block at a time: it holds its bool default flags, the
+    # drawn rows and two iterate buffers, plus n-wide network vectors
+    # (measured 14.6 MB in all); drawn whole, the assets and the payments
+    # took 70 MB each
+    net = default_net
+    block = risk._block_rows(net.n_banks)
+    for bailout in ORACLE_BAILOUTS:
+        gb.simulate_records(net, gb.ShockParams(), bailout, gb.LossConfig(), 8, SEED)
+        tracemalloc.start()
+        try:
+            gb.simulate_records(net, gb.ShockParams(), bailout, gb.LossConfig(), 500, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = (risk.SUB_BLOCK_ROWS + 2 * block) * net.n_banks * 8
+        assert peak <= 500 * net.n_banks + scratch + 2 * 2**20
+
+
+BENCHMARK_RUNS = {
+    # network, shock, bailout, scenarios and threads of the `simulate-headline`
+    # and `simulate-bailout` benchmark workloads
+    "headline": (gb.CalibrationParams(), gb.ShockParams(), gb.BailoutAllocation(), 2_500, 1),
+    "bailout": (gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 2.0)),
+                gb.ShockParams(exempt_central=True),
+                gb.BailoutAllocation(per_massive=1.0, per_big=0.05), 5_000, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_RUNS))
+def test_worst_first_clears_no_block_again_at_documented_seed(monkeypatch, name):
+    # the worst-shocked block sets each chunk's stop first, so every block is
+    # drawn and cleared once
+    calibration, shock, bailout, scenarios, threads = BENCHMARK_RUNS[name]
+    net = gb.build_network(calibration)
+    draws = count_shock_draws(monkeypatch)
+    clears = []
+    real = risk.clear_tiered_batch
+
+    def clear_and_count(network, assets, **kwargs):
+        clears.append(assets.shape[0])
+        return real(network, assets, **kwargs)
+
+    monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_count)
+    gb.simulate_records(net, shock, bailout, gb.LossConfig(), scenarios, 19770525, threads)
+    block = risk._block_rows(net.n_banks)
+    assert len(clears) == scenarios // block and sum(clears) == scenarios
+    assert (draws_per_scenario(draws, scenarios) == 1).all()
 
 
 def test_evaluator_thread_count_keeps_bits(small_net, monkeypatch):

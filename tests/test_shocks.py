@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from scipy import special, stats
 
 import galbank as gb
-from galbank.shocks import _copula_transform, _draw_latents, sample_loss_matrix
+from galbank.shocks import _copula_transform, _draw_latents, common_factors, sample_loss_matrix
 
 SEED = 987654321
 INDEPENDENT = gb.ShockParams(correlation=0.0)
@@ -106,6 +106,14 @@ def test_loss_matrix_independent_of_chunking(params):
     assert np.array_equal(whole, split)
     picked = sample_loss_matrix(params, 10, SEED, [4, 0, 3])
     assert np.array_equal(picked, whole[[4, 0, 3]])
+
+
+def test_common_factors_are_the_rows_first_draws():
+    # `simulate` orders its blocks by M before it draws their rows
+    common = _draw_latents(SEED, range(3, 9), np.empty((6, 4)))
+    assert np.array_equal(common_factors(SEED, range(3, 9)), common)
+    assert np.array_equal(common_factors(SEED, [8, 3]), common[[5, 0]])
+    assert common_factors(SEED, []).shape == (0,)
 
 
 # sha256 of the float64 bytes of a 50-bank, 8-scenario draw at the documented
