@@ -10,31 +10,18 @@ from .calibration import (
     CalibrationParams,
     bond_allocation,
     build_network,
-    ggp_from_project,
-    ggp_with_growth,
-    manhattan_gdp_fraction,
     outstanding_debt,
-    steel_cost_scaled,
 )
-from .clearing import (
-    ClearingOutcome,
-    DenseNetwork,
-    clear_tiered_batch,
-    clearing_dense,
-    expand_network,
-    least_clearing_vector,
-)
+from .clearing import clear_tiered_batch
 from .config import ConfigError, GridSpec, RunConfig, load_config, parse_config
 from .network import (
     BalanceSheet,
-    BankTier,
     DegenerateNetworkError,
     GalacticNetwork,
     LiabilityProfile,
     Money,
     Tier,
     deposits_from_assets,
-    interbank_claims_face,
     total_obligation,
 )
 from .risk import (

@@ -1,9 +1,13 @@
-"""Calibration chain from battle-station construction costs to the network.
+"""The calibrated network, from battle-station costs to balance sheets.
 
-The chain: scale the DS-1 steel estimate to the larger second station,
-anchor the project cost to an atomic-bomb-style share of output, back out
-gross galactic product, size the leftover sovereign debt, and assemble
-the 17,501-bank network with the footnote liability schedule.
+The paper's chain (the DS-1 steel estimate scaled to the larger second
+station, the project cost read as a Manhattan-Project share of output)
+fixes the constants: the station costs and the gross galactic product
+`ggp_endor`; the acceptance suite's C1 redoes that arithmetic.  From them
+this module sizes the sovereign debt left at the crash, splits the bonds
+between the central bank and the massive tier, and assembles the
+17,501-bank network with the footnote liability schedule.  The
+calibration has exactly one central bank.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 
 from .network import (
     BalanceSheet,
-    BankTier,
     DegenerateNetworkError,
     GalacticNetwork,
     LiabilityProfile,
@@ -22,28 +25,6 @@ from .network import (
     deposits_from_assets,
     total_obligation,
 )
-
-# Manhattan Project expenditures (1945 MILLION $) against US GDP
-# (1945 BILLION $), 1942-1946.
-MANHATTAN_EXPENDITURES = (
-    (1942, 16.1),
-    (1943, 344.6),
-    (1944, 939.4),
-    (1945, 610.3),
-    (1946, 281.0),
-)
-US_GDP = (
-    (1942, 182.5),
-    (1943, 213.2),
-    (1944, 230.3),
-    (1945, 228.2),
-    (1946, 202.4),
-)
-
-DS1_STEEL_COST = 0.852  # Q, at the 140 km diameter estimate
-DS1_DIAMETER_KM = 140.0
-DS2_DIAMETER_KM = 900.0
-DS1_CONSTRUCTION_YEARS = 20
 
 # per-bank liability schedule: what one bank owes in total to each tier
 CENTRAL_PROFILE = LiabilityProfile(owed_external=2500.0)
@@ -82,6 +63,12 @@ class CalibrationParams:
             raise ValueError("ggp_endor must be positive")
         if len(self.tier_counts) != 3 or any(c < 1 for c in self.tier_counts):
             raise DegenerateNetworkError(f"bad tier counts {self.tier_counts}")
+        # the bond split and the outside obligation are the one central bank's
+        if self.tier_counts[Tier.CENTRAL] != 1:
+            raise DegenerateNetworkError(
+                f"tier_counts gives tier CENTRAL {self.tier_counts[Tier.CENTRAL]} banks; "
+                f"the calibration has one central bank"
+            )
         for t in Tier:
             # a same-tier debt is split over the tier's other banks
             if PROFILES[t].owed_to(t) > 0 and self.tier_counts[t] < 2:
@@ -91,47 +78,6 @@ class CalibrationParams:
                 )
         if len(self.capital_buffer_per_tier) != 3:
             raise ValueError("capital_buffer_per_tier needs one entry per tier")
-
-
-def steel_cost_scaled(base_steel_cost: Money, base_diameter_km: float,
-                      new_diameter_km: float) -> Money:
-    """Steel cost at a new hull diameter, scaling with enclosed volume."""
-    if base_diameter_km <= 0 or new_diameter_km <= 0:
-        raise ValueError("diameters must be positive")
-    return base_steel_cost * (new_diameter_km / base_diameter_km) ** 3
-
-
-def manhattan_gdp_fraction(expenditures=MANHATTAN_EXPENDITURES, gdps=US_GDP) -> float:
-    """Project spend as a fraction of GDP over the same years.
-
-    Expenditures are in millions, GDP in billions, both 1945 dollars.
-    """
-    exp_years = [y for y, _ in expenditures]
-    gdp_years = [y for y, _ in gdps]
-    if exp_years != gdp_years:
-        raise ValueError(f"year mismatch: expenditures {exp_years} vs GDP {gdp_years}")
-    total_gdp = sum(v for _, v in gdps)
-    if total_gdp <= 0:
-        raise ValueError("total GDP must be positive")
-    return sum(v for _, v in expenditures) / (total_gdp * 1000.0)
-
-
-def ggp_from_project(project_cost: Money, gdp_fraction: float,
-                     years: int) -> tuple[Money, Money]:
-    """(total, annual average) output implied by a project at a GDP share."""
-    if gdp_fraction <= 0:
-        raise ValueError("gdp_fraction must be positive")
-    if years <= 0:
-        raise ValueError("years must be positive")
-    total = project_cost / gdp_fraction
-    return total, total / years
-
-
-def ggp_with_growth(base_annual: Money, growth_rate: float, years: float) -> Money:
-    """Compound a base annual output forward; sensitivity helper only."""
-    if growth_rate <= -1.0:
-        raise ValueError("growth_rate must exceed -1")
-    return base_annual * (1.0 + growth_rate) ** years
 
 
 def outstanding_debt(params: CalibrationParams) -> Money:
@@ -157,7 +103,6 @@ def build_network(params: CalibrationParams | None = None) -> GalacticNetwork:
     """
     params = params or CalibrationParams()
     counts = params.tier_counts
-    tiers = tuple(BankTier(t, counts[t]) for t in Tier)
 
     debt = outstanding_debt(params)
     central_bond, per_massive_bond = bond_allocation(debt, counts[Tier.MASSIVE])
@@ -180,7 +125,7 @@ def build_network(params: CalibrationParams | None = None) -> GalacticNetwork:
         )
 
     return GalacticNetwork(
-        tiers=tiers,
+        counts=counts,
         profiles=PROFILES,
         sheets=tuple(sheets),
         ggp=params.ggp_endor,

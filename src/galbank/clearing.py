@@ -6,10 +6,10 @@ Picard iteration from total obligations converges monotonically down to
 the greatest clearing vector (the canonical output); iteration from zero
 climbs to the least vector and serves as a uniqueness diagnostic.
 
-A dense reference solves arbitrary small networks.  The calibrated
-17,501-bank network has two tiered solvers, both exact for the even-split
-convention, under which a bank's inflow depends on payments only through
-the three tier sums:
+The calibrated 17,501-bank network has two tiered solvers, both exact for
+the even-split convention, under which a bank's inflow depends on payments
+only through the three tier sums (the dense reference for arbitrary small
+networks lives with the tests, in `tests/oracles.py`):
 
 * `clear_tiered_batch`: Picard iteration over the whole payment vector.
   It is bound by memory traffic, not arithmetic.  Scenario rows are
@@ -37,12 +37,12 @@ the three tier sums:
   not depend on the order it is taken in.  A block makes no n-wide BLAS
   call: only the central bank owes outside the system, so its payments
   times its outside share are the outside payment.  With one central bank
-  (every shipped calibration) that has the bits of the full-row product;
-  with several, the few terms are summed in another order than a BLAS dot
-  would sum them, and the last bits can differ.  `simulate`'s per-row
-  deposits dot over the default flags runs after the last block, in one
-  burst: OpenBLAS threads spin between calls, so a dot per block would
-  hold the cores the sweep needs.
+  (the calibration allows no other count) that has the bits of the
+  full-row product; a network built directly with several central banks
+  sums the few terms in another order than a BLAS dot would, and the last
+  bits can differ.  `simulate`'s per-row deposits dot over the default
+  flags runs after the last block, in one burst: OpenBLAS threads spin
+  between calls, so a dot per block would hold the cores the sweep needs.
 
 * `clear_tier_sums`: Eisenberg and Noe's (2001) fictitious-default
   algorithm on the three tier sums.  A bank of tier d defaults exactly when
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import GalacticNetwork, Money, Tier
+from .network import GalacticNetwork, Tier
 
 log = logging.getLogger(__name__)
 
@@ -107,50 +107,6 @@ def _block_rows(n_banks: int) -> int:
 
 
 @dataclass(frozen=True)
-class DenseNetwork:
-    """Explicit bilateral network: liabilities[i, j] is what i owes j."""
-
-    liabilities: np.ndarray
-    external_obligation: np.ndarray
-    assets: np.ndarray
-
-    def __post_init__(self):
-        liab = np.asarray(self.liabilities, dtype=float)
-        ext = np.asarray(self.external_obligation, dtype=float)
-        assets = np.asarray(self.assets, dtype=float)
-        n = ext.size
-        if liab.shape != (n, n) or assets.shape != (n,):
-            raise ValueError("inconsistent network shapes")
-        # NaN fails the comparison too, unlike `np.any(x < 0)`
-        if not all(x.min(initial=0.0) >= 0.0 for x in (liab, ext, assets)):
-            raise ValueError(
-                "liabilities, obligations and assets must be non-negative and not NaN"
-            )
-        if np.any(np.diag(liab) != 0):
-            raise ValueError("self-liabilities are not allowed")
-        object.__setattr__(self, "liabilities", liab)
-        object.__setattr__(self, "external_obligation", ext)
-        object.__setattr__(self, "assets", assets)
-
-    @property
-    def n(self) -> int:
-        return self.external_obligation.size
-
-    @property
-    def p_bar(self) -> np.ndarray:
-        return self.liabilities.sum(axis=1) + self.external_obligation
-
-
-@dataclass(frozen=True)
-class ClearingOutcome:
-    payments: np.ndarray
-    defaulted: np.ndarray
-    shortfall: np.ndarray
-    external_paid: Money
-    iterations: int
-
-
-@dataclass(frozen=True)
 class BatchClearingResult:
     """Vectorized clearing of many asset scenarios over one network."""
 
@@ -159,54 +115,6 @@ class BatchClearingResult:
     external_paid: np.ndarray  # (n_scenarios,)
     iterations: int
     residuals: tuple           # sup-norm Picard residual per iteration
-
-
-def _picard_dense(net: DenseNetwork, tolerance: float, start: str):
-    p_bar = net.p_bar
-    scale = p_bar.max() if p_bar.size and p_bar.max() > 0 else 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi = np.where(p_bar[:, None] > 0, net.liabilities / p_bar[:, None], 0.0)
-    p = p_bar.copy() if start == "greatest" else np.zeros_like(p_bar)
-    residuals = []
-    for iteration in range(MAX_ITERATIONS):
-        p_new = np.minimum(p_bar, net.assets + pi.T @ p)
-        resid = float(np.abs(p_new - p).max(initial=0.0))
-        if resid <= tolerance * scale:
-            return p_new, iteration
-        residuals.append(resid)
-        p = p_new
-    raise RuntimeError(
-        f"dense clearing failed to converge in {MAX_ITERATIONS} iterations: "
-        f"last residuals {', '.join(f'{r:.3g}' for r in residuals[-3:])} "
-        f"against tolerance {tolerance * scale:.3g}"
-    )
-
-
-def _dense_outcome(net, tolerance, start) -> ClearingOutcome:
-    p, iters = _picard_dense(net, tolerance, start)
-    p_bar = net.p_bar
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ext_share = np.where(p_bar > 0, net.external_obligation / p_bar, 0.0)
-    shortfall = np.maximum(p_bar - p, 0.0)
-    log.debug("dense clearing: %d banks, %d iterations", net.n, iters)
-    return ClearingOutcome(p, shortfall > DEFAULT_FLAG_TOL, shortfall,
-                           float(p @ ext_share), iters)
-
-
-def clearing_dense(net: DenseNetwork,
-                   tolerance: float = DEFAULT_TOLERANCE) -> ClearingOutcome:
-    """Greatest clearing vector of a dense network (Picard from total obligations)."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    return _dense_outcome(net, tolerance, "greatest")
-
-
-def least_clearing_vector(net: DenseNetwork,
-                          tolerance: float = DEFAULT_TOLERANCE) -> ClearingOutcome:
-    """Least clearing vector (Picard from zero); uniqueness diagnostic."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    return _dense_outcome(net, tolerance, "least")
 
 
 class _TierSystem:
@@ -597,29 +505,3 @@ def defaulting_prefixes(network: GalacticNetwork, blocks) -> SortedTiers:
         sizes=network.counts,
     )
 
-
-def expand_network(network: GalacticNetwork, scenario_assets: np.ndarray) -> DenseNetwork:
-    """Bilateral expansion of a tiered network under the even-split convention.
-
-    Reference oracle for the compressed solver; quadratic in bank count, so
-    meant for small tier sizes only.
-    """
-    counts = network.counts
-    n = network.n_banks
-    liab = np.zeros((n, n))
-    ext = np.zeros(n)
-    for c in Tier:
-        rows = network.tier_slice(c)
-        ext[rows] = network.profiles[c].owed_external
-        for d in Tier:
-            owed = network.profiles[c].owed_to(d)
-            if owed == 0.0:
-                continue
-            cols = network.tier_slice(d)
-            if c == d:
-                block = np.full((counts[c], counts[d]), owed / (counts[d] - 1))
-                np.fill_diagonal(block, 0.0)
-            else:
-                block = np.full((counts[c], counts[d]), owed / counts[d])
-            liab[rows, cols.start:cols.stop] = block
-    return DenseNetwork(liab, ext, np.asarray(scenario_assets, dtype=float))

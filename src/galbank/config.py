@@ -211,7 +211,9 @@ def load_config(path: str | Path | None) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config: file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
     return parse_config(data)

@@ -19,11 +19,6 @@ import numpy as np
 
 Money = float
 
-# fixed powers of ten relative to the canonical QUINTILLION unit
-QUADRILLION = 1e-3
-QUINTILLION = 1.0
-SEXTILLION = 1e3
-
 # fractional-reserve rule: assets are 4x total deposits
 ASSETS_PER_DEPOSIT = 4.0
 
@@ -36,18 +31,6 @@ class Tier(IntEnum):
     CENTRAL = 0
     MASSIVE = 1
     BIG = 2
-
-
-@dataclass(frozen=True)
-class BankTier:
-    tag: Tier
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise DegenerateNetworkError(
-                f"tier {self.tag.name} needs at least one bank, got {self.count}"
-            )
 
 
 def _check_amount(name: str, value: Money) -> None:
@@ -136,21 +119,17 @@ def _claims_face(counts, profiles, tier: Tier) -> Money:
     return claims
 
 
-def interbank_claims_face(network: "GalacticNetwork", tier: Tier) -> Money:
-    """Face value of interbank claims held by one bank of the given tier."""
-    return _claims_face(network.counts, network.profiles, tier)
-
-
 @dataclass(frozen=True)
 class GalacticNetwork:
     """The full tiered network: counts, liability profiles, per-tier sheets.
 
     Banks are indexed 0 .. n_banks-1 with the central bank first, then the
-    massive tier, then the big tier.  Sheets are stored once per tier since
-    construction is tier-symmetric.
+    massive tier, then the big tier; `counts` gives the banks per tier in
+    that order.  Sheets are stored once per tier since construction is
+    tier-symmetric.
     """
 
-    tiers: tuple[BankTier, BankTier, BankTier]
+    counts: tuple[int, int, int]
     profiles: tuple[LiabilityProfile, LiabilityProfile, LiabilityProfile]
     sheets: tuple[BalanceSheet, BalanceSheet, BalanceSheet]
     ggp: Money
@@ -160,8 +139,14 @@ class GalacticNetwork:
         if not (math.isfinite(self.ggp) and self.ggp > 0):
             raise ValueError(f"ggp must be finite and positive, got {self.ggp}")
         _check_amount("outstanding_debt", self.outstanding_debt)
-        if tuple(t.tag for t in self.tiers) != (Tier.CENTRAL, Tier.MASSIVE, Tier.BIG):
-            raise DegenerateNetworkError("tiers must be ordered (central, massive, big)")
+        if len(self.counts) != len(Tier):
+            raise DegenerateNetworkError(f"need one bank count per tier, got {self.counts}")
+        object.__setattr__(self, "counts", tuple(self.counts))
+        for t in Tier:
+            if self.counts[t] < 1:
+                raise DegenerateNetworkError(
+                    f"tier {t.name} needs at least one bank, got {self.counts[t]}"
+                )
         for t in (Tier.MASSIVE, Tier.BIG):
             if self.profiles[t].owed_external > 0:
                 raise DegenerateNetworkError(
@@ -175,10 +160,6 @@ class GalacticNetwork:
                 raise DegenerateNetworkError(
                     f"claims on {t.name} sheet ({stored}) inconsistent with profiles ({implied})"
                 )
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return tuple(t.count for t in self.tiers)
 
     @property
     def n_banks(self) -> int:
@@ -209,13 +190,3 @@ class GalacticNetwork:
     def total_external_obligation(self) -> Money:
         return sum(self.counts[t] * self.profiles[t].owed_external for t in Tier)
 
-    def interbank_conservation_gap(self) -> Money:
-        """Total claims minus total interbank liabilities; zero by construction."""
-        claims = sum(
-            self.counts[t] * _claims_face(self.counts, self.profiles, t) for t in Tier
-        )
-        owed = sum(
-            self.counts[t] * (total_obligation(self.profiles[t]) - self.profiles[t].owed_external)
-            for t in Tier
-        )
-        return claims - owed

@@ -57,10 +57,6 @@ class ShockParams:
         if not (0 < self.beta_a < np.inf and 0 < self.beta_b < np.inf):
             raise ValueError("beta shape parameters must be positive and finite")
 
-    @property
-    def mean_loss(self) -> float:
-        return self.beta_a / (self.beta_a + self.beta_b)
-
 
 def _inverse_marginal(params: ShockParams, u: np.ndarray) -> None:
     """Overwrite the uniforms `u` with the marginal's quantiles."""

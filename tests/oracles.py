@@ -1,0 +1,151 @@
+"""Reference implementations the tests check the package against.
+
+A dense Picard solver for arbitrary small networks (greatest and least
+clearing vectors), the bilateral expansion of a tiered network under the
+even-split convention, and the interbank conservation identity.  None of
+them is on a `galbank` command's path; the tests import them from here.
+"""
+
+from __future__ import annotations
+
+import logging
+from dataclasses import dataclass
+
+import numpy as np
+
+from galbank.clearing import DEFAULT_FLAG_TOL, DEFAULT_TOLERANCE, MAX_ITERATIONS
+from galbank.network import GalacticNetwork, Money, Tier, _claims_face, total_obligation
+
+log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class DenseNetwork:
+    """Explicit bilateral network: liabilities[i, j] is what i owes j."""
+
+    liabilities: np.ndarray
+    external_obligation: np.ndarray
+    assets: np.ndarray
+
+    def __post_init__(self):
+        liab = np.asarray(self.liabilities, dtype=float)
+        ext = np.asarray(self.external_obligation, dtype=float)
+        assets = np.asarray(self.assets, dtype=float)
+        n = ext.size
+        if liab.shape != (n, n) or assets.shape != (n,):
+            raise ValueError("inconsistent network shapes")
+        # NaN fails the comparison too, unlike `np.any(x < 0)`
+        if not all(x.min(initial=0.0) >= 0.0 for x in (liab, ext, assets)):
+            raise ValueError(
+                "liabilities, obligations and assets must be non-negative and not NaN"
+            )
+        if np.any(np.diag(liab) != 0):
+            raise ValueError("self-liabilities are not allowed")
+        object.__setattr__(self, "liabilities", liab)
+        object.__setattr__(self, "external_obligation", ext)
+        object.__setattr__(self, "assets", assets)
+
+    @property
+    def n(self) -> int:
+        return self.external_obligation.size
+
+    @property
+    def p_bar(self) -> np.ndarray:
+        return self.liabilities.sum(axis=1) + self.external_obligation
+
+
+@dataclass(frozen=True)
+class ClearingOutcome:
+    payments: np.ndarray
+    defaulted: np.ndarray
+    shortfall: np.ndarray
+    external_paid: Money
+    iterations: int
+
+
+def _picard_dense(net: DenseNetwork, tolerance: float, start: str):
+    p_bar = net.p_bar
+    scale = p_bar.max() if p_bar.size and p_bar.max() > 0 else 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi = np.where(p_bar[:, None] > 0, net.liabilities / p_bar[:, None], 0.0)
+    p = p_bar.copy() if start == "greatest" else np.zeros_like(p_bar)
+    residuals = []
+    for iteration in range(MAX_ITERATIONS):
+        p_new = np.minimum(p_bar, net.assets + pi.T @ p)
+        resid = float(np.abs(p_new - p).max(initial=0.0))
+        if resid <= tolerance * scale:
+            return p_new, iteration
+        residuals.append(resid)
+        p = p_new
+    raise RuntimeError(
+        f"dense clearing failed to converge in {MAX_ITERATIONS} iterations: "
+        f"last residuals {', '.join(f'{r:.3g}' for r in residuals[-3:])} "
+        f"against tolerance {tolerance * scale:.3g}"
+    )
+
+
+def _dense_outcome(net, tolerance, start) -> ClearingOutcome:
+    p, iters = _picard_dense(net, tolerance, start)
+    p_bar = net.p_bar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ext_share = np.where(p_bar > 0, net.external_obligation / p_bar, 0.0)
+    shortfall = np.maximum(p_bar - p, 0.0)
+    log.debug("dense clearing: %d banks, %d iterations", net.n, iters)
+    return ClearingOutcome(p, shortfall > DEFAULT_FLAG_TOL, shortfall,
+                           float(p @ ext_share), iters)
+
+
+def clearing_dense(net: DenseNetwork,
+                   tolerance: float = DEFAULT_TOLERANCE) -> ClearingOutcome:
+    """Greatest clearing vector of a dense network (Picard from total obligations)."""
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    return _dense_outcome(net, tolerance, "greatest")
+
+
+def least_clearing_vector(net: DenseNetwork,
+                          tolerance: float = DEFAULT_TOLERANCE) -> ClearingOutcome:
+    """Least clearing vector (Picard from zero); uniqueness diagnostic."""
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    return _dense_outcome(net, tolerance, "least")
+
+
+def expand_network(network: GalacticNetwork, scenario_assets: np.ndarray) -> DenseNetwork:
+    """Bilateral expansion of a tiered network under the even-split convention.
+
+    Reference oracle for the compressed solver; quadratic in bank count, so
+    meant for small tier sizes only.
+    """
+    counts = network.counts
+    n = network.n_banks
+    liab = np.zeros((n, n))
+    ext = np.zeros(n)
+    for c in Tier:
+        rows = network.tier_slice(c)
+        ext[rows] = network.profiles[c].owed_external
+        for d in Tier:
+            owed = network.profiles[c].owed_to(d)
+            if owed == 0.0:
+                continue
+            cols = network.tier_slice(d)
+            if c == d:
+                block = np.full((counts[c], counts[d]), owed / (counts[d] - 1))
+                np.fill_diagonal(block, 0.0)
+            else:
+                block = np.full((counts[c], counts[d]), owed / counts[d])
+            liab[rows, cols.start:cols.stop] = block
+    return DenseNetwork(liab, ext, np.asarray(scenario_assets, dtype=float))
+
+
+def interbank_conservation_gap(network: GalacticNetwork) -> Money:
+    """Total claims minus total interbank liabilities; zero by construction."""
+    claims = sum(
+        network.counts[t] * _claims_face(network.counts, network.profiles, t) for t in Tier
+    )
+    owed = sum(
+        network.counts[t]
+        * (total_obligation(network.profiles[t]) - network.profiles[t].owed_external)
+        for t in Tier
+    )
+    return claims - owed

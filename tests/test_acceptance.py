@@ -15,10 +15,11 @@ from scipy import special
 
 import galbank as gb
 from galbank.cli import main
-from galbank.clearing import clear_tiered_batch, clearing_dense, expand_network
+from galbank.clearing import clear_tiered_batch
 from galbank.network import _claims_face
 from galbank.risk import _AllocationEvaluator
 from galbank.shocks import _copula_transform, _draw_latents
+from oracles import DenseNetwork, clearing_dense, expand_network, least_clearing_vector
 
 pytestmark = pytest.mark.slow
 
@@ -104,14 +105,20 @@ def test_c1_calibration_exactness():
     assert net.ggp == 6090.0
     assert net.n_banks == 17_501
     assert params.ds2_total_cost == 419.0
-    # the quoted DS-2 total is the rounded steel rescale plus the DS-1 total
-    steel = gb.steel_cost_scaled(0.852, 140.0, 900.0)
+    # the quoted DS-2 total is the rounded steel rescale plus the DS-1 total:
+    # DS-1 steel of 0.852 Q at 140 km, scaled with the enclosed volume to 900 km
+    steel = float(Fraction(852, 1000) * Fraction(900, 140) ** 3)
     assert steel == pytest.approx(float(Fraction(852, 1000) * Fraction(900, 140) ** 3),
                                   rel=1e-12)
     assert round(steel) + 193.0 == 419.0
-    frac = gb.manhattan_gdp_fraction()
+    # Manhattan Project spend 1942-46 (million 1945 $) over US GDP (billion 1945 $)
+    expenditures = [Fraction(v) for v in ("16.1", "344.6", "939.4", "610.3", "281.0")]
+    gdps = [Fraction(v) for v in ("182.5", "213.2", "230.3", "228.2", "202.4")]
+    frac = float(sum(expenditures) / (sum(gdps) * 1000))
     assert round(frac * 100, 2) == 0.21
-    total, annual = gb.ggp_from_project(193.0, 0.0021, 20)
+    # output implied by the DS-1 cost at that share, in total and per year of 20
+    total = float(Fraction(193) / Fraction("0.0021"))
+    annual = float(Fraction(193) / Fraction("0.0021") / 20)
     assert abs(total - 92_000.0) / 92_000.0 <= 0.005
     assert abs(annual - 4_600.0) / 4_600.0 <= 0.005
     report("C1 calibration exactness",
@@ -136,19 +143,19 @@ def test_c2_table2_arithmetic():
 
 def test_c3_clearing_correctness():
     # hand examples, exact
-    two = gb.DenseNetwork(
+    two = DenseNetwork(
         np.array([[0.0, 10.0], [0.0, 0.0]]), np.array([0.0, 10.0]),
         np.array([5.0, 2.0]),
     )
     out = clearing_dense(two)
     assert out.payments == pytest.approx([5.0, 7.0], rel=1e-12)
     assert out.external_paid == pytest.approx(7.0, rel=1e-12)
-    cycle = gb.DenseNetwork(
+    cycle = DenseNetwork(
         np.array([[0.0, 10.0, 0.0], [0.0, 0.0, 10.0], [10.0, 0.0, 0.0]]),
         np.zeros(3), np.zeros(3),
     )
     assert clearing_dense(cycle).payments == pytest.approx([10.0] * 3, abs=1e-8)
-    assert gb.least_clearing_vector(cycle).payments == pytest.approx([0.0] * 3, abs=1e-12)
+    assert least_clearing_vector(cycle).payments == pytest.approx([0.0] * 3, abs=1e-12)
 
     # 100 random tier networks: compressed agrees with the dense expansion
     rng = np.random.default_rng(SEED)
@@ -160,12 +167,11 @@ def test_c3_clearing_correctness():
             gb.LiabilityProfile(*rng.uniform(0.0, 3.0, 3), 0.0),
             gb.LiabilityProfile(*rng.uniform(0.0, 1.0, 3), 0.0),
         )
-        tiers = tuple(gb.BankTier(t, counts[t]) for t in gb.Tier)
         sheets = tuple(
             gb.BalanceSheet(0.0, _claims_face(counts, profiles, t), 0.0, 0.0)
             for t in gb.Tier
         )
-        net = gb.GalacticNetwork(tiers, profiles, sheets, ggp=1.0, outstanding_debt=0.0)
+        net = gb.GalacticNetwork(counts, profiles, sheets, ggp=1.0, outstanding_debt=0.0)
         assets = rng.uniform(0.0, 2.0, net.n_banks)
         comp = clear_tiered_batch(net, assets[None], tolerance=1e-12)
         ref = clearing_dense(expand_network(net, assets), tolerance=1e-12)

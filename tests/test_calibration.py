@@ -1,71 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
 import galbank as gb
-from galbank.calibration import (
-    DS1_DIAMETER_KM,
-    DS1_STEEL_COST,
-    DS2_DIAMETER_KM,
-    MANHATTAN_EXPENDITURES,
-    US_GDP,
-)
-
-# cube-law oracle computed in exact rational arithmetic
-DS2_STEEL_EXACT = float(Fraction(852, 1000) * Fraction(900, 140) ** 3)
-# sum-of-table oracle, millions over thousands of billions
-MANHATTAN_FRACTION_EXACT = float(Fraction(21914, 10) / (Fraction(10566, 10) * 1000))
-
-
-def test_steel_cost_scaled():
-    steel = gb.steel_cost_scaled(DS1_STEEL_COST, DS1_DIAMETER_KM, DS2_DIAMETER_KM)
-    assert steel == pytest.approx(DS2_STEEL_EXACT, rel=1e-12)
-    assert round(steel) == 226
-    assert gb.steel_cost_scaled(3.7, 55.0, 55.0) == pytest.approx(3.7, rel=1e-12)
-    assert gb.steel_cost_scaled(1.0, 1.0, 2.0) == pytest.approx(8.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        gb.steel_cost_scaled(1.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        gb.steel_cost_scaled(1.0, 1.0, -2.0)
-
-
-def test_manhattan_gdp_fraction_table():
-    frac = gb.manhattan_gdp_fraction()
-    assert frac == pytest.approx(MANHATTAN_FRACTION_EXACT, rel=1e-12)
-    assert round(frac * 100, 2) == 0.21
-
-
-def test_manhattan_gdp_fraction_single_year():
-    frac = gb.manhattan_gdp_fraction(
-        expenditures=((1942, 16.1),), gdps=((1942, 182.5),)
-    )
-    assert frac == pytest.approx(16.1 / 182_500.0, rel=1e-12)
-    assert round(frac * 100, 2) == 0.01
-
-
-def test_manhattan_gdp_fraction_degenerate():
-    zero = tuple((y, 0.0) for y, _ in MANHATTAN_EXPENDITURES)
-    assert gb.manhattan_gdp_fraction(expenditures=zero) == 0.0
-    with pytest.raises(ValueError):
-        gb.manhattan_gdp_fraction(expenditures=MANHATTAN_EXPENDITURES[:-1], gdps=US_GDP)
-
-
-def test_ggp_from_project():
-    total, annual = gb.ggp_from_project(193.0, 0.0021, 20)
-    assert total == pytest.approx(193.0 / 0.0021, rel=1e-12)
-    assert annual == pytest.approx(193.0 / 0.0021 / 20, rel=1e-12)
-    # quoted round numbers are within half a percent of the exact quotient
-    assert abs(total - 92_000.0) / 92_000.0 < 0.005
-    assert abs(annual - 4_600.0) / 4_600.0 < 0.005
-    assert gb.ggp_from_project(7.0, 1.0, 1) == (7.0, 7.0)
-    assert gb.ggp_from_project(0.0, 0.0021, 20) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        gb.ggp_from_project(193.0, 0.0, 20)
-
-
-def test_ggp_with_growth():
-    assert gb.ggp_with_growth(100.0, 0.0, 10) == pytest.approx(100.0)
-    assert gb.ggp_with_growth(100.0, 0.02, 1) == pytest.approx(102.0)
 
 
 def test_outstanding_debt():
@@ -150,3 +85,5 @@ def test_params_validation():
         gb.CalibrationParams(ds2_total_cost=-1.0)
     with pytest.raises(gb.DegenerateNetworkError):
         gb.CalibrationParams(tier_counts=(1, 0, 5))
+    with pytest.raises(gb.DegenerateNetworkError, match="the calibration has one central bank"):
+        gb.CalibrationParams(tier_counts=(2, 175, 17_325))

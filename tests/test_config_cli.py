@@ -35,7 +35,8 @@ def test_empty_config_is_headline_run():
         n_scenarios=10_000, seed=DEFAULT_SEED, grid=gb.GridSpec(),
     )
     assert config.shock.correlation == 0.25
-    assert config.shock.mean_loss == pytest.approx(0.2)
+    shock = config.shock
+    assert shock.beta_a / (shock.beta_a + shock.beta_b) == pytest.approx(0.2)
     assert not config.loss.deposit_insurance
     assert config.loss.threshold_fraction == 0.01
 
@@ -219,6 +220,36 @@ def test_single_bank_tier_with_same_tier_debt_is_config_error(tmp_path, capsys, 
         err = capsys.readouterr().err
         assert err.startswith("config error: calibration: tier_counts")
         assert f"tier {tier} 1 bank" in err and "needs at least 2" in err
+    assert not out.exists()
+
+
+def test_several_central_banks_are_config_error(tmp_path, capsys):
+    # each would get two thirds of the defaulted debt and its own 2,500 Q
+    # outside obligation
+    data = {"calibration": {"tier_counts": [2, 175, 17325]}}
+    message = ("calibration: tier_counts gives tier CENTRAL 2 banks; "
+               "the calibration has one central bank")
+    with pytest.raises(gb.ConfigError, match=message):
+        gb.parse_config(data)
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    for command in ("calibrate", "simulate", "frontier"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"seed": 1}\xff\xfe')
+    with pytest.raises(gb.ConfigError) as info:
+        gb.load_config(path)
+    assert str(info.value).startswith(f"config: {path} is not UTF-8 text")
+    out = tmp_path / "out"
+    for command in ("calibrate", "simulate", "frontier"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: {path} is not UTF-8 text")
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import galbank as gb
 from galbank.network import _claims_face
+from oracles import interbank_conservation_gap
 
 # per-bank footnote amounts: independent arithmetic oracle for claim faces
 COUNTS = (1, 175, 17_325)
@@ -44,13 +45,15 @@ def test_total_obligation_additive():
 
 def test_interbank_claims_face_examples():
     net = gb.build_network()
-    assert gb.interbank_claims_face(net, gb.Tier.CENTRAL) == pytest.approx(2257.5, rel=1e-12)
-    assert gb.interbank_claims_face(net, gb.Tier.MASSIVE) == pytest.approx(
-        MASSIVE_CLAIMS, rel=1e-12
-    )
-    assert gb.interbank_claims_face(net, gb.Tier.MASSIVE) == pytest.approx(46.863, rel=1e-9)
-    assert gb.interbank_claims_face(net, gb.Tier.BIG) == pytest.approx(BIG_CLAIMS, rel=1e-12)
-    assert gb.interbank_claims_face(net, gb.Tier.BIG) == pytest.approx(0.0070505, rel=1e-4)
+
+    def claims(tier):
+        return _claims_face(net.counts, net.profiles, tier)
+
+    assert claims(gb.Tier.CENTRAL) == pytest.approx(2257.5, rel=1e-12)
+    assert claims(gb.Tier.MASSIVE) == pytest.approx(MASSIVE_CLAIMS, rel=1e-12)
+    assert claims(gb.Tier.MASSIVE) == pytest.approx(46.863, rel=1e-9)
+    assert claims(gb.Tier.BIG) == pytest.approx(BIG_CLAIMS, rel=1e-12)
+    assert claims(gb.Tier.BIG) == pytest.approx(0.0070505, rel=1e-4)
 
 
 def test_deposits_from_assets():
@@ -64,7 +67,7 @@ def test_deposits_from_assets():
 def test_conservation_default_network():
     net = gb.build_network()
     total_claims = sum(
-        net.counts[t] * gb.interbank_claims_face(net, t) for t in gb.Tier
+        net.counts[t] * net.sheets[t].interbank_claims_face for t in gb.Tier
     )
     total_owed = sum(
         net.counts[t]
@@ -72,7 +75,7 @@ def test_conservation_default_network():
         for t in gb.Tier
     )
     assert total_claims == pytest.approx(total_owed, rel=1e-12)
-    assert abs(net.interbank_conservation_gap()) < 1e-9
+    assert abs(interbank_conservation_gap(net)) < 1e-9
 
 
 def test_negative_amounts_rejected():
@@ -117,8 +120,10 @@ def test_network_rejects_bad_ggp_and_debt(field, bad):
 
 
 def test_zero_tier_count_rejected():
-    with pytest.raises(gb.DegenerateNetworkError):
-        gb.BankTier(gb.Tier.BIG, 0)
+    sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0, 0.0) for _ in range(3))
+    with pytest.raises(gb.DegenerateNetworkError, match="tier BIG needs at least one bank"):
+        gb.GalacticNetwork((1, 1, 0), (gb.LiabilityProfile(),) * 3, sheets,
+                           ggp=1.0, outstanding_debt=0.0)
 
 
 def test_single_bank_tier_self_liability_rejected():
@@ -132,11 +137,6 @@ def test_single_bank_tier_self_liability_rejected():
 
 
 def test_only_central_owes_external():
-    tiers = (
-        gb.BankTier(gb.Tier.CENTRAL, 1),
-        gb.BankTier(gb.Tier.MASSIVE, 2),
-        gb.BankTier(gb.Tier.BIG, 2),
-    )
     profiles = (
         gb.LiabilityProfile(owed_external=1.0),
         gb.LiabilityProfile(owed_external=1.0),
@@ -144,7 +144,7 @@ def test_only_central_owes_external():
     )
     sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0, 0.0) for _ in range(3))
     with pytest.raises(gb.DegenerateNetworkError):
-        gb.GalacticNetwork(tiers, profiles, sheets, ggp=1.0, outstanding_debt=0.0)
+        gb.GalacticNetwork((1, 2, 2), profiles, sheets, ggp=1.0, outstanding_debt=0.0)
 
 
 def test_per_bank_vectors_layout():

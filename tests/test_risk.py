@@ -26,18 +26,13 @@ def assert_tables_equal(a, b):
 
 
 def central_only_network(obligation=10.0):
-    tiers = (
-        gb.BankTier(gb.Tier.CENTRAL, 1),
-        gb.BankTier(gb.Tier.MASSIVE, 1),
-        gb.BankTier(gb.Tier.BIG, 1),
-    )
     profiles = (
         gb.LiabilityProfile(owed_external=obligation),
         gb.LiabilityProfile(),
         gb.LiabilityProfile(),
     )
     sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0, 0.0) for _ in range(3))
-    return gb.GalacticNetwork(tiers, profiles, sheets, ggp=100.0, outstanding_debt=10.0)
+    return gb.GalacticNetwork((1, 1, 1), profiles, sheets, ggp=100.0, outstanding_debt=10.0)
 
 
 # --- loss accounting --------------------------------------------------------

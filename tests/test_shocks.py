@@ -200,4 +200,5 @@ def test_params_validation():
     for shapes in ({"beta_a": 0.0}, {"beta_a": math.inf}, {"beta_b": math.nan}):
         with pytest.raises(ValueError):
             gb.ShockParams(**shapes)
-    assert gb.ShockParams().mean_loss == pytest.approx(0.2)
+    default = gb.ShockParams()
+    assert default.beta_a / (default.beta_a + default.beta_b) == pytest.approx(0.2)
