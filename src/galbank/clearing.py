@@ -64,6 +64,13 @@ networks lives with the tests, in `tests/oracles.py`):
   the solve gives the bits of the full sort at any shift; a count that
   reaches a cut prefix would need an asset it dropped, and raises.
 
+Both solvers take +inf assets.  Inflows are non-negative, so a bank of tier
+d with assets at least p_bar_d (1 + c_d) pays p_bar_d at every Picard sweep
+and lies above every fictitious-default threshold: its exact assets reach
+no result, and +inf gives the same bits (min(inf, p_bar) is p_bar, and inf
+is never counted below a threshold nor summed).  `risk` hands such banks
+in as +inf, so that the shock sampler need not transform their losses.
+
 `simulate` still runs the Picard sweep: the CSVs print 17 significant
 digits, and the two solvers' losses differ in the last few of them (the
 Picard iterate stops within its tolerance), so moving `simulate` over
@@ -173,7 +180,8 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
     """Clear many asset scenarios at once on the tier-compressed network.
 
     `scenario_assets` (n_scenarios, n_banks): post-shock, post-bailout cash
-    plus surviving bond value per bank.  Every row stops at the batch's
+    plus surviving bond value per bank, +inf for a bank that surely pays in
+    full (see the module docstring).  Every row stops at the batch's
     sweep: the first, at or after sweep `min_iterations`, at which every row
     is within tolerance.
     """

@@ -2,7 +2,11 @@
 
 `simulate_records` runs the scenarios a chunk at a time: it draws and
 clears each chunk a cache-sized block of rows at a time (`clear_in_blocks`)
-and accounts it in one vectorised pass over its default flags.
+and accounts it in one vectorised pass over its default flags.  Both it and
+the frontier draw through `_draw_base`, which hands the shock sampler a
+per-bank loss floor (`_loss_floor`): a bank whose assets, with the run's
+bailout, reach p_bar (1 + c) of its tier pays in full whatever the clearing
+does, so its loss is not transformed and its assets are +inf.
 The result is a `ScenarioTable`: numpy columns with one row per scenario,
 in scenario-index order, holding the outside world's shortfall on claims
 against the system (the central bank's unpaid external obligation), the
@@ -41,6 +45,7 @@ from .clearing import (
     SortedTiers,
     TierSumsResult,
     _block_rows,
+    _tier_system,
     clear_in_blocks,
     clear_tier_sums,
     clear_tiered_batch,
@@ -61,6 +66,8 @@ BASE_CACHE_BYTES = 2**30
 # small beside the draws.  A 1,000-scenario acceptance frontier on 2 threads peaked at 67, 76
 # and 93 MB with 32, 64 and 128 rows.
 SUB_BLOCK_ROWS = 32
+# relative margin on the assets at which a bank surely pays in full (`_loss_floor`)
+SOLVENT_MARGIN = 1e-12
 # slack for cross-allocation monotonicity checks; clearing tolerance can
 # perturb payments by ~tolerance * max obligation
 MONOTONE_SLACK = 1e-3
@@ -218,7 +225,8 @@ def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
     """Post-shock, post-bond-default cash per bank, before any bailout.
 
     Works in place: `losses` must be private to the caller and becomes the
-    result.
+    result.  A -inf loss (a bank `sample_loss_matrix` skipped below its
+    floor) becomes +inf assets.
     """
     external, bond_value = _asset_vectors(network, config.bond_recovery)
     if shock_params.exempt_central:
@@ -249,10 +257,46 @@ def _chunks(n_scenarios: int, batch_size: int = DEFAULT_BATCH_SIZE) -> list[rang
     ]
 
 
+def _loss_floor(network: GalacticNetwork, shock_params: ShockParams,
+                config: LossConfig, bailout: BailoutAllocation) -> np.ndarray:
+    """Per bank, a loss at or below which the bank pays in full under `bailout`
+    at every clearing step; -inf where its loss moves no asset.
+
+    Inflows and bailouts are non-negative, so a bank of tier d holding at
+    least p_bar_d (1 + c_d) (`_TierSystem.self_coef`) pays p_bar_d in every
+    Picard sweep and lies above every fictitious-default threshold.  The
+    bound carries a relative margin of SOLVENT_MARGIN of the amounts that
+    form it, far above the rounding of the floor, the assets and the sweep.
+    """
+    system = _tier_system(network)
+    bound = system.p_bar_tier * (1.0 + system.self_coef)
+    external = np.array([network.sheets[t].external_assets for t in Tier])
+    bond_value = config.bond_recovery * np.array(
+        [network.sheets[t].bond_holdings_face for t in Tier])
+    cash = _tier_injections(bailout)
+    need = bound - cash + SOLVENT_MARGIN * (bound + external + bond_value + cash)
+    if shock_params.applies_to is ShockTarget.ALL_ASSETS:
+        exposed, kept = external + bond_value, 0.0
+    else:
+        exposed, kept = external, bond_value
+    # a tier without shocked assets gets no floor: its -inf loss would be inf * 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor = np.where(exposed > 0, 1.0 - (need - kept) / exposed, -np.inf)
+    return np.repeat(floor, network.counts)
+
+
 def _draw_base(network: GalacticNetwork, shock_params: ShockParams,
-               config: LossConfig, seed: int, idx: range) -> np.ndarray:
-    """Pre-bailout assets of scenarios `idx`, in a fresh array private to the caller."""
-    losses = sample_loss_matrix(shock_params, network.n_banks, seed, idx)
+               config: LossConfig, seed: int, idx,
+               bailout: BailoutAllocation) -> np.ndarray:
+    """Pre-bailout assets of scenarios `idx`, in a fresh array private to the caller.
+
+    A bank that surely pays in full once `bailout` is added holds +inf
+    (`_loss_floor`): its transformed loss would move no clearing result,
+    and +inf clears to exactly p_bar.  Every other entry has the bits of
+    the full transform.
+    """
+    floor = _loss_floor(network, shock_params, config, bailout)
+    losses = sample_loss_matrix(shock_params, network.n_banks, seed, idx, floor=floor)
     return _base_assets(network, shock_params, losses, config)
 
 
@@ -313,7 +357,7 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
                 drawn[2] = assets = None  # free these rows before drawing the next
                 start, stop = r0, max(r1, min(r0 + SUB_BLOCK_ROWS, len(idx)))
                 assets = _draw_base(network, shock_params, config, seed,
-                                    [idx[i] for i in order[start:stop]])
+                                    [idx[i] for i in order[start:stop]], bailout)
                 assets += injections
                 drawn[:] = start, stop, assets
             cleared = clear_tiered_batch(network, assets[r0 - start:r1 - start],
@@ -438,7 +482,7 @@ class _AllocationEvaluator:
         idx = self.chunks[pos]
         tiers = defaulting_prefixes(self.network, (
             _draw_base(self.network, self.shock_params, self.config, self.seed,
-                       idx[lo:lo + SUB_BLOCK_ROWS])
+                       idx[lo:lo + SUB_BLOCK_ROWS], BailoutAllocation())
             for lo in range(0, len(idx), SUB_BLOCK_ROWS)
         ))
         # what is left of the budget only shrinks, so a chunk that does not
@@ -450,15 +494,31 @@ class _AllocationEvaluator:
         return tiers
 
     def table(self, alloc: BailoutAllocation) -> ScenarioTable:
-        """Scenario accounting at one allocation, one solve per chunk."""
+        """Scenario accounting at one allocation, one solve per chunk.
+
+        Only chunks not in the cache go to the pool, to be built; one that
+        stays out of the cache is solved there too, while it is held.  The
+        cached chunks are solved on the calling thread: a solve is a run of
+        small numpy calls, faster there than handed between workers.
+        """
         shift = _tier_injections(alloc)
         tables: list[ScenarioTable] = [None] * len(self.chunks)
 
-        def run_chunk(pos: int):
-            cleared = clear_tier_sums(self.network, self._sorted(pos), shift)
+        def solve(pos: int, tiers: SortedTiers):
+            cleared = clear_tier_sums(self.network, tiers, shift)
             tables[pos] = ScenarioTable.from_tier_sums(self.network, cleared)
 
-        _run_chunks(run_chunk, len(self.chunks), self.n_jobs)
+        unbuilt = [pos for pos, tiers in enumerate(self.tiers) if tiers is None]
+
+        def build(i: int):
+            tiers = self._sorted(unbuilt[i])
+            if self.tiers[unbuilt[i]] is None:
+                solve(unbuilt[i], tiers)
+
+        _run_chunks(build, len(unbuilt), self.n_jobs)
+        for pos, tiers in enumerate(self.tiers):
+            if tables[pos] is None:
+                solve(pos, tiers)
         return ScenarioTable.concat(tables)
 
     def losses(self, alloc: BailoutAllocation) -> np.ndarray:

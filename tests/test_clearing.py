@@ -645,7 +645,8 @@ def test_simulate_sweep_bitwise_equals_full_width(monkeypatch, order):
     injections = gb.risk._injection_vector(net, bailout)[None, :]
     blocks = 0
     for lo in range(0, rows, chunk):
-        assets = gb.risk._draw_base(net, shock, config, seed, range(lo, min(lo + chunk, rows)))
+        assets = gb.risk._draw_base(net, shock, config, seed, range(lo, min(lo + chunk, rows)),
+                                    bailout)
         assets += injections
         ref = full_width_reference(net, assets)
         final = {}  # per row, its last call

@@ -1,12 +1,16 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import galbank as gb
 from galbank import report, risk
@@ -168,9 +172,9 @@ def test_chunked_table_bitwise_equals_row_loop_with_ragged_chunk(
     config = gb.LossConfig()
     records = {}
     real_clear = risk.clear_tiered_batch
-    losses = gb.shocks.sample_loss_matrix(shock, net.n_banks, SEED, range(80))
-    drawn = _base_assets(net, shock, losses, config) + _injection_vector(net, bailout)
-    del losses
+    # the assets `simulate` draws: +inf for the banks that surely pay in full
+    drawn = risk._draw_base(net, shock, config, SEED, range(80), bailout)
+    drawn += _injection_vector(net, bailout)
 
     def clear_and_record(network, assets, **kwargs):
         # `simulate` clears a block of rows per call, worst first: find its
@@ -516,9 +520,9 @@ def count_shock_draws(monkeypatch) -> list:
     calls = []
     real = risk.sample_loss_matrix
 
-    def counted(params, n_banks, seed, indices):
+    def counted(params, n_banks, seed, indices, **kwargs):
         calls.append(indices)
-        return real(params, n_banks, seed, indices)
+        return real(params, n_banks, seed, indices, **kwargs)
 
     monkeypatch.setattr(risk, "sample_loss_matrix", counted)
     return calls
@@ -730,6 +734,152 @@ def test_evaluator_thread_count_keeps_bits(small_net, monkeypatch):
         sys.setswitchinterval(interval)
     for one, four in zip(vectors[1], vectors[4]):
         assert np.array_equal(one, four)
+
+
+def test_evaluator_builds_on_the_pool_and_solves_cached_chunks_here(small_net,
+                                                                   monkeypatch):
+    # the pool builds only chunks not in the cache; a chunk that stays out
+    # is solved on its worker, a cached one on the calling thread
+    shock, config = gb.ShockParams(), gb.LossConfig()
+    sizes = chunk_bytes(small_net, shock, config)
+    # room for the partial last chunk only
+    monkeypatch.setattr(risk, "BASE_CACHE_BYTES", sizes[2])
+    monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
+    pools, solved = [], []
+    real_pool, real_solve = risk.ThreadPoolExecutor, risk.clear_tier_sums
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    def solve(network, tiers, shift):
+        solved.append((tiers.rows, threading.current_thread() is threading.main_thread()))
+        return real_solve(network, tiers, shift)
+
+    monkeypatch.setattr(risk, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(risk, "clear_tier_sums", solve)
+    evaluator = _AllocationEvaluator(small_net, shock, config, CACHE_SCENARIOS, SEED, 2)
+    for alloc in CACHE_ALLOCATIONS:
+        solved.clear()
+        evaluator.losses(alloc)
+        assert sorted(solved) == [(50, True), (500, False), (500, False)]
+    assert [tiers is not None for tiers in evaluator.tiers] == [False, False, True]
+    assert pools == [2] * len(CACHE_ALLOCATIONS)
+    # once every chunk is cached, an evaluation starts no pool
+    monkeypatch.setattr(risk, "BASE_CACHE_BYTES", sum(sizes))
+    evaluator = _AllocationEvaluator(small_net, shock, config, CACHE_SCENARIOS, SEED, 2)
+    pools.clear()
+    for alloc in CACHE_ALLOCATIONS:
+        evaluator.losses(alloc)
+    assert pools == [2]
+
+
+def test_simulate_calls_each_hook_once_per_sub_block_and_block(monkeypatch):
+    # the benchmark wraps `risk.sample_loss_matrix` and `risk.clear_tiered_batch`:
+    # one shocks call per SUB_BLOCK_ROWS rows drawn and one clearing call per
+    # block, every row once, so its shocks and clearing scenario counts agree
+    calibration, shock, bailout, _, threads = BENCHMARK_RUNS["bailout"]
+    net = gb.build_network(calibration)
+    draws = count_shock_draws(monkeypatch)
+    clears = []
+    real = risk.clear_tiered_batch
+
+    def clear_and_count(network, assets, **kwargs):
+        clears.append(assets.shape[0])
+        return real(network, assets, **kwargs)
+
+    monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_count)
+    gb.simulate_records(net, shock, bailout, gb.LossConfig(), 1_000, 19770525, threads)
+    sub, block = risk.SUB_BLOCK_ROWS, risk._block_rows(net.n_banks)
+    per_chunk = [sub] * (500 // sub) + [500 % sub]
+    assert sorted(len(c) for c in draws) == sorted(per_chunk * 2)
+    assert clears == [block] * (1_000 // block)
+    assert (draws_per_scenario(draws, 1_000) == 1).all()
+
+
+# --- banks that surely pay in full skip the copula transform -----------------
+
+ACCEPTANCE = gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 2.0))
+ALL_ASSETS = gb.ShockTarget.ALL_ASSETS
+# name: calibration, shock, loss config, bailout, whether the draws skip banks
+SKIP_CASES = {
+    "headline": (gb.CalibrationParams(), gb.ShockParams(), gb.LossConfig(),
+                 gb.BailoutAllocation(), False),
+    "acceptance": (ACCEPTANCE, gb.ShockParams(exempt_central=True), gb.LossConfig(),
+                   gb.BailoutAllocation(), True),
+    "bailout": (ACCEPTANCE, gb.ShockParams(exempt_central=True),
+                gb.LossConfig(deposit_insurance=True),
+                gb.BailoutAllocation(per_massive=1.0, per_big=0.05), True),
+    "all-assets": (ACCEPTANCE, gb.ShockParams(applies_to=ALL_ASSETS),
+                   gb.LossConfig(bond_recovery=0.3),
+                   gb.BailoutAllocation(per_massive=0.5, per_big=0.02), True),
+    # the massive tier's outside assets and recovered bonds are both zero
+    "all-assets-no-recovery": (ACCEPTANCE, gb.ShockParams(applies_to=ALL_ASSETS),
+                               gb.LossConfig(), gb.BailoutAllocation(), True),
+    "correlation-0": (ACCEPTANCE, gb.ShockParams(correlation=0.0), gb.LossConfig(),
+                      gb.BailoutAllocation(), True),
+    "recovery-1": (ACCEPTANCE, gb.ShockParams(), gb.LossConfig(bond_recovery=1.0),
+                   gb.BailoutAllocation(per_big=0.05), True),
+    "beta-2-5": (ACCEPTANCE, gb.ShockParams(beta_a=2.0, beta_b=5.0), gb.LossConfig(),
+                 gb.BailoutAllocation(), True),
+    # a buffer of -1 leaves the big banks no outside assets
+    "no-big-outside-assets": (gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, -1.0)),
+                              gb.ShockParams(), gb.LossConfig(), gb.BailoutAllocation(),
+                              False),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def skip_case_network(name):
+    return gb.build_network(SKIP_CASES[name][0])
+
+
+def no_floor(network, *args):
+    """`risk._loss_floor` asking for every loss: the full transform."""
+    return np.full(network.n_banks, -np.inf)
+
+
+@pytest.mark.parametrize("name", list(SKIP_CASES))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40))
+def test_skipping_sure_solvent_banks_keeps_every_bit(name, seed, rows):
+    _, shock, config, bailout, skips = SKIP_CASES[name]
+    net = skip_case_network(name)
+    system = _TierSystem(net)
+    floor = risk._loss_floor(net, shock, config, bailout)
+    # a tier whose loss moves no asset has no floor, so no inf * 0
+    exposed = net.external_assets_vector()
+    if shock.applies_to is ALL_ASSETS:
+        exposed = exposed + config.bond_recovery * net.bond_face_vector()
+    assert np.array_equal(np.isneginf(floor), exposed == 0)
+
+    injections = _injection_vector(net, bailout)[None, :]
+    full = risk.sample_loss_matrix(shock, net.n_banks, seed, range(rows))
+    losses = risk.sample_loss_matrix(shock, net.n_banks, seed, range(rows), floor=floor)
+    skipped = np.isneginf(losses)
+    assert np.array_equal(losses[~skipped], full[~skipped])
+    full_assets = _base_assets(net, shock, full, config) + injections
+    assets = risk._draw_base(net, shock, config, seed, range(rows), bailout) + injections
+    assert not np.isnan(assets).any()
+    assert np.array_equal(np.isposinf(assets), skipped)
+    # every skipped bank, transformed in full, holds at least what pays in full
+    bound = system.p_bar_row * (1.0 + system.self_coef[net.tier_of_bank()])
+    assert np.all(full_assets >= bound[None, :], where=skipped)
+    if skips:
+        assert skipped.sum() > 0.5 * rows * net.counts[gb.Tier.BIG]
+
+    a, b = clear_tiered_batch(net, full_assets), clear_tiered_batch(net, assets)
+    for field in ("payments", "defaulted", "external_paid", "iterations", "residuals"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    table = gb.simulate_records(net, shock, bailout, config, rows, seed)
+    evaluator = _AllocationEvaluator(net, shock, config, rows, seed, 1)
+    vectors = [evaluator.losses(alloc) for alloc in CACHE_ALLOCATIONS]
+    with mock.patch.object(risk, "_loss_floor", no_floor):
+        assert_tables_equal(table, gb.simulate_records(net, shock, bailout, config, rows, seed))
+        evaluator = _AllocationEvaluator(net, shock, config, rows, seed, 1)
+        for alloc, vec in zip(CACHE_ALLOCATIONS, vectors):
+            assert np.array_equal(evaluator.losses(alloc), vec)
 
 
 def test_cli_frontier_csv_same_for_one_and_two_threads(tmp_path):

@@ -136,6 +136,39 @@ def test_loss_matrix_bits_pinned(name):
     assert hashlib.sha256(losses.tobytes()).hexdigest() == digest
 
 
+# four runs of 150 banks: no floor, two floors inside [0, 1], one above it
+RUN_FLOORS = np.repeat([-np.inf, 0.3, 0.6, 2.0], 150)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_floor_skips_only_losses_at_or_below_it(name):
+    params, _ = PINNED[name]
+    full = sample_loss_matrix(params, 600, SEED, range(40))
+    part = sample_loss_matrix(params, 600, SEED, range(40), floor=RUN_FLOORS)
+    skipped = np.isneginf(part)
+    assert np.array_equal(part[~skipped], full[~skipped])
+    assert np.all(full <= RUN_FLOORS, where=skipped)
+    assert not skipped[:, :150].any() and skipped[:, 450:].all()
+    assert skipped[:, 150:450].any()
+
+
+def test_floor_leaves_rows_past_the_crossover_whole(monkeypatch):
+    # at a floor of 0.01 about 96% of a row lies above its cuts
+    floor = np.full(600, 0.01)
+    full = sample_loss_matrix(gb.ShockParams(), 600, SEED, range(40))
+    assert np.array_equal(sample_loss_matrix(gb.ShockParams(), 600, SEED, range(40),
+                                             floor=floor), full)
+    monkeypatch.setattr(gb.shocks, "SKIP_CROSSOVER", 1.0)
+    part = sample_loss_matrix(gb.ShockParams(), 600, SEED, range(40), floor=floor)
+    skipped = np.isneginf(part)
+    assert skipped.any() and np.array_equal(part[~skipped], full[~skipped])
+
+
+def test_floor_shape_checked():
+    with pytest.raises(ValueError, match="floor"):
+        sample_loss_matrix(gb.ShockParams(), 10, SEED, range(2), floor=np.zeros(9))
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_rejected(seed):
     # masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 would alias 0
