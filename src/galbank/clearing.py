@@ -50,11 +50,17 @@ networks lives with the tests, in `tests/oracles.py`):
   defaulting set, the sums solve a 3x3 linear system, re-solved each round
   only for the rows that gained a default.  Each row's assets are sorted
   per tier once (`SortedTiers`), so a round is one binary search over every
-  row and tier plus a sum over the banks that newly default, never a pass
-  over all banks.  A bailout is a per-tier shift of the sorted assets, so
-  it re-sorts nothing.  Started with every bank solvent, the defaulting set
-  only grows and settles, in one or two rounds on the calibrated network,
-  at the greatest clearing vector.
+  row and tier, started at the last round's count because the set only
+  grows, plus one slice sum per (row, tier) over the banks that newly
+  default, never a pass over all banks.  A bailout is a per-tier shift of
+  the sorted assets, so it re-sorts nothing.  Started with every bank
+  solvent, the defaulting set only grows and settles, in one or two rounds
+  on the calibrated network, at the greatest clearing vector.  Before each
+  solve a guard rejects a near-singular system: its exact 1-norm condition
+  number, from the adjugate and determinant of the 3x3 matrix (no SVD),
+  must stay below `SINGULAR_COND`.  Rows are independent, so one call
+  solves any number of chunks' rows at once with the bits each chunk gets
+  alone (`SortedTiers.concat`).
 
   A bailout only adds non-negative cash, so no bailout defaults more banks
   than none does.  `defaulting_prefixes` therefore keeps, per row and tier,
@@ -96,7 +102,7 @@ MAX_ITERATIONS = 100_000
 # fictitious-default rounds; every round but the last adds a default, so a
 # row never needs more than n_banks + 1, and the calibrated network needs 1-2
 MAX_ROUNDS = 1_000
-# a 3x3 tier system this ill-conditioned leaves fewer than 4 correct digits
+# a 3x3 tier system this ill-conditioned (1-norm) leaves fewer than 4 correct digits
 SINGULAR_COND = 1e12
 # the tier-sum solve counts a bank as solvent when its assets lie within this
 # many ulps of pbar (1 + c) below its threshold: at such a tie the threshold's
@@ -289,9 +295,10 @@ class SortedTiers:
     `values[starts[r, d]:starts[r, d] + lengths[r, d]]`, all rows and tiers
     in one flat buffer, so a search step reads every row and tier in one
     gather; `sizes[d]` is the tier's bank count.  `from_assets` keeps every
-    bank, `defaulting_prefixes` only those a bailout can still default.  No
-    prefix sums are kept: a solve sums each row's defaulting assets once, as
-    the defaulting set grows (`sums_between`).
+    bank, `defaulting_prefixes` only those a bailout can still default, and
+    `concat` joins the rows of several into one buffer, so that one solve
+    covers them all.  No prefix sums are kept: a solve sums each row's
+    defaulting assets once, as the defaulting set grows (`sums_between`).
     """
 
     values: np.ndarray   # flat, every row's kept prefix of every tier
@@ -319,37 +326,92 @@ class SortedTiers:
             sizes=network.counts,
         )
 
+    @classmethod
+    def concat(cls, parts, sizes: tuple) -> "SortedTiers":
+        """The rows of `parts`, in order, in one flat buffer.
+
+        The buffers grow by each part in place, so a part the caller no
+        longer refers to is freed once copied, before the next is taken: the
+        call then holds the result and one part.  A part's values should
+        hold just its rows' prefixes, as `defaulting_prefixes` builds them,
+        or more is copied.
+        """
+        values = np.empty(0)
+        starts, lengths = (np.empty((0, len(Tier)), dtype=np.intp) for _ in range(2))
+        for part in parts:
+            used, rows = values.size, len(starts)
+            values.resize(used + part.values.size, refcheck=False)
+            starts.resize((rows + part.rows, len(Tier)), refcheck=False)
+            lengths.resize((rows + part.rows, len(Tier)), refcheck=False)
+            values[used:] = part.values
+            np.add(part.starts, used, out=starts[rows:])
+            lengths[rows:] = part.lengths
+        return cls(values, starts, lengths, sizes)
+
+    def row_range(self, r0: int, r1: int) -> "SortedTiers":
+        """Rows r0 to r1 - 1, sharing this buffer."""
+        return SortedTiers(self.values, self.starts[r0:r1], self.lengths[r0:r1], self.sizes)
+
     @property
     def rows(self) -> int:
         return self.starts.shape[0]
 
     @property
     def nbytes(self) -> int:
-        return self.values.nbytes + self.starts.nbytes + self.lengths.nbytes
+        """Bytes of the kept assets and their layout; a `row_range` counts
+        only its own rows' share of the buffer."""
+        return (int(self.lengths.sum()) * self.values.itemsize
+                + self.starts.nbytes + self.lengths.nbytes)
 
-    def count_below(self, bound: np.ndarray) -> np.ndarray:
-        """(rows, 3): per row and tier d, the kept assets below bound[row, d].
+    def count_below(self, bound: np.ndarray, lo=None, hi=None, guess=None) -> np.ndarray:
+        """(rows, 3): per row and tier d, the kept assets below bound[row, d],
+        clamped to [lo[row, d], hi[row, d]] (by default 0 and the prefix).
 
-        A binary search over all rows and tiers at once: about log2(length)
-        gathers of one element per row and tier, never a pass over a row.
+        A binary search over all rows and tiers at once, between lo and hi:
+        about log2(hi - lo) gathers of one element per row and tier, never a
+        pass over a row.  Given a `guess` in [lo, hi], it first steps away
+        from the guess by doubling steps until the count is bracketed: about
+        2 log2(|count - guess| + 1) gathers, for the farthest row and tier.
         """
-        lo = np.zeros(self.starts.shape, dtype=np.intp)
-        hi = self.lengths.copy()
+        lo = np.zeros(self.starts.shape, dtype=np.intp) if lo is None else lo
+        hi = self.lengths if hi is None else hi
         last = self.starts + self.lengths - 1
-        for _ in range(int(self.lengths.max(initial=0)).bit_length()):
+
+        def below(rank):
+            return self.values[np.minimum(self.starts + rank, last)] < bound
+
+        if guess is not None:
+            up = (guess < hi) & below(guess)  # the count exceeds the guess
+            lo, hi = np.where(up, guess + 1, lo), np.where(up, hi, guess)
+            moving, step = lo < hi, 1
+            while moving.any():
+                probe = np.where(up, np.minimum(lo + step - 1, hi - 1),
+                                 np.maximum(hi - step, lo))
+                hit = below(probe)  # the count lies beyond the probe
+                lo = np.where(moving & hit, probe + 1, lo)
+                hi = np.where(moving & ~hit, probe, hi)
+                moving &= (hit == up) & (lo < hi)
+                step *= 2
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
             mid = (lo + hi) // 2
-            below = (lo < hi) & (self.values[np.minimum(self.starts + mid, last)] < bound)
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(below, hi, mid)
+            is_below = (lo < hi) & below(mid)
+            lo = np.where(is_below, mid + 1, lo)
+            hi = np.where(is_below, hi, mid)
         return lo
 
     def sums_between(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """(rows, 3): per row r and tier d, the sum of the sorted assets with
-        ranks lo[r, d] to hi[r, d] - 1; a pass over those assets only."""
+        ranks lo[r, d] to hi[r, d] - 1; a pass over those assets only.
+
+        Each range is summed alone, with the pairwise sum of a slice: a
+        segmented reduction (`np.add.reduceat`) adds in sequence and moves
+        the last bits."""
         out = np.zeros(lo.shape)
-        for r, d in zip(*np.nonzero(hi > lo)):
-            start = self.starts[r, d]
-            out[r, d] = self.values[start + lo[r, d]:start + hi[r, d]].sum()
+        some = hi > lo
+        first = self.starts[some]
+        values, add = self.values, np.add.reduce
+        out[some] = [add(values[a:b]) for a, b in zip((first + lo[some]).tolist(),
+                                                       (first + hi[some]).tolist())]
         return out
 
 
@@ -369,6 +431,23 @@ def _inflow_base(sums: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return sums[:, :1] * coef[0] + sums[:, 1:2] * coef[1] + sums[:, 2:] * coef[2]
 
 
+def _condition_1(a: np.ndarray) -> np.ndarray:
+    """1-norm condition number of each 3x3 matrix in the stack `a` (m, 3, 3),
+    exactly, from its adjugate and determinant; inf where the determinant
+    is 0."""
+    # cofactor (i, j) is a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1], indices mod 3
+    ahead, behind = [1, 2, 0], [2, 0, 1]
+    near, far = a[:, ahead, :], a[:, behind, :]
+    cof = near[:, :, ahead] * far[:, :, behind] - near[:, :, behind] * far[:, :, ahead]
+    det = (a[:, 0, :] * cof[:, 0, :]).sum(axis=1)
+    # the inverse is the transposed cofactors over det: its largest column
+    # sum is the cofactors' largest row sum
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    norm_adj = np.abs(cof).sum(axis=2).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(det != 0, norm * norm_adj / np.abs(det), np.inf)
+
+
 def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> TierSumsResult:
     """Fictitious-default clearing of sorted scenario assets plus a tier shift.
 
@@ -379,13 +458,16 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
     B_d - shift_d.  Starting from S = count * pbar, each round counts the
     defaults k_d below t_d, less a rounding margin of TIE_ULPS ulps of
     pbar_d (1 + c_d) so that a bank exactly at its threshold stays solvent,
-    and solves the linear system for S that this defaulting set implies,
-    until no row gains a default.  Only the rows that gained a default are
-    solved again: the others' systems, and so their sums, are unchanged.
+    searching upward from the last round's k_d, and solves the linear
+    system for S that this defaulting set implies, until no row gains a
+    default.  Only the rows that gained a default are solved again: the
+    others' systems, and so their sums, are unchanged.  A system whose
+    1-norm condition number reaches SINGULAR_COND raises, naming its row.
     Defaults are flagged where the shortfall exceeds DEFAULT_FLAG_TOL, i.e.
     below t_d - DEFAULT_FLAG_TOL (1 + c_d).  The solve is exact; every row's
     final sums are still checked against the Picard residual bound
-    DEFAULT_TOLERANCE * max(pbar).
+    DEFAULT_TOLERANCE * max(pbar).  Each row's results are independent of
+    the other rows in `tiers`, bit for bit (only `rounds` is batch-wide).
 
     A search that counts all of a row's kept assets below a threshold, where
     `tiers` keeps fewer than the tier's banks, cannot tell how many default:
@@ -409,8 +491,8 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
     tie = TIE_ULPS * np.finfo(float).eps * sys.p_bar_tier * one_c
     cut = tiers.lengths < counts
 
-    def count_below(bound):
-        found = tiers.count_below(bound)
+    def count_below(bound, lo=None, hi=None, guess=None):
+        found = tiers.count_below(bound, lo, hi, guess)
         short = cut & (found == tiers.lengths)
         if short.any():
             r, d = np.argwhere(short)[0]
@@ -432,8 +514,9 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
     smallest = np.zeros(sums.shape)  # per row and tier, the sum of the k smallest
     for rounds in range(MAX_ROUNDS + 1):
         base = _inflow_base(sums, coef)
-        # the defaulting set only grows; rounding cannot undo a default
-        found = np.maximum(count_below(top - base - tie), k)
+        # the defaulting set only grows, by a few banks after the first
+        # round; rounding cannot undo a default
+        found = count_below(top - base - tie, lo=k, guess=k if rounds else None)
         gained = (found != k).any(axis=1)
         if not gained.any():
             break
@@ -448,7 +531,7 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
         # S = implied(k, smallest, S @ coef) is linear in S
         rows = np.flatnonzero(gained)
         system = np.eye(len(Tier)) - (k[rows] / one_c)[:, :, None] * coef.T[None, :, :]
-        cond = np.linalg.cond(system)
+        cond = _condition_1(system)
         bad = ~(cond < SINGULAR_COND)
         if bad.any():
             i = int(np.argmax(bad))
@@ -472,7 +555,10 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
             f"fictitious-default clearing: residual {row_resid[r]:.3g} in scenario row "
             f"{r} exceeds tolerance {limit:.3g} after {rounds} round(s)"
         )
-    defaults = count_below(top - base - DEFAULT_FLAG_TOL * one_c)
+    # a flag margin at least the tie margin flags no bank beyond the k defaults
+    flag = DEFAULT_FLAG_TOL * one_c
+    defaults = count_below(top - base - flag, hi=np.where(flag >= tie, k, tiers.lengths),
+                           guess=k)
     log.debug("tier-sum clearing: %d scenarios, %d rounds", tiers.rows, rounds)
     return TierSumsResult(sums, defaults, rounds, k, sums @ sys.ext_share_tier)
 
@@ -488,8 +574,8 @@ def defaulting_prefixes(network: GalacticNetwork, blocks) -> SortedTiers:
     the same bits on these prefixes as on the full sort, and the one asset
     kept beyond k_d lets it tell k_d defaults from more, which it rejects.
     The flat buffer grows by each block's kept assets (resized in place),
-    so a call holds one block of full rows at a time besides it, and no
-    step copies the whole chunk.
+    copied in one gather, so a call holds one block of full rows at a time
+    besides it, and no step copies the whole chunk.
     """
     zero = np.zeros(len(Tier))
     values = np.empty(0)
@@ -497,19 +583,19 @@ def defaulting_prefixes(network: GalacticNetwork, blocks) -> SortedTiers:
     for assets in blocks:
         tiers = SortedTiers.from_assets(network, assets)
         keep = np.minimum(clear_tier_sums(network, tiers, zero).defaulting + 1, tiers.lengths)
+        flat = keep.ravel()
+        at = np.cumsum(flat) - flat  # where each prefix begins among the block's
+        index = np.repeat(tiers.starts.ravel() - at, flat)
+        index += np.arange(index.size)
         used = values.size
-        values.resize(used + int(keep.sum()), refcheck=False)
-        at = used + np.cumsum(keep.ravel()).reshape(keep.shape) - keep
-        for r, d in np.ndindex(keep.shape):
-            start = tiers.starts[r, d]
-            values[at[r, d]:at[r, d] + keep[r, d]] = tiers.values[start:start + keep[r, d]]
-        starts.append(at)
+        values.resize(used + index.size, refcheck=False)
+        np.take(tiers.values, index, out=values[used:])
+        starts.append(used + at.reshape(keep.shape))
         lengths.append(keep)
-        del assets, tiers  # the next block is drawn without this one
+        del assets, tiers, index  # the next block is drawn without this one
     return SortedTiers(
         values=values,
         starts=np.concatenate(starts),
         lengths=np.concatenate(lengths),
         sizes=network.counts,
     )
-

@@ -18,7 +18,8 @@ is absent, the full deposits of every defaulted bank.
 The frontier's evaluator forms the same table from the per-tier payment
 totals and default counts of the fictitious-default solve
 (`clear_tier_sums`) on each chunk's pre-bailout assets, sorted per tier and
-cut to the banks that default without a bailout, once per run.
+cut to the banks that default without a bailout, once per run; every
+cached chunk is solved in one call per allocation.
 
 The risk statistics (`expected_loss`, `exceedance_probability`,
 `average_var`, `criterion_satisfied`) take a 1-D loss array in that row
@@ -192,6 +193,10 @@ class ScenarioTable:
             deposits_lost=cleared.defaults @ deposits,
             defaults_by_tier=cleared.defaults,
         )
+
+    def rows(self, r0: int, r1: int) -> "ScenarioTable":
+        """Scenarios r0 to r1 - 1."""
+        return ScenarioTable(*(getattr(self, f.name)[r0:r1] for f in fields(self)))
 
     @classmethod
     def concat(cls, tables) -> "ScenarioTable":
@@ -457,7 +462,12 @@ class _AllocationEvaluator:
     built SUB_BLOCK_ROWS scenarios at a time.  A chunk joins the cache on
     its first build if its bytes fit in what is left of BASE_CACHE_BYTES;
     the others are rebuilt on every evaluation, so no scenario is dropped.
-    Which chunks are cached may depend on thread timing; results never do.
+    Once the first evaluation has built every chunk, the cached chunks are
+    copied, in chunk order, into one `SortedTiers` (`merged`), each freed
+    as soon as it is copied, so the cache is never held twice; `tiers` then
+    holds each cached chunk's rows of it.  Every evaluation is one solve
+    over `merged`, plus one per chunk outside the cache.  Which chunks are
+    cached may depend on thread timing; results never do.
     """
 
     def __init__(self, network, shock_params, config, n_scenarios, seed, n_jobs):
@@ -472,6 +482,7 @@ class _AllocationEvaluator:
         self.cache: dict[BailoutAllocation, np.ndarray] = {}
         self.chunks = _chunks(n_scenarios)
         self.tiers: list[SortedTiers | None] = [None] * len(self.chunks)
+        self.merged: SortedTiers | None = None  # every cached chunk's rows, in order
         self.cached_bytes = 0
         self._cache_lock = threading.Lock()
 
@@ -493,32 +504,49 @@ class _AllocationEvaluator:
                 self.cached_bytes += tiers.nbytes
         return tiers
 
+    def _merge(self, cached: list[int]):
+        """Copy the cached chunks into `merged`, freeing each once copied."""
+        def take(pos):
+            tiers, self.tiers[pos] = self.tiers[pos], None
+            return tiers
+
+        self.merged = SortedTiers.concat(map(take, cached), self.network.counts)
+        row = 0
+        for pos in cached:
+            self.tiers[pos] = self.merged.row_range(row, row + len(self.chunks[pos]))
+            row += len(self.chunks[pos])
+
     def table(self, alloc: BailoutAllocation) -> ScenarioTable:
-        """Scenario accounting at one allocation, one solve per chunk.
+        """Scenario accounting at one allocation.
 
         Only chunks not in the cache go to the pool, to be built; one that
         stays out of the cache is solved there too, while it is held.  The
-        cached chunks are solved on the calling thread: a solve is a run of
-        small numpy calls, faster there than handed between workers.
+        cached chunks are solved together on the calling thread, in one
+        call: a solve is a run of small numpy calls, whose overhead is then
+        paid once for all of them.
         """
         shift = _tier_injections(alloc)
         tables: list[ScenarioTable] = [None] * len(self.chunks)
-
-        def solve(pos: int, tiers: SortedTiers):
-            cleared = clear_tier_sums(self.network, tiers, shift)
-            tables[pos] = ScenarioTable.from_tier_sums(self.network, cleared)
-
         unbuilt = [pos for pos, tiers in enumerate(self.tiers) if tiers is None]
 
         def build(i: int):
-            tiers = self._sorted(unbuilt[i])
-            if self.tiers[unbuilt[i]] is None:
-                solve(unbuilt[i], tiers)
+            pos = unbuilt[i]
+            tiers = self._sorted(pos)
+            if self.tiers[pos] is None:
+                cleared = clear_tier_sums(self.network, tiers, shift)
+                tables[pos] = ScenarioTable.from_tier_sums(self.network, cleared)
 
         _run_chunks(build, len(unbuilt), self.n_jobs)
-        for pos, tiers in enumerate(self.tiers):
-            if tables[pos] is None:
-                solve(pos, tiers)
+        cached = [pos for pos, tiers in enumerate(self.tiers) if tiers is not None]
+        if cached:
+            if self.merged is None:
+                self._merge(cached)
+            whole = ScenarioTable.from_tier_sums(
+                self.network, clear_tier_sums(self.network, self.merged, shift))
+            row = 0
+            for pos in cached:
+                tables[pos] = whole.rows(row, row + self.tiers[pos].rows)
+                row += self.tiers[pos].rows
         return ScenarioTable.concat(tables)
 
     def losses(self, alloc: BailoutAllocation) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A dense Picard solver for arbitrary small networks (greatest and least
 clearing vectors), the bilateral expansion of a tiered network under the
-even-split convention, and the interbank conservation identity.  None of
-them is on a `galbank` command's path; the tests import them from here.
+even-split convention, the interbank conservation identity, and a plain
+form of the fictitious-default tier-sum solve.  None of them is on a
+`galbank` command's path; the tests import them from here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from galbank.clearing import DEFAULT_FLAG_TOL, DEFAULT_TOLERANCE, MAX_ITERATIONS
+from galbank import clearing
+from galbank.clearing import (
+    DEFAULT_FLAG_TOL,
+    DEFAULT_TOLERANCE,
+    MAX_ITERATIONS,
+    SortedTiers,
+    TierSumsResult,
+    _inflow_base,
+    _tier_system,
+)
 from galbank.network import GalacticNetwork, Money, Tier, _claims_face, total_obligation
 
 log = logging.getLogger(__name__)
@@ -149,3 +159,83 @@ def interbank_conservation_gap(network: GalacticNetwork) -> Money:
         for t in Tier
     )
     return claims - owed
+
+
+# --- fictitious-default tier sums, one step at a time ---------------------------
+
+def count_below_full(tiers: SortedTiers, bound: np.ndarray) -> np.ndarray:
+    """(rows, 3): per row and tier, the kept assets below bound[row, d], by a
+    binary search over each whole prefix."""
+    lo = np.zeros(tiers.starts.shape, dtype=np.intp)
+    hi = tiers.lengths.copy()
+    last = tiers.starts + tiers.lengths - 1
+    for _ in range(int(tiers.lengths.max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        below = (lo < hi) & (tiers.values[np.minimum(tiers.starts + mid, last)] < bound)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def sums_between_loop(tiers: SortedTiers, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(rows, 3): per row and tier, the sum of the sorted assets of ranks lo to
+    hi - 1, one slice sum per (row, tier)."""
+    out = np.zeros(lo.shape)
+    for r, d in zip(*np.nonzero(hi > lo)):
+        start = tiers.starts[r, d]
+        out[r, d] = tiers.values[start + lo[r, d]:start + hi[r, d]].sum()
+    return out
+
+
+def reference_tier_sums(network: GalacticNetwork, tiers: SortedTiers,
+                        shift) -> TierSumsResult:
+    """`clearing.clear_tier_sums` step by step: every search over the whole
+    prefix, one slice sum per (row, tier) that gains defaults, and the
+    2-norm condition number (an SVD) of each re-solved row's 3x3 system
+    against `clearing.SINGULAR_COND`.  Inputs are assumed valid."""
+    shift = np.asarray(shift, dtype=float)
+    counts = np.array(network.counts)
+    sys = _tier_system(network)
+    coef = sys.cross + np.diag(sys.self_coef)
+    one_c = 1.0 + sys.self_coef
+    full = counts * sys.p_bar_tier
+    top = sys.p_bar_tier * one_c - shift
+    tie = clearing.TIE_ULPS * np.finfo(float).eps * sys.p_bar_tier * one_c
+    cut = tiers.lengths < counts
+
+    def count_below(bound):
+        found = count_below_full(tiers, bound)
+        short = cut & (found == tiers.lengths)
+        if short.any():
+            r, d = np.argwhere(short)[0]
+            raise RuntimeError(f"scenario row {r}, tier {Tier(d).name}: prefix too short")
+        return found
+
+    def implied(k, smallest, base):
+        paid = smallest + k * (shift + base)
+        return (counts - k) * sys.p_bar_tier + paid / one_c
+
+    sums = np.tile(full, (tiers.rows, 1))
+    k = np.zeros(sums.shape, dtype=np.intp)
+    smallest = np.zeros(sums.shape)
+    for rounds in range(clearing.MAX_ROUNDS + 1):
+        base = _inflow_base(sums, coef)
+        found = np.maximum(count_below(top - base - tie), k)
+        gained = (found != k).any(axis=1)
+        if not gained.any():
+            break
+        if rounds == clearing.MAX_ROUNDS:
+            raise RuntimeError(f"did not settle in {clearing.MAX_ROUNDS} rounds")
+        smallest += sums_between_loop(tiers, k, found)
+        k = found
+        rows = np.flatnonzero(gained)
+        system = np.eye(len(Tier)) - (k[rows] / one_c)[:, :, None] * coef.T[None, :, :]
+        cond = np.linalg.cond(system)
+        if not np.all(cond < clearing.SINGULAR_COND):
+            raise RuntimeError(f"singular tier system in scenario row "
+                               f"{rows[np.argmax(~(cond < clearing.SINGULAR_COND))]}")
+        solved = np.linalg.solve(system, implied(k[rows], smallest[rows], 0.0)[:, :, None])
+        sums[rows] = np.where(k[rows] == 0, full, solved[:, :, 0])
+
+    defaults = count_below(top - base - DEFAULT_FLAG_TOL * one_c)
+    return TierSumsResult(sums, defaults, rounds, k, sums @ sys.ext_share_tier)

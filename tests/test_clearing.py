@@ -769,7 +769,7 @@ def test_tier_sums_match_dense_and_picard(seed, rows, shift):
 
 
 def assert_results_equal(a, b):
-    for field in ("sums", "defaults", "rounds", "defaulting"):
+    for field in ("sums", "defaults", "rounds", "defaulting", "external_paid"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -931,3 +931,136 @@ def test_tier_sums_reject_bad_inputs():
             SortedTiers.from_assets(net, broken)
     with pytest.raises(ValueError, match="rows"):
         SortedTiers.from_assets(net, np.zeros((2, 4)))
+
+
+# --- the solve against its step-by-step reference ----------------------------
+
+def random_tier_network(rng):
+    """A tiered network with 1-2 central, 1-10 massive and 1-40 big banks; a
+    tier of one bank owes nothing to its own tier."""
+    counts = (int(rng.integers(1, 3)), int(rng.integers(1, 11)), int(rng.integers(1, 41)))
+    owed = rng.uniform(0.0, [[0.5, 1.0, 1.0], [3.0, 3.0, 3.0], [1.0, 1.0, 1.0]])
+    for t in gb.Tier:
+        if counts[t] == 1:
+            owed[t, t] = 0.0
+    profiles = tuple(
+        gb.LiabilityProfile(*owed[t], float(rng.uniform(0.5, 30.0)) if t == gb.Tier.CENTRAL
+                            else 0.0)
+        for t in gb.Tier
+    )
+    return tiered(counts, profiles)
+
+
+def random_tier_assets(rng, net, rows):
+    """Uniform assets with some banks at exactly 0 and some at +inf (a bank
+    the shock sampler skipped)."""
+    assets = rng.uniform(0.0, 2.0, size=(rows, net.n_banks))
+    kind = rng.uniform(size=assets.shape)
+    assets[kind < 0.05] = 0.0
+    assets[kind > 0.8] = np.inf
+    return assets
+
+
+tier_shifts = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), block=st.integers(1, 40),
+       shift=tier_shifts, cut=st.booleans())
+def test_tier_sums_equal_the_reference_bit_for_bit(seed, rows, block, shift, cut):
+    rng = np.random.default_rng(seed)
+    net = random_tier_network(rng)
+    assets = random_tier_assets(rng, net, rows)
+    if cut:
+        tiers = defaulting_prefixes(
+            net, (np.array(assets[r:r + block]) for r in range(0, rows, block)))
+    else:
+        tiers = sort_tiers(net, assets)
+    assert_results_equal(clear_tier_sums(net, tiers, shift),
+                     oracles.reference_tier_sums(net, tiers, shift))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), chunk_rows=st.lists(st.integers(1, 40), min_size=1,
+                                                           max_size=4),
+       shift=tier_shifts)
+def test_one_solve_over_joined_chunks_equals_the_chunks_solved_apart(seed, chunk_rows, shift):
+    rng = np.random.default_rng(seed)
+    net = random_tier_network(rng)
+    chunks = [defaulting_prefixes(net, [random_tier_assets(rng, net, rows)])
+              for rows in chunk_rows]
+    apart = [clear_tier_sums(net, tiers, shift) for tiers in chunks]
+    joined = clear_tier_sums(net, SortedTiers.concat(chunks, net.counts), shift)
+    for field in ("sums", "defaults", "defaulting", "external_paid"):
+        assert np.array_equal(getattr(joined, field),
+                              np.concatenate([getattr(a, field) for a in apart])), field
+    assert joined.rounds == max(a.rounds for a in apart)
+    # and each chunk's rows of the joined buffer solve alone to the same bits
+    row = 0
+    for tiers, alone in zip(chunks, apart):
+        view = SortedTiers.concat(chunks, net.counts).row_range(row, row + tiers.rows)
+        assert view.nbytes == tiers.nbytes
+        assert_results_equal(clear_tier_sums(net, view, shift), alone)
+        row += tiers.rows
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), with_guess=st.booleans())
+def test_count_below_from_any_bracket_and_guess(seed, rows, with_guess):
+    # the count clamped to [lo, hi], whatever bracket and guess it starts from
+    rng = np.random.default_rng(seed)
+    net = random_tier_network(rng)
+    tiers = sort_tiers(net, np.round(random_tier_assets(rng, net, rows), 1))
+    bound = rng.choice([0.0, 0.5, 1.0, 1.05, 2.5, np.inf], size=(rows, 3))
+    ends = np.sort(rng.integers(0, np.array(net.counts) + 1, size=(3, rows, 3)), axis=0)
+    lo, guess, hi = ends
+    found = tiers.count_below(bound, lo, hi, guess if with_guess else None)
+    for r in range(rows):
+        for t in gb.Tier:
+            count = (kept(tiers, r, t) < bound[r, t]).sum()
+            assert found[r, t] == min(max(count, lo[r, t]), hi[r, t])
+
+
+# --- the singular-system guard --------------------------------------------------
+
+def test_condition_number_from_adjugate_matches_lapack():
+    rng = np.random.default_rng(11)
+    stacks = [rng.uniform(-1.0, 1.0, size=(500, 3, 3))]
+    # near-singular: a third row within 10^-e of a combination of the first two
+    near = rng.uniform(-1.0, 1.0, size=(500, 3, 3))
+    mix = rng.uniform(-1.0, 1.0, size=(500, 2, 1))
+    offset = 10.0 ** -rng.uniform(3, 10, size=(500, 1))
+    near[:, 2] = (mix * near[:, :2]).sum(axis=1) + offset * rng.uniform(-1, 1, size=(500, 3))
+    stacks.append(near)
+    for a in stacks:
+        ours, lapack = clearing._condition_1(a), np.linalg.cond(a, 1)
+        # both are exact up to rounding that grows with the condition number
+        # (measured at most 3.8 eps times it); the infinity-norm or 2-norm
+        # condition number differs from the 1-norm one by up to 2.6x here
+        eps = np.finfo(float).eps
+        assert (np.abs(ours - lapack) <= 16 * eps * lapack * lapack).all()
+    assert np.linalg.cond(near, 1).max() > clearing.SINGULAR_COND
+    assert clearing._condition_1(np.eye(3)[None])[0] == 1.0
+    singular = np.array([[[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]]])
+    assert clearing._condition_1(singular)[0] == np.inf
+
+
+def test_tier_sums_exactly_singular_system_names_row(monkeypatch):
+    # a two-bank massive tier owing only itself, with no assets: its banks'
+    # threshold is 0 and the tie margin keeps them solvent; a margin on the
+    # other side counts both as defaulting, and the tier's equation reads
+    # 0 = 0, a system whose determinant is exactly 0
+    profiles = (
+        gb.LiabilityProfile(owed_external=1.0),
+        gb.LiabilityProfile(owed_to_massive=0.1),
+        gb.LiabilityProfile(owed_to_central=0.5),
+    )
+    net = tiered((1, 2, 2), profiles)
+    assets = np.full((2, net.n_banks), 5.0)
+    assets[1, net.tier_slice(gb.Tier.MASSIVE)] = 0.0
+    monkeypatch.setattr(clearing, "TIE_ULPS", -clearing.TIE_ULPS)
+    with pytest.raises(RuntimeError, match=r"singular tier system in scenario row 1 "
+                                           r"\(condition number inf, defaults per tier "
+                                           r"\[0, 2, 0\]\)"):
+        clear_tier_sums(net, sort_tiers(net, assets), [0, 0, 0])

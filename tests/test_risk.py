@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -589,16 +591,32 @@ def test_evaluator_redraws_beyond_cache_budget(small_net, monkeypatch, cached_ch
     assert sizes[2] < min(sizes[:2])
     budget = sum(sizes[:cached_chunks])
     monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)
-    calls = count_shock_draws(monkeypatch)
-    evaluator, vectors = evaluate_all(net, shock, config, n_jobs=1)
-    assert [tiers is not None for tiers in evaluator.tiers] == [
-        pos < cached_chunks for pos in range(3)]
-    assert evaluator.cached_bytes == budget
-    assert np.array_equal(draws_per_scenario(calls, CACHE_SCENARIOS),
-                          expected_draws(evaluator, len(CACHE_ALLOCATIONS)))
-    # cached and redrawn chunks give the same bits
-    for a, b in zip(cached, vectors):
-        assert np.array_equal(a, b)
+    monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
+    for n_jobs in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_shock_draws(patch)
+            evaluator, vectors = evaluate_all(net, shock, config, n_jobs=n_jobs)
+        held = [tiers is not None for tiers in evaluator.tiers]
+        if n_jobs == 1:
+            assert held == [pos < cached_chunks for pos in range(3)]
+            assert evaluator.cached_bytes == budget
+        else:  # which chunks join the cache depends on which is built first
+            assert sum(held) <= cached_chunks
+            assert evaluator.cached_bytes <= budget
+        # the merged buffer is the cache, and each cached chunk a view of it
+        if any(held):
+            assert evaluator.merged.nbytes == evaluator.cached_bytes
+            assert evaluator.merged.rows == sum(
+                len(idx) for idx, kept in zip(evaluator.chunks, held) if kept)
+            for tiers in filter(None, evaluator.tiers):
+                assert tiers.values is evaluator.merged.values
+        else:
+            assert evaluator.merged is None
+        assert np.array_equal(draws_per_scenario(calls, CACHE_SCENARIOS),
+                              expected_draws(evaluator, len(CACHE_ALLOCATIONS)))
+        # cached and redrawn chunks give the same bits
+        for a, b in zip(cached, vectors):
+            assert np.array_equal(a, b)
 
 
 def test_evaluator_cache_stays_within_budget(small_net, monkeypatch):
@@ -612,6 +630,30 @@ def test_evaluator_cache_stays_within_budget(small_net, monkeypatch):
     evaluator, _ = evaluate_all(net, shock, config, n_jobs=1)
     assert [tiers is not None for tiers in evaluator.tiers] == [True, False, True]
     assert evaluator.cached_bytes == sizes[0] + sizes[2] <= budget
+    # the merged buffer is what the budget counts: the chunks' own arrays
+    # are gone, and their views of it add no bytes
+    assert evaluator.merged.nbytes == evaluator.cached_bytes
+    assert [t.nbytes for t in evaluator.tiers if t is not None] == [sizes[0], sizes[2]]
+
+
+def test_evaluator_merge_holds_one_chunk_above_the_cache(small_net):
+    # every chunk cached: merging frees each chunk once copied, so it never
+    # holds the cache twice; the chunks measured 64,064, 64,680 and 6,456
+    # bytes and the merge's peak 65,292 bytes above them
+    evaluator = _AllocationEvaluator(small_net, gb.ShockParams(), gb.LossConfig(),
+                                     CACHE_SCENARIOS, SEED, 1)
+    tracemalloc.start()
+    try:
+        sizes = [evaluator._sorted(pos).nbytes for pos in range(3)]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluator._merge([0, 1, 2])
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert evaluator.merged.nbytes == evaluator.cached_bytes == sum(sizes)
+    assert peak - held <= max(sizes) + 4096 < sum(sizes)
+    assert after - held <= 4096
 
 
 def acceptance_net():
@@ -963,3 +1005,36 @@ def _simulate_losses_csv(tmp_path, blas_threads: str) -> bytes:
     "removes this"))
 def test_losses_csv_independent_of_blas_threads(tmp_path):
     assert _simulate_losses_csv(tmp_path, "1") == _simulate_losses_csv(tmp_path, "2")
+
+
+# --- the acceptance frontier's loss vectors ------------------------------------
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of the 23 loss vectors the acceptance frontier evaluates at the
+# documented seed and 1,000 scenarios, in allocation order
+FRONTIER_LOSSES_SHA256 = "b0ce1ad2e7803c228f904ef34db0915d5e027924d2a9e5641d9ee0922ef5e162"
+
+
+def test_acceptance_frontier_loss_vectors_keep_their_bits():
+    # `frontier.csv` records only where each criterion holds, so a change to a
+    # loss bit that moves no decision leaves it as it is; this pins the bits
+    workloads = _perfbench_workloads()
+    config = gb.parse_config(workloads.ACCEPTANCE_CALIBRATION)
+    net = gb.build_network(config.calibration)
+    evaluator = _AllocationEvaluator(net, config.shock, config.loss, 1_000,
+                                     workloads.REFERENCE_SEED, 2)
+    for criterion in gb.Criterion:
+        gb.bailout_frontier(evaluator, criterion, workloads.ACCEPTANCE_GRID)
+    assert len(evaluator.cache) == 23
+    digest = hashlib.sha256()
+    for alloc in sorted(evaluator.cache, key=lambda a: (a.per_massive, a.per_big)):
+        digest.update(np.ascontiguousarray(evaluator.cache[alloc]).tobytes())
+    assert digest.hexdigest() == FRONTIER_LOSSES_SHA256
