@@ -1,8 +1,10 @@
 """Loss accounting, Monte Carlo estimation, risk criteria and bailout search.
 
 `simulate_records` runs the scenarios a chunk at a time: it draws and
-clears each chunk a cache-sized block of rows at a time (`clear_in_blocks`)
-and accounts it in one vectorised pass over its default flags.  Both it and
+clears each chunk a cache-sized block of rows at a time (`clear_in_blocks`),
+keeps each block's default flags bit-packed, one bit per bank, with its
+defaults per tier, and accounts the chunk in one vectorised pass over them,
+unpacking a cache-sized block of rows at a time.  Both it and
 the frontier draw through `_draw_base`, which hands the shock sampler a
 per-bank loss floor (`_loss_floor`): a bank whose assets, with the run's
 bailout, reach p_bar (1 + c) of its tier pays in full whatever the clearing
@@ -151,23 +153,28 @@ class ScenarioTable:
 
     @classmethod
     def from_clearing(cls, network: GalacticNetwork, defaulted: np.ndarray,
-                      central_paid: np.ndarray, external_paid: np.ndarray) -> "ScenarioTable":
+                      defaults_by_tier: np.ndarray, central_paid: np.ndarray,
+                      external_paid: np.ndarray) -> "ScenarioTable":
         """Accounting for every row of a cleared batch at once, from its
-        (rows, n_banks) default flags, its central banks' payments and its
-        payments on the outside obligation."""
-        if defaulted.shape[1] != network.n_banks:
+        default flags bit-packed along the banks (`np.packbits(flags, axis=1)`,
+        `_packed_width(n_banks)` bytes a row), its defaults per tier
+        (`_tier_defaults`), its central banks' payments and its payments on
+        the outside obligation."""
+        width = _packed_width(network.n_banks)
+        if defaulted.dtype != np.uint8 or defaulted.ndim != 2 or defaulted.shape[1] != width:
             raise ValueError(
-                f"cleared batch has {defaulted.shape[1]} banks, "
-                f"the network {network.n_banks}"
+                f"default flags must be uint8 of shape (rows, {width}), the network's "
+                f"{network.n_banks} banks bit-packed; got {defaulted.dtype} of shape "
+                f"{defaulted.shape}"
             )
-        slices = [network.tier_slice(t) for t in Tier]
         deposits = network.deposits_vector()[:, None]
         # one BLAS dot per row, as (1, n) @ (n, 1): a single gemv over the
         # batch sums in another order and moves the last bits; blocks of
-        # rows keep the bool-to-float copy of `defaulted` cache-sized
+        # rows keep the unpacked flags and their float copy cache-sized
         block = _block_rows(network.n_banks)
         deposits_lost = np.concatenate([
-            (defaulted[r:r + block, None, :] @ deposits).ravel()
+            (np.unpackbits(defaulted[r:r + block], axis=1, count=network.n_banks)
+             .view(bool)[:, None, :] @ deposits).ravel()
             for r in range(0, defaulted.shape[0], block)
         ])
         owed = total_obligation(network.profiles[Tier.CENTRAL])
@@ -175,9 +182,7 @@ class ScenarioTable:
             external_shortfall=network.total_external_obligation() - external_paid,
             central_shortfall=np.maximum(owed - central_paid, 0.0).sum(axis=1),
             deposits_lost=deposits_lost,
-            defaults_by_tier=np.stack(
-                [defaulted[:, sl].sum(axis=1) for sl in slices], axis=1
-            ),
+            defaults_by_tier=defaults_by_tier,
         )
 
     @classmethod
@@ -203,6 +208,21 @@ class ScenarioTable:
         return cls(*(
             np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)
         ))
+
+
+def _packed_width(n_banks: int) -> int:
+    """Bytes per row of default flags bit-packed along the banks."""
+    return (n_banks + 7) // 8
+
+
+def _tier_defaults(network: GalacticNetwork, defaulted: np.ndarray) -> np.ndarray:
+    """(rows, 3) int64 defaulted banks per tier, from (rows, n_banks) bool flags.
+
+    Counts row by row: on a 4-row block, about half the time of an int64 sum
+    over each tier's columns."""
+    slices = [network.tier_slice(t) for t in Tier]
+    return np.array([[np.count_nonzero(row[sl]) for sl in slices] for row in defaulted],
+                    dtype=np.int64)
 
 
 def green_line_loss(network: GalacticNetwork, config: LossConfig) -> Money:
@@ -346,7 +366,9 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
 
     def run_chunk(pos: int):
         idx = chunks[pos]
-        defaulted = np.empty((len(idx), network.n_banks), dtype=bool)
+        # one bit per bank: 1.1 MB a chunk at 17,501 banks, against 8.75 MB as bool
+        defaulted = np.empty((len(idx), _packed_width(network.n_banks)), dtype=np.uint8)
+        defaults_by_tier = np.empty((len(idx), len(Tier)), dtype=np.int64)
         central_paid = np.empty((len(idx), network.counts[Tier.CENTRAL]))
         external_paid = np.empty(len(idx))
         # rows in descending order of their common factor M, so the first
@@ -368,15 +390,16 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
             cleared = clear_tiered_batch(network, assets[r0 - start:r1 - start],
                                          min_iterations=min_iterations)
             rows = order[r0:r1]
-            defaulted[rows] = cleared.defaulted
+            defaulted[rows] = np.packbits(cleared.defaulted, axis=1)
+            defaults_by_tier[rows] = _tier_defaults(network, cleared.defaulted)
             central_paid[rows] = cleared.payments[:, central]
             external_paid[rows] = cleared.external_paid
             return cleared.iterations
 
         clear_in_blocks(len(idx), network.n_banks, clear_block)
         # the deposits dots run here, in one burst over the chunk's flags
-        tables[pos] = ScenarioTable.from_clearing(network, defaulted, central_paid,
-                                                  external_paid)
+        tables[pos] = ScenarioTable.from_clearing(network, defaulted, defaults_by_tier,
+                                                  central_paid, external_paid)
 
     _run_chunks(run_chunk, len(chunks), n_jobs)
     return ScenarioTable.concat(tables)
