@@ -330,11 +330,11 @@ class SortedTiers:
     def concat(cls, parts, sizes: tuple) -> "SortedTiers":
         """The rows of `parts`, in order, in one flat buffer.
 
-        The buffers grow by each part in place, so a part the caller no
+        The buffers grow by each part in place, and a part the caller no
         longer refers to is freed once copied, before the next is taken: the
-        call then holds the result and one part.  A part's values should
-        hold just its rows' prefixes, as `defaulting_prefixes` builds them,
-        or more is copied.
+        call then holds the result and what `parts` holds.  A part's values
+        should hold just its rows' prefixes, as `defaulting_prefixes` builds
+        them, or more is copied.
         """
         values = np.empty(0)
         starts, lengths = (np.empty((0, len(Tier)), dtype=np.intp) for _ in range(2))
@@ -346,11 +346,8 @@ class SortedTiers:
             values[used:] = part.values
             np.add(part.starts, used, out=starts[rows:])
             lengths[rows:] = part.lengths
+            del part
         return cls(values, starts, lengths, sizes)
-
-    def row_range(self, r0: int, r1: int) -> "SortedTiers":
-        """Rows r0 to r1 - 1, sharing this buffer."""
-        return SortedTiers(self.values, self.starts[r0:r1], self.lengths[r0:r1], self.sizes)
 
     @property
     def rows(self) -> int:
@@ -358,8 +355,7 @@ class SortedTiers:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the kept assets and their layout; a `row_range` counts
-        only its own rows' share of the buffer."""
+        """Bytes of the kept assets and their layout."""
         return (int(self.lengths.sum()) * self.values.itemsize
                 + self.starts.nbytes + self.lengths.nbytes)
 

@@ -20,8 +20,10 @@ is absent, the full deposits of every defaulted bank.
 The frontier's evaluator forms the same table from the per-tier payment
 totals and default counts of the fictitious-default solve
 (`clear_tier_sums`) on each chunk's pre-bailout assets, sorted per tier and
-cut to the banks that default without a bailout, once per run; every
-cached chunk is solved in one call per allocation.
+cut to the banks that default without a bailout.  The leading chunks that
+fit in BASE_CACHE_BYTES are built once per run into one buffer and solved
+in one call per allocation; the chunks after them are built again at every
+allocation.
 
 The risk statistics (`expected_loss`, `exceedance_probability`,
 `average_var`, `criterion_satisfied`) take a 1-D loss array in that row
@@ -33,11 +35,9 @@ bisects them over the loss column under common random numbers.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -61,7 +61,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_BATCH_SIZE = 500
 # bytes of kept pre-bailout assets (`SortedTiers`) a frontier evaluator keeps
-# across allocations; chunks that do not fit are rebuilt on every evaluation
+# across allocations; the first chunk that does not fit, and every chunk after
+# it, is rebuilt on every evaluation
 BASE_CACHE_BYTES = 2**30
 # scenario rows a frontier chunk is drawn, sorted and solved in at a time,
 # and a `simulate` chunk is drawn in: their full rows are the chunk's only
@@ -199,10 +200,6 @@ class ScenarioTable:
             defaults_by_tier=cleared.defaults,
         )
 
-    def rows(self, r0: int, r1: int) -> "ScenarioTable":
-        """Scenarios r0 to r1 - 1."""
-        return ScenarioTable(*(getattr(self, f.name)[r0:r1] for f in fields(self)))
-
     @classmethod
     def concat(cls, tables) -> "ScenarioTable":
         return cls(*(
@@ -235,16 +232,6 @@ def loss_threshold(network: GalacticNetwork, config: LossConfig) -> Money:
     return config.threshold_fraction * network.ggp
 
 
-@functools.lru_cache(maxsize=8)
-def _asset_vectors(network: GalacticNetwork, bond_recovery: float) -> tuple:
-    """Per-bank outside assets and recovered bond value, built once per
-    network: `simulate` draws a chunk in 125 blocks.  Read-only."""
-    vectors = network.external_assets_vector(), bond_recovery * network.bond_face_vector()
-    for v in vectors:
-        v.flags.writeable = False
-    return vectors
-
-
 def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
                  losses: np.ndarray, config: LossConfig) -> np.ndarray:
     """Post-shock, post-bond-default cash per bank, before any bailout.
@@ -253,7 +240,8 @@ def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
     result.  A -inf loss (a bank `sample_loss_matrix` skipped below its
     floor) becomes +inf assets.
     """
-    external, bond_value = _asset_vectors(network, config.bond_recovery)
+    external = network.external_assets_vector()
+    bond_value = config.bond_recovery * network.bond_face_vector()
     if shock_params.exempt_central:
         losses[:, network.tier_slice(Tier.CENTRAL)] = 0.0
     np.subtract(1.0, losses, out=losses)
@@ -332,19 +320,17 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(run_chunk, n_chunks: int, n_jobs: int):
-    """run_chunk(pos) for every chunk, on a thread pool when n_jobs > 1.
+def _run_chunks(run_chunk, positions, n_jobs: int) -> list:
+    """[run_chunk(pos) for pos in positions], on a thread pool when n_jobs > 1.
 
     Each worker holds a chunk's arrays, so the pool never exceeds the chunks
     or the usable cores, whatever n_jobs asks for.
     """
-    workers = min(n_jobs, n_chunks, _usable_cores())
+    workers = min(n_jobs, len(positions), _usable_cores())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        for pos in range(n_chunks):
-            run_chunk(pos)
+            return list(pool.map(run_chunk, positions))
+    return [run_chunk(pos) for pos in positions]
 
 
 def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
@@ -362,9 +348,8 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
     chunks = _chunks(n_scenarios, batch_size)
     injections = _injection_vector(network, bailout)[None, :]
     central = network.tier_slice(Tier.CENTRAL)
-    tables: list[ScenarioTable] = [None] * len(chunks)
 
-    def run_chunk(pos: int):
+    def run_chunk(pos: int) -> ScenarioTable:
         idx = chunks[pos]
         # one bit per bank: 1.1 MB a chunk at 17,501 banks, against 8.75 MB as bool
         defaulted = np.empty((len(idx), _packed_width(network.n_banks)), dtype=np.uint8)
@@ -398,11 +383,10 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
 
         clear_in_blocks(len(idx), network.n_banks, clear_block)
         # the deposits dots run here, in one burst over the chunk's flags
-        tables[pos] = ScenarioTable.from_clearing(network, defaulted, defaults_by_tier,
-                                                  central_paid, external_paid)
+        return ScenarioTable.from_clearing(network, defaulted, defaults_by_tier,
+                                           central_paid, external_paid)
 
-    _run_chunks(run_chunk, len(chunks), n_jobs)
-    return ScenarioTable.concat(tables)
+    return ScenarioTable.concat(_run_chunks(run_chunk, range(len(chunks)), n_jobs))
 
 
 # --- risk statistics ------------------------------------------------------
@@ -477,20 +461,18 @@ class _AllocationEvaluator:
     never increase any scenario's loss.
 
     A bailout only adds a per-tier constant after the shock, so each chunk's
-    pre-bailout assets are drawn and sorted per tier once, on the first
-    evaluation, and every allocation is one fictitious-default solve on them
-    (`clear_tier_sums`).  No bailout defaults a bank that survives without
-    one, so a chunk keeps, per scenario and tier, only the assets of the
-    banks that default at zero bailout plus one (`defaulting_prefixes`),
-    built SUB_BLOCK_ROWS scenarios at a time.  A chunk joins the cache on
-    its first build if its bytes fit in what is left of BASE_CACHE_BYTES;
-    the others are rebuilt on every evaluation, so no scenario is dropped.
-    Once the first evaluation has built every chunk, the cached chunks are
-    copied, in chunk order, into one `SortedTiers` (`merged`), each freed
-    as soon as it is copied, so the cache is never held twice; `tiers` then
-    holds each cached chunk's rows of it.  Every evaluation is one solve
-    over `merged`, plus one per chunk outside the cache.  Which chunks are
-    cached may depend on thread timing; results never do.
+    pre-bailout assets are drawn and sorted per tier once, and every
+    allocation is one fictitious-default solve on them (`clear_tier_sums`).
+    No bailout defaults a bank that survives without one, so a chunk keeps,
+    per scenario and tier, only the assets of the banks that default at zero
+    bailout plus one (`defaulting_prefixes`), built SUB_BLOCK_ROWS scenarios
+    at a time.  The first evaluation builds the chunks in order, a pool
+    width at a time, and copies each into one `SortedTiers` (`kept`) until
+    the next would take it past BASE_CACHE_BYTES; a chunk is freed once
+    copied, so the fill holds at most a pool width of chunks above `kept`.
+    The chunks after the cut are built again, on the pool, at every
+    evaluation, so no scenario is dropped.  Which chunks are kept depends
+    on the inputs alone, never on the thread count or timing.
     """
 
     def __init__(self, network, shock_params, config, n_scenarios, seed, n_jobs):
@@ -504,72 +486,63 @@ class _AllocationEvaluator:
         self.threshold = loss_threshold(network, config)
         self.cache: dict[BailoutAllocation, np.ndarray] = {}
         self.chunks = _chunks(n_scenarios)
-        self.tiers: list[SortedTiers | None] = [None] * len(self.chunks)
-        self.merged: SortedTiers | None = None  # every cached chunk's rows, in order
-        self.cached_bytes = 0
-        self._cache_lock = threading.Lock()
+        self.kept: SortedTiers | None = None  # the leading chunks, once built
 
-    def _sorted(self, pos: int) -> SortedTiers:
-        """Chunk pos's kept pre-bailout assets, built at most once if cached."""
-        if self.tiers[pos] is not None:
-            return self.tiers[pos]
+    def _build(self, pos: int) -> SortedTiers:
+        """Chunk pos's pre-bailout assets, cut to the defaulting prefixes."""
         idx = self.chunks[pos]
-        tiers = defaulting_prefixes(self.network, (
+        return defaulting_prefixes(self.network, (
             _draw_base(self.network, self.shock_params, self.config, self.seed,
                        idx[lo:lo + SUB_BLOCK_ROWS], BailoutAllocation())
             for lo in range(0, len(idx), SUB_BLOCK_ROWS)
         ))
-        # what is left of the budget only shrinks, so a chunk that does not
-        # fit on its first build never will
-        with self._cache_lock:
-            if self.cached_bytes + tiers.nbytes <= BASE_CACHE_BYTES:
-                self.tiers[pos] = tiers
-                self.cached_bytes += tiers.nbytes
-        return tiers
 
-    def _merge(self, cached: list[int]):
-        """Copy the cached chunks into `merged`, freeing each once copied."""
-        def take(pos):
-            tiers, self.tiers[pos] = self.tiers[pos], None
-            return tiers
+    def _solve(self, tiers: SortedTiers, shift: np.ndarray) -> ScenarioTable:
+        return ScenarioTable.from_tier_sums(self.network,
+                                            clear_tier_sums(self.network, tiers, shift))
 
-        self.merged = SortedTiers.concat(map(take, cached), self.network.counts)
-        row = 0
-        for pos in cached:
-            self.tiers[pos] = self.merged.row_range(row, row + len(self.chunks[pos]))
-            row += len(self.chunks[pos])
+    def _fill(self) -> list[SortedTiers]:
+        """Build the leading chunks into `kept`; return those built past the cut."""
+        width = max(1, min(self.n_jobs, _usable_cores()))
+        spilled = []
+
+        def leading():
+            room = BASE_CACHE_BYTES
+            for lo in range(0, len(self.chunks), width):
+                built = _run_chunks(self._build, range(lo, min(lo + width, len(self.chunks))),
+                                    self.n_jobs)
+                while built:
+                    tiers = built.pop(0)
+                    if spilled or tiers.nbytes > room:
+                        spilled.append(tiers)
+                    else:
+                        room -= tiers.nbytes
+                        yield tiers
+                    del tiers  # freed once copied, before the next batch is built
+                if spilled:
+                    return
+
+        self.kept = SortedTiers.concat(leading(), self.network.counts)
+        return spilled
 
     def table(self, alloc: BailoutAllocation) -> ScenarioTable:
         """Scenario accounting at one allocation.
 
-        Only chunks not in the cache go to the pool, to be built; one that
-        stays out of the cache is solved there too, while it is held.  The
-        cached chunks are solved together on the calling thread, in one
-        call: a solve is a run of small numpy calls, whose overhead is then
-        paid once for all of them.
+        `kept` is solved in one call on the calling thread: a solve is a run
+        of small numpy calls, whose overhead is then paid once for all its
+        chunks.  Each chunk after the cut is built and solved on its pool
+        worker and freed there, but for those the first evaluation's fill
+        built past the cut: they are held, and solved here.
         """
         shift = _tier_injections(alloc)
-        tables: list[ScenarioTable] = [None] * len(self.chunks)
-        unbuilt = [pos for pos, tiers in enumerate(self.tiers) if tiers is None]
-
-        def build(i: int):
-            pos = unbuilt[i]
-            tiers = self._sorted(pos)
-            if self.tiers[pos] is None:
-                cleared = clear_tier_sums(self.network, tiers, shift)
-                tables[pos] = ScenarioTable.from_tier_sums(self.network, cleared)
-
-        _run_chunks(build, len(unbuilt), self.n_jobs)
-        cached = [pos for pos, tiers in enumerate(self.tiers) if tiers is not None]
-        if cached:
-            if self.merged is None:
-                self._merge(cached)
-            whole = ScenarioTable.from_tier_sums(
-                self.network, clear_tier_sums(self.network, self.merged, shift))
-            row = 0
-            for pos in cached:
-                tables[pos] = whole.rows(row, row + self.tiers[pos].rows)
-                row += self.tiers[pos].rows
+        spilled = self._fill() if self.kept is None else []
+        tables = [self._solve(self.kept, shift)] if self.kept.rows else []
+        tables += [self._solve(tiers, shift) for tiers in spilled]
+        del spilled  # freed before the tail is built
+        done = sum(map(len, tables))
+        tail = [pos for pos, idx in enumerate(self.chunks) if idx.start >= done]
+        tables += _run_chunks(lambda pos: self._solve(self._build(pos), shift), tail,
+                              self.n_jobs)
         return ScenarioTable.concat(tables)
 
     def losses(self, alloc: BailoutAllocation) -> np.ndarray:

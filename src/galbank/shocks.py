@@ -97,9 +97,9 @@ def _streams(seed: int, indices):
 
     One generator is re-keyed per scenario: setting its state to a fresh
     stream's (zero counter, empty buffer) gives the draws of a new
-    `Philox(key=...)` at a fifth of the cost, which matters at one keying
-    per scenario per 4-row block.  The generator is valid until the next
-    scenario's.
+    `Philox(key=...)` at a fifth of the cost: each scenario is keyed once
+    per draw of its rows (32 at a time) and, in `simulate`, once more by
+    `common_factors`.  The generator is valid until the next scenario's.
     """
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)

@@ -598,11 +598,16 @@ def draws_per_scenario(calls, n_scenarios) -> np.ndarray:
     return np.bincount([i for c in calls for i in c], minlength=n_scenarios)
 
 
+def kept_chunks(evaluator) -> list[bool]:
+    """Whether each chunk is cached: its rows are among `kept`'s leading rows."""
+    return [idx.stop <= evaluator.kept.rows for idx in evaluator.chunks]
+
+
 def expected_draws(evaluator, evaluations) -> np.ndarray:
     """A cached chunk is drawn once; any other once per evaluation."""
     return np.concatenate([
-        np.full(len(idx), 1 if tiers is not None else evaluations)
-        for idx, tiers in zip(evaluator.chunks, evaluator.tiers)
+        np.full(len(idx), 1 if kept else evaluations)
+        for idx, kept in zip(evaluator.chunks, kept_chunks(evaluator))
     ])
 
 
@@ -622,7 +627,7 @@ def test_evaluator_draws_each_chunk_once(small_net, monkeypatch, target, exempt)
     calls = count_shock_draws(monkeypatch)
     evaluator, vectors = evaluate_all(net, shock, config)
     assert (draws_per_scenario(calls, CACHE_SCENARIOS) == 1).all()
-    assert all(tiers is not None for tiers in evaluator.tiers)
+    assert all(kept_chunks(evaluator)) and evaluator.kept.rows == CACHE_SCENARIOS
     assert len({float(v.mean()) for v in vectors}) == len(vectors)
     for alloc, vec in zip(CACHE_ALLOCATIONS, vectors):
         table = gb.simulate_records(net, shock, alloc, config, CACHE_SCENARIOS, SEED)
@@ -630,10 +635,10 @@ def test_evaluator_draws_each_chunk_once(small_net, monkeypatch, target, exempt)
         assert np.array_equal(evaluator.table(alloc).defaults_by_tier, table.defaults_by_tier)
 
 
-def chunk_bytes(net, shock, config) -> list[int]:
-    """Bytes each chunk keeps when every chunk is cached."""
-    evaluator, _ = evaluate_all(net, shock, config)
-    return [tiers.nbytes for tiers in evaluator.tiers]
+def chunk_bytes(net, shock, config, n_scenarios=CACHE_SCENARIOS) -> list[int]:
+    """Bytes each chunk keeps."""
+    evaluator = _AllocationEvaluator(net, shock, config, n_scenarios, SEED, 1)
+    return [evaluator._build(pos).nbytes for pos in range(len(evaluator.chunks))]
 
 
 @pytest.mark.parametrize("cached_chunks", [0, 1, 2])
@@ -643,8 +648,7 @@ def test_evaluator_redraws_beyond_cache_budget(small_net, monkeypatch, cached_ch
     config = gb.LossConfig()
     _, cached = evaluate_all(net, shock, config)
     sizes = chunk_bytes(net, shock, config)
-    # on one thread the chunks are built in order; the last, partial chunk
-    # holds less than either full one
+    # the last, partial chunk holds less than either full one
     assert sizes[2] < min(sizes[:2])
     budget = sum(sizes[:cached_chunks])
     monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)
@@ -653,22 +657,11 @@ def test_evaluator_redraws_beyond_cache_budget(small_net, monkeypatch, cached_ch
         with pytest.MonkeyPatch.context() as patch:
             calls = count_shock_draws(patch)
             evaluator, vectors = evaluate_all(net, shock, config, n_jobs=n_jobs)
-        held = [tiers is not None for tiers in evaluator.tiers]
-        if n_jobs == 1:
-            assert held == [pos < cached_chunks for pos in range(3)]
-            assert evaluator.cached_bytes == budget
-        else:  # which chunks join the cache depends on which is built first
-            assert sum(held) <= cached_chunks
-            assert evaluator.cached_bytes <= budget
-        # the merged buffer is the cache, and each cached chunk a view of it
-        if any(held):
-            assert evaluator.merged.nbytes == evaluator.cached_bytes
-            assert evaluator.merged.rows == sum(
-                len(idx) for idx, kept in zip(evaluator.chunks, held) if kept)
-            for tiers in filter(None, evaluator.tiers):
-                assert tiers.values is evaluator.merged.values
-        else:
-            assert evaluator.merged is None
+        # the chunks are cached in order, whatever the thread count, and
+        # `kept` holds just their rows and bytes
+        assert kept_chunks(evaluator) == [pos < cached_chunks for pos in range(3)]
+        assert evaluator.kept.nbytes == budget
+        assert evaluator.kept.rows == sum(len(idx) for idx in evaluator.chunks[:cached_chunks])
         assert np.array_equal(draws_per_scenario(calls, CACHE_SCENARIOS),
                               expected_draws(evaluator, len(CACHE_ALLOCATIONS)))
         # cached and redrawn chunks give the same bits
@@ -680,37 +673,43 @@ def test_evaluator_cache_stays_within_budget(small_net, monkeypatch):
     net = small_net
     shock, config = gb.ShockParams(), gb.LossConfig()
     sizes = chunk_bytes(net, shock, config)
-    # one byte short of the first two chunks: the second does not fit, and
-    # the smaller last chunk joins in what is left
+    # one byte short of the first two chunks: the second does not fit and
+    # ends the cache, so the smaller last chunk stays out too
     budget = sizes[0] + sizes[1] - 1
     monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)
     evaluator, _ = evaluate_all(net, shock, config, n_jobs=1)
-    assert [tiers is not None for tiers in evaluator.tiers] == [True, False, True]
-    assert evaluator.cached_bytes == sizes[0] + sizes[2] <= budget
-    # the merged buffer is what the budget counts: the chunks' own arrays
-    # are gone, and their views of it add no bytes
-    assert evaluator.merged.nbytes == evaluator.cached_bytes
-    assert [t.nbytes for t in evaluator.tiers if t is not None] == [sizes[0], sizes[2]]
+    assert kept_chunks(evaluator) == [True, False, False]
+    # `kept` is what the budget counts: it holds the cached chunk's assets
+    # and layout, and nothing more
+    assert evaluator.kept.nbytes == sizes[0] <= budget
+    assert evaluator.kept.values.size == evaluator.kept.lengths.sum()
 
 
-def test_evaluator_merge_holds_one_chunk_above_the_cache(small_net):
-    # every chunk cached: merging frees each chunk once copied, so it never
-    # holds the cache twice; the chunks measured 64,064, 64,680 and 6,456
-    # bytes and the merge's peak 65,292 bytes above them
-    evaluator = _AllocationEvaluator(small_net, gb.ShockParams(), gb.LossConfig(),
-                                     CACHE_SCENARIOS, SEED, 1)
-    tracemalloc.start()
-    try:
-        sizes = [evaluator._sorted(pos).nbytes for pos in range(3)]
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        evaluator._merge([0, 1, 2])
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert evaluator.merged.nbytes == evaluator.cached_bytes == sum(sizes)
-    assert peak - held <= max(sizes) + 4096 < sum(sizes)
-    assert after - held <= 4096
+# bytes a fill holds beyond `kept` and its chunks in flight: a 32-row
+# sub-block of `small_net`'s 46 banks (11.8 KB), the pool and small
+# temporaries; measured at most 25 KB
+FILL_SLACK = 48 * 1024
+
+
+def test_evaluator_fill_holds_one_pool_width_above_the_cache(small_net, monkeypatch):
+    # every chunk cached: the fill copies each chunk into `kept` and frees it
+    # before the next pool width is built, so it never holds the cache twice
+    monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
+    shock, config = gb.ShockParams(), gb.LossConfig()
+    sizes = chunk_bytes(small_net, shock, config, 4_000)
+    for width in (1, 2):
+        evaluator = _AllocationEvaluator(small_net, shock, config, 4_000, SEED, width)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert evaluator._fill() == []
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = evaluator.kept.nbytes
+        assert kept == sum(sizes)
+        assert after - before <= kept + FILL_SLACK
+        assert peak - before <= kept + width * (max(sizes) + FILL_SLACK) < 2 * kept
 
 
 def acceptance_net():
@@ -730,10 +729,11 @@ def test_evaluator_cache_cap_on_calibrated_network(default_net):
         (acceptance_net(), gb.ShockParams(exempt_central=True), 1_000, 2_500),
     ]:
         evaluator = _AllocationEvaluator(net, shock, gb.LossConfig(), 500, SEED, 1)
-        tiers = evaluator._sorted(0)
-        assert evaluator.cached_bytes == tiers.nbytes
-        assert low * 500 <= tiers.nbytes <= high * 500
-    assert 20 * tiers.nbytes < 0.02 * risk.BASE_CACHE_BYTES
+        assert evaluator._fill() == []
+        kept = evaluator.kept
+        assert kept.rows == 500
+        assert low * 500 <= kept.nbytes <= high * 500
+    assert 20 * kept.nbytes < 0.02 * risk.BASE_CACHE_BYTES
 
 
 def test_frontier_chunk_build_holds_one_sub_block():
@@ -743,7 +743,7 @@ def test_frontier_chunk_build_holds_one_sub_block():
                                      gb.LossConfig(), 500, SEED, 1)
     tracemalloc.start()
     try:
-        tiers = evaluator._sorted(0)
+        tiers = evaluator._build(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -803,46 +803,50 @@ def test_worst_first_clears_no_block_again_at_documented_seed(monkeypatch, name)
 
 
 def test_evaluator_thread_count_keeps_bits(small_net, monkeypatch):
-    # eight chunks on more workers than cores, switching threads often, with
-    # room for about half of them in the cache: every scenario is drawn once
-    # if its chunk is cached and once per evaluation if not, the cache never
-    # passes its budget, and the losses keep their bits
+    # eight chunks on up to more workers than cores, switching threads
+    # often, with room for the first five in the cache: the cut falls inside
+    # a pool width of 2 and of 4, yet the same chunks are cached, every
+    # scenario is drawn once if its chunk is cached and once per evaluation
+    # if not, and the losses keep their bits
     shock = gb.ShockParams()
     config = gb.LossConfig(bond_recovery=0.2)
-    whole = _AllocationEvaluator(small_net, shock, config, 4_000, SEED, 1)
-    whole.losses(CACHE_ALLOCATIONS[0])
-    budget = whole.cached_bytes // 2
-    vectors = {}
+    sizes = chunk_bytes(small_net, shock, config, 4_000)
+    budget = sum(sizes[:6]) - 1
+    vectors, held, draws = {}, {}, {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for n_jobs in (1, 4):
+        for n_jobs in (1, 2, 4):
             monkeypatch.setattr(risk, "BASE_CACHE_BYTES", budget)
             calls = count_shock_draws(monkeypatch)
             monkeypatch.setattr(risk, "_usable_cores", lambda: 4)  # past the pool's cap
             evaluator = _AllocationEvaluator(small_net, shock, config, 4_000, SEED, n_jobs)
             vectors[n_jobs] = [evaluator.losses(a) for a in CACHE_ALLOCATIONS]
-            cached = [tiers for tiers in evaluator.tiers if tiers is not None]
-            assert 0 < len(cached) < len(evaluator.chunks)
-            assert evaluator.cached_bytes == sum(t.nbytes for t in cached)
-            assert evaluator.cached_bytes <= risk.BASE_CACHE_BYTES
-            assert np.array_equal(draws_per_scenario(calls, 4_000),
+            held[n_jobs] = kept_chunks(evaluator)
+            assert evaluator.kept.nbytes == sum(sizes[:5]) <= risk.BASE_CACHE_BYTES
+            draws[n_jobs] = draws_per_scenario(calls, 4_000)
+            assert np.array_equal(draws[n_jobs],
                                   expected_draws(evaluator, len(CACHE_ALLOCATIONS)))
             monkeypatch.undo()
     finally:
         sys.setswitchinterval(interval)
-    for one, four in zip(vectors[1], vectors[4]):
-        assert np.array_equal(one, four)
+    for n_jobs in (2, 4):
+        assert held[n_jobs] == held[1] == [pos < 5 for pos in range(8)]
+        assert np.array_equal(draws[n_jobs], draws[1])
+        for one, many in zip(vectors[1], vectors[n_jobs]):
+            assert np.array_equal(one, many)
 
 
 def test_evaluator_builds_on_the_pool_and_solves_cached_chunks_here(small_net,
                                                                    monkeypatch):
-    # the pool builds only chunks not in the cache; a chunk that stays out
-    # is solved on its worker, a cached one on the calling thread
+    # the first evaluation builds the chunks a pool width at a time; the
+    # cache is solved on the calling thread, and so are the chunks the fill
+    # built past the cut; after it, each chunk outside the cache is built
+    # and solved on its pool worker
     shock, config = gb.ShockParams(), gb.LossConfig()
     sizes = chunk_bytes(small_net, shock, config)
-    # room for the partial last chunk only
-    monkeypatch.setattr(risk, "BASE_CACHE_BYTES", sizes[2])
+    # room for the first chunk only
+    monkeypatch.setattr(risk, "BASE_CACHE_BYTES", sizes[0])
     monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
     pools, solved = [], []
     real_pool, real_solve = risk.ThreadPoolExecutor, risk.clear_tier_sums
@@ -858,11 +862,14 @@ def test_evaluator_builds_on_the_pool_and_solves_cached_chunks_here(small_net,
     monkeypatch.setattr(risk, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(risk, "clear_tier_sums", solve)
     evaluator = _AllocationEvaluator(small_net, shock, config, CACHE_SCENARIOS, SEED, 2)
-    for alloc in CACHE_ALLOCATIONS:
+    for i, alloc in enumerate(CACHE_ALLOCATIONS):
         solved.clear()
         evaluator.losses(alloc)
-        assert sorted(solved) == [(50, True), (500, False), (500, False)]
-    assert [tiers is not None for tiers in evaluator.tiers] == [False, False, True]
+        if i == 0:  # chunk 1 was built with chunk 0; chunk 2 alone runs inline
+            assert solved == [(500, True), (500, True), (50, True)]
+        else:
+            assert sorted(solved) == [(50, False), (500, False), (500, True)]
+    assert kept_chunks(evaluator) == [True, False, False]
     assert pools == [2] * len(CACHE_ALLOCATIONS)
     # once every chunk is cached, an evaluation starts no pool
     monkeypatch.setattr(risk, "BASE_CACHE_BYTES", sum(sizes))
@@ -1030,8 +1037,9 @@ def test_chunk_pool_bounded_by_chunks_and_cores(monkeypatch, n_jobs, n_chunks, c
     monkeypatch.setattr(risk, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(risk, "_usable_cores", lambda: cores)
     ran = []
-    risk._run_chunks(ran.append, n_chunks, n_jobs)
+    out = risk._run_chunks(lambda pos: ran.append(pos) or -pos, range(n_chunks), n_jobs)
     assert ran == list(range(n_chunks))
+    assert out == [-pos for pos in range(n_chunks)]
     assert sizes == ([] if workers is None else [workers])
 
 
@@ -1095,3 +1103,32 @@ def test_acceptance_frontier_loss_vectors_keep_their_bits():
     for alloc in sorted(evaluator.cache, key=lambda a: (a.per_massive, a.per_big)):
         digest.update(np.ascontiguousarray(evaluator.cache[alloc]).tobytes())
     assert digest.hexdigest() == FRONTIER_LOSSES_SHA256
+
+
+def test_benchmark_tracer_runs_the_frontier(tmp_path):
+    # the benchmark's traced pass (`perfbench/child.py`, run as it is) wraps
+    # names of `galbank.cli` and `galbank.risk`; a rename or a call path that
+    # bypasses them leaves its per-layer figures silently empty
+    root = Path(__file__).resolve().parent.parent
+    workloads = _perfbench_workloads()
+    workload = workloads.WORKLOADS["frontier-acceptance"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(workload.config))
+    spec = {
+        "src": str(root / "src"),
+        "mode": "trace",
+        "argv": workload.argv(config_path, tmp_path / "out", workloads.REFERENCE_SEED, 1_000),
+        "result": str(tmp_path / "result.json"),
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), str(spec_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads((tmp_path / "result.json").read_text())
+    references = json.loads((root / "perfbench" / "references.json").read_text())
+    # 3: some grid points are unattainable at the cap
+    expected = references[workload.name]["1000"][str(workloads.REFERENCE_SEED)]
+    assert result["exit_code"] == expected["exit_code"] == 3
+    assert result["layers"]["shocks.scenarios"][0] == 1_000
+    assert any(name == "risk.frontier.losses" for name, *_ in result["spans"])
