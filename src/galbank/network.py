@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 import math
+import numbers
 
 import numpy as np
 
@@ -139,9 +140,14 @@ class GalacticNetwork:
         if not (math.isfinite(self.ggp) and self.ggp > 0):
             raise ValueError(f"ggp must be finite and positive, got {self.ggp}")
         _check_amount("outstanding_debt", self.outstanding_debt)
-        if len(self.counts) != len(Tier):
-            raise DegenerateNetworkError(f"need one bank count per tier, got {self.counts}")
-        object.__setattr__(self, "counts", tuple(self.counts))
+        for name, kind in (("counts", numbers.Integral), ("profiles", LiabilityProfile),
+                           ("sheets", BalanceSheet)):
+            given = getattr(self, name)
+            if not (isinstance(given, (tuple, list)) and len(given) == len(Tier) and all(
+                    isinstance(v, kind) and not isinstance(v, bool) for v in given)):
+                raise DegenerateNetworkError(
+                    f"{name} must hold one {kind.__name__} per tier, got {given!r}")
+            object.__setattr__(self, name, tuple(given))
         for t in Tier:
             if self.counts[t] < 1:
                 raise DegenerateNetworkError(

@@ -465,14 +465,15 @@ class _AllocationEvaluator:
     allocation is one fictitious-default solve on them (`clear_tier_sums`).
     No bailout defaults a bank that survives without one, so a chunk keeps,
     per scenario and tier, only the assets of the banks that default at zero
-    bailout plus one (`defaulting_prefixes`), built SUB_BLOCK_ROWS scenarios
-    at a time.  The first evaluation builds the chunks in order, a pool
-    width at a time, and copies each into one `SortedTiers` (`kept`) until
-    the next would take it past BASE_CACHE_BYTES; a chunk is freed once
-    copied, so the fill holds at most a pool width of chunks above `kept`.
-    The chunks after the cut are built again, on the pool, at every
-    evaluation, so no scenario is dropped.  Which chunks are kept depends
-    on the inputs alone, never on the thread count or timing.
+    bailout plus one (`defaulting_prefixes`), cut SUB_BLOCK_ROWS scenarios at
+    a time and joined (`SortedTiers.concat`).  The first evaluation builds
+    the chunks in order, a pool width at a time, and copies each into one
+    `SortedTiers` (`kept`) until the next would take it past
+    BASE_CACHE_BYTES; a chunk is freed once copied, so the fill holds at
+    most a pool width of chunks above `kept`.  The chunks after the cut are
+    built again, on the pool, at every evaluation, so no scenario is
+    dropped.  Which chunks are kept depends on the inputs alone, never on
+    the thread count or timing.
     """
 
     def __init__(self, network, shock_params, config, n_scenarios, seed, n_jobs):
@@ -491,11 +492,13 @@ class _AllocationEvaluator:
     def _build(self, pos: int) -> SortedTiers:
         """Chunk pos's pre-bailout assets, cut to the defaulting prefixes."""
         idx = self.chunks[pos]
-        return defaulting_prefixes(self.network, (
-            _draw_base(self.network, self.shock_params, self.config, self.seed,
-                       idx[lo:lo + SUB_BLOCK_ROWS], BailoutAllocation())
+        # each block is drawn inside the generator, so no name holds its full rows
+        return SortedTiers.concat((
+            defaulting_prefixes(self.network, _draw_base(
+                self.network, self.shock_params, self.config, self.seed,
+                idx[lo:lo + SUB_BLOCK_ROWS], BailoutAllocation()))
             for lo in range(0, len(idx), SUB_BLOCK_ROWS)
-        ))
+        ), self.network.counts)
 
     def _solve(self, tiers: SortedTiers, shift: np.ndarray) -> ScenarioTable:
         return ScenarioTable.from_tier_sums(self.network,

@@ -714,6 +714,18 @@ def kept(tiers, row, tier):
     return tiers.values[start:start + tiers.lengths[row, tier]]
 
 
+def row_range(tiers, lo, hi):
+    """Rows lo to hi - 1 of `tiers`: a slice of its values and its lengths."""
+    first, last = tiers.lengths[:lo].sum(), tiers.lengths[:hi].sum()
+    return SortedTiers(tiers.values[first:last], tiers.lengths[lo:hi], tiers.sizes)
+
+
+def cut_in_blocks(net, assets, block):
+    """`defaulting_prefixes` of each `block` rows of `assets`, joined."""
+    return SortedTiers.concat((defaulting_prefixes(net, np.array(assets[r:r + block]))
+                               for r in range(0, len(assets), block)), net.counts)
+
+
 def test_sorted_tiers_layout_and_bytes():
     rng = np.random.default_rng(3)
     net, _ = random_tiered(rng)
@@ -724,6 +736,7 @@ def test_sorted_tiers_layout_and_bytes():
     assert tiers.sizes == net.counts and (tiers.lengths == net.counts).all()
     for r in range(4):
         for t in gb.Tier:
+            assert tiers.starts[r, t] == r * net.n_banks + net.tier_slice(t).start
             assert np.array_equal(kept(tiers, r, t), np.sort(assets[r, net.tier_slice(t)]))
     lo = rng.integers(0, 3, size=(4, 3)) * np.array(net.counts) // 3
     hi = np.minimum(lo + rng.integers(0, 4, size=(4, 3)), net.counts)
@@ -781,8 +794,7 @@ def test_kept_prefixes_give_the_bits_of_the_full_sort(seed, rows, block, shift):
     net, _ = random_tiered(rng)
     assets = rng.uniform(0.0, 2.0, size=(rows, net.n_banks))
     full = sort_tiers(net, assets)
-    prefixes = defaulting_prefixes(
-        net, (np.array(assets[r:r + block]) for r in range(0, rows, block)))
+    prefixes = cut_in_blocks(net, assets, block)
     k0 = clear_tier_sums(net, full, [0.0, 0.0, 0.0]).defaulting
     assert np.array_equal(prefixes.lengths, np.minimum(k0 + 1, net.counts))
     for r in range(rows):
@@ -793,8 +805,7 @@ def test_kept_prefixes_give_the_bits_of_the_full_sort(seed, rows, block, shift):
     assert_results_equal(clear_tier_sums(net, prefixes, shift), out)
     # each row clears alone to the bits it has in the batch
     for r in range(rows):
-        alone = clear_tier_sums(net, SortedTiers(full.values, full.starts[r:r + 1],
-                                                 full.lengths[r:r + 1], full.sizes), shift)
+        alone = clear_tier_sums(net, row_range(full, r, r + 1), shift)
         for field in ("sums", "defaults", "defaulting"):
             assert np.array_equal(getattr(alone, field)[0], getattr(out, field)[r]), field
 
@@ -907,7 +918,7 @@ def test_prefix_cut_at_a_bailout_fails_at_zero_shift():
     full = sort_tiers(net, assets)
     shift = [0.0, 5.0, 5.0]
     k = clear_tier_sums(net, full, shift).defaulting
-    cut = SortedTiers(full.values, full.starts, np.minimum(k + 1, full.lengths), full.sizes)
+    cut = full.prefixes(np.minimum(k + 1, full.lengths))
     assert_results_equal(clear_tier_sums(net, cut, shift), clear_tier_sums(net, full, shift))
     # without the bailout row 1 defaults in both tiers, past the one asset each kept
     with pytest.raises(RuntimeError, match=r"scenario row 1, tier MASSIVE: all 1 kept assets "
@@ -931,6 +942,9 @@ def test_tier_sums_reject_bad_inputs():
             SortedTiers.from_assets(net, broken)
     with pytest.raises(ValueError, match="rows"):
         SortedTiers.from_assets(net, np.zeros((2, 4)))
+    for keep in (tiers.lengths + 1, tiers.lengths - tiers.lengths.max(), tiers.lengths[:1]):
+        with pytest.raises(ValueError, match="prefix lengths"):
+            tiers.prefixes(keep)
 
 
 # --- the solve against its step-by-step reference ----------------------------
@@ -972,8 +986,7 @@ def test_tier_sums_equal_the_reference_bit_for_bit(seed, rows, block, shift, cut
     net = random_tier_network(rng)
     assets = random_tier_assets(rng, net, rows)
     if cut:
-        tiers = defaulting_prefixes(
-            net, (np.array(assets[r:r + block]) for r in range(0, rows, block)))
+        tiers = cut_in_blocks(net, assets, block)
     else:
         tiers = sort_tiers(net, assets)
     assert_results_equal(clear_tier_sums(net, tiers, shift),
@@ -987,7 +1000,7 @@ def test_tier_sums_equal_the_reference_bit_for_bit(seed, rows, block, shift, cut
 def test_one_solve_over_joined_chunks_equals_the_chunks_solved_apart(seed, chunk_rows, shift):
     rng = np.random.default_rng(seed)
     net = random_tier_network(rng)
-    chunks = [defaulting_prefixes(net, [random_tier_assets(rng, net, rows)])
+    chunks = [defaulting_prefixes(net, random_tier_assets(rng, net, rows))
               for rows in chunk_rows]
     apart = [clear_tier_sums(net, tiers, shift) for tiers in chunks]
     joined = clear_tier_sums(net, SortedTiers.concat(chunks, net.counts), shift)
@@ -998,8 +1011,7 @@ def test_one_solve_over_joined_chunks_equals_the_chunks_solved_apart(seed, chunk
     # and each chunk's rows of the joined buffer solve alone to the same bits
     whole, row = SortedTiers.concat(chunks, net.counts), 0
     for tiers, alone in zip(chunks, apart):
-        view = SortedTiers(whole.values, whole.starts[row:row + tiers.rows],
-                           whole.lengths[row:row + tiers.rows], whole.sizes)
+        view = row_range(whole, row, row + tiers.rows)
         assert view.nbytes == tiers.nbytes
         assert_results_equal(clear_tier_sums(net, view, shift), alone)
         row += tiers.rows

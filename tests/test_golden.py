@@ -51,3 +51,25 @@ def test_workload_csv_bytes_match_references(tmp_path, name):
     for csv_name in workload.outputs:
         digest = hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
         assert digest == expected["sha256"][csv_name], csv_name
+
+
+OTHER_SEEDS = [seed for seed in range(workloads.SEED_BASE,
+                                      workloads.SEED_BASE + workloads.SEED_BLOCK)
+               if seed != workloads.REFERENCE_SEED]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", OTHER_SEEDS)
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_csv_bytes_match_references_at_every_seed(tmp_path, name, seed):
+    # the same check at the block's other seeds, each with its recorded digests
+    workload = workloads.WORKLOADS[name]
+    expected = REFERENCES[name][str(SCENARIOS)][str(seed)]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(workload.config))
+    out = tmp_path / "out"
+
+    assert main(workload.argv(config_path, out, seed, SCENARIOS)) == expected["exit_code"]
+    for csv_name in workload.outputs:
+        digest = hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
+        assert digest == expected["sha256"][csv_name], (csv_name, seed)

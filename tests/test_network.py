@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,6 +125,28 @@ def test_zero_tier_count_rejected():
     with pytest.raises(gb.DegenerateNetworkError, match="tier BIG needs at least one bank"):
         gb.GalacticNetwork((1, 1, 0), (gb.LiabilityProfile(),) * 3, sheets,
                            ggp=1.0, outstanding_debt=0.0)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("counts", (1, 2)), ("counts", (1, 2, 3, 4)), ("counts", (1, 2.5, 3)),
+    ("counts", (1, True, 3)), ("counts", (1, "2", 3)), ("counts", 6),
+    ("profiles", (gb.LiabilityProfile(),) * 2), ("profiles", (None,) * 3),
+    ("sheets", (gb.BalanceSheet(0.0, 0.0, 0.0, 0.0),) * 2), ("sheets", (None,) * 3),
+])
+def test_network_shape_rejected_naming_the_field(field, bad):
+    # two profiles or sheets used to die with a bare IndexError, and a
+    # fractional count built a network of 6.5 banks
+    net = gb.build_network()
+    with pytest.raises(gb.DegenerateNetworkError, match=f"^{field} must hold one"):
+        dataclasses.replace(net, **{field: bad})
+
+
+def test_network_counts_accept_any_integer_type():
+    net = gb.build_network()
+    lists = dataclasses.replace(net, counts=[np.int64(c) for c in net.counts],
+                                profiles=list(net.profiles), sheets=list(net.sheets))
+    assert lists.counts == net.counts and lists.n_banks == 17_501
+    assert isinstance(lists.profiles, tuple) and isinstance(lists.sheets, tuple)
 
 
 def test_single_bank_tier_self_liability_rejected():
