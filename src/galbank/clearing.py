@@ -18,7 +18,7 @@ networks lives with the tests, in `tests/oracles.py`):
   `clear_in_blocks` clears a batch a few rows at a time (`_block_rows`,
   sized to the per-core L2 cache), each block through all its sweeps while
   it stays in cache, and the caller keeps only per-row results: `simulate`
-  draws a chunk's assets 32 rows at a time, in the order it clears them, so
+  draws a chunk's assets 16 rows at a time, in the order it clears them, so
   no batch-wide float array exists.  A block stops at the first sweep within tolerance
   that is no earlier than the latest stop of the blocks before it
   (`min_iterations`).  Blocks run in row order, and `simulate` orders each
@@ -71,7 +71,9 @@ networks lives with the tests, in `tests/oracles.py`):
   200 of 17,325 big banks at the calibration where the frontier's criteria
   can be met (about 82% at the default calibration).  On those prefixes
   the solve gives the bits of the full sort at any shift; a count that
-  reaches a cut prefix would need an asset it dropped, and raises.
+  reaches a cut prefix would need an asset it dropped, and raises.  The
+  prefixes are copied out of the sorted draw, so the frontier draws every
+  block of a chunk into one buffer.
 
 Both solvers take +inf assets.  Inflows are non-negative, so a bank of tier
 d with assets at least p_bar_d (1 + c_d) pays p_bar_d at every Picard sweep
@@ -349,14 +351,18 @@ class SortedTiers:
 
     def prefixes(self, keep: np.ndarray) -> "SortedTiers":
         """Each row and tier's `keep[r, d]` smallest kept assets, copied in
-        one gather into a buffer of their own."""
+        one call into a buffer of their own.
+
+        The copy joins slices: an index array for one gather would take as
+        many bytes as the copy itself."""
         if keep.shape != self.lengths.shape or not ((keep >= 0) & (keep <= self.lengths)).all():
             raise ValueError(f"prefix lengths must be {self.lengths.shape} counts "
                              f"between 0 and the lengths kept")
         out = SortedTiers(np.empty(int(keep.sum())), keep, self.sizes)
-        index = np.repeat((self.starts - out.starts).ravel(), keep.ravel())
-        index += np.arange(index.size)
-        np.take(self.values, index, out=out.values)
+        if keep.size:
+            np.concatenate([self.values[a:a + k] for a, k in
+                            zip(self.starts.ravel().tolist(), keep.ravel().tolist())],
+                           out=out.values)
         return out
 
     @property
@@ -573,14 +579,14 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
 def defaulting_prefixes(network: GalacticNetwork, assets: np.ndarray) -> SortedTiers:
     """Sorted tiers keeping, per row, only the assets a bailout can still default.
 
-    `assets` (rows, n_banks), private to this call, is sorted in place and
-    solved at zero shift, and row r of tier d keeps its min(k_d + 1,
-    count_d) smallest assets, k_d being its defaulting count there: their
-    lengths are the layout (`SortedTiers.prefixes`).  A bailout only adds
-    non-negative cash, so no shift defaults more banks than zero shift does:
-    `clear_tier_sums` gives the same bits on these prefixes as on the full
-    sort, and the one asset kept beyond k_d lets it tell k_d defaults from
-    more, which it rejects.
+    `assets` (rows, n_banks) is sorted in place and solved at zero shift,
+    and row r of tier d keeps its min(k_d + 1, count_d) smallest assets,
+    k_d being its defaulting count there: their lengths are the layout
+    (`SortedTiers.prefixes`).  They are copied out, so the caller may reuse
+    `assets` at once.  A bailout only adds non-negative cash, so no shift
+    defaults more banks than zero shift does: `clear_tier_sums` gives the
+    same bits on these prefixes as on the full sort, and the one asset kept
+    beyond k_d lets it tell k_d defaults from more, which it rejects.
     """
     tiers = SortedTiers.from_assets(network, assets)
     defaulting = clear_tier_sums(network, tiers, np.zeros(len(Tier))).defaulting

@@ -5,10 +5,11 @@ clears each chunk a cache-sized block of rows at a time (`clear_in_blocks`),
 keeps each block's default flags bit-packed, one bit per bank, with its
 defaults per tier, and accounts the chunk in one vectorised pass over them,
 unpacking a cache-sized block of rows at a time.  Both it and
-the frontier draw through `_draw_base`, which hands the shock sampler a
-per-bank loss floor (`_loss_floor`): a bank whose assets, with the run's
-bailout, reach p_bar (1 + c) of its tier pays in full whatever the clearing
-does, so its loss is not transformed and its assets are +inf.
+the frontier draw SUB_BLOCK_ROWS scenarios at a time through `_draw_base`,
+which hands the shock sampler a per-bank loss floor (`_loss_floor`, taken
+once per run): a bank whose assets, with the run's bailout, reach
+p_bar (1 + c) of its tier pays in full whatever the clearing does, so its
+loss is not transformed and its assets are +inf.
 The result is a `ScenarioTable`: numpy columns with one row per scenario,
 in scenario-index order, holding the outside world's shortfall on claims
 against the system (the central bank's unpaid external obligation), the
@@ -64,12 +65,13 @@ DEFAULT_BATCH_SIZE = 500
 # across allocations; the first chunk that does not fit, and every chunk after
 # it, is rebuilt on every evaluation
 BASE_CACHE_BYTES = 2**30
-# scenario rows a frontier chunk is drawn, sorted and solved in at a time,
-# and a `simulate` chunk is drawn in: their full rows are the chunk's only
-# chunk-scale float scratch (4.5 MB at 17,501 banks), and per-call costs stay
-# small beside the draws.  A 1,000-scenario acceptance frontier on 2 threads peaked at 67, 76
-# and 93 MB with 32, 64 and 128 rows.
-SUB_BLOCK_ROWS = 32
+# scenario rows a chunk is drawn in at a time: the chunk's only chunk-scale
+# float scratch (2.2 MB at 17,501 banks).  The 1,000-scenario acceptance
+# frontier on 2 threads peaks at 64 MB RSS with a 16-row buffer reused for the
+# whole chunk, against 70 MB with a fresh 32-row block per draw (76 and 93 MB
+# with 64 and 128 rows); 1, 4 or 8 rows per draw cost 10-55% more wall time
+# there, from more GIL hand-offs between the workers.
+SUB_BLOCK_ROWS = 16
 # relative margin on the assets at which a bank surely pays in full (`_loss_floor`)
 SOLVENT_MARGIN = 1e-12
 # slack for cross-allocation monotonicity checks; clearing tolerance can
@@ -263,10 +265,10 @@ def _injection_vector(network: GalacticNetwork, bailout: BailoutAllocation) -> n
     return np.repeat(_tier_injections(bailout), network.counts)
 
 
-def _chunks(n_scenarios: int, batch_size: int = DEFAULT_BATCH_SIZE) -> list[range]:
+def _chunks(n_scenarios: int) -> list[range]:
     return [
-        range(lo, min(lo + batch_size, n_scenarios))
-        for lo in range(0, n_scenarios, batch_size)
+        range(lo, min(lo + DEFAULT_BATCH_SIZE, n_scenarios))
+        for lo in range(0, n_scenarios, DEFAULT_BATCH_SIZE)
     ]
 
 
@@ -299,17 +301,18 @@ def _loss_floor(network: GalacticNetwork, shock_params: ShockParams,
 
 
 def _draw_base(network: GalacticNetwork, shock_params: ShockParams,
-               config: LossConfig, seed: int, idx,
-               bailout: BailoutAllocation) -> np.ndarray:
-    """Pre-bailout assets of scenarios `idx`, in a fresh array private to the caller.
+               config: LossConfig, seed: int, idx, floor: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Pre-bailout assets of scenarios `idx`, in a fresh array private to the
+    caller or in the leading rows of the buffer `out`, whose view it returns.
 
-    A bank that surely pays in full once `bailout` is added holds +inf
-    (`_loss_floor`): its transformed loss would move no clearing result,
-    and +inf clears to exactly p_bar.  Every other entry has the bits of
-    the full transform.
+    A bank whose loss lies at or below its `floor` (`_loss_floor` of the
+    run's bailout, taken once per run) surely pays in full and holds +inf:
+    its transformed loss would move no clearing result, and +inf clears to
+    exactly p_bar.  Every other entry has the bits of the full transform.
     """
-    floor = _loss_floor(network, shock_params, config, bailout)
-    losses = sample_loss_matrix(shock_params, network.n_banks, seed, idx, floor=floor)
+    losses = sample_loss_matrix(shock_params, network.n_banks, seed, idx, floor=floor,
+                                out=out)
     return _base_assets(network, shock_params, losses, config)
 
 
@@ -335,8 +338,7 @@ def _run_chunks(run_chunk, positions, n_jobs: int) -> list:
 
 def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
                      bailout: BailoutAllocation, config: LossConfig,
-                     n_scenarios: int, seed: int, n_jobs: int = 1,
-                     batch_size: int = DEFAULT_BATCH_SIZE) -> ScenarioTable:
+                     n_scenarios: int, seed: int, n_jobs: int = 1) -> ScenarioTable:
     """Scenario accounting for n_scenarios independent shock draws.
 
     Scenario i is a pure function of (seed, i) and the inputs; the worker
@@ -345,7 +347,8 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
 
-    chunks = _chunks(n_scenarios, batch_size)
+    chunks = _chunks(n_scenarios)
+    floor = _loss_floor(network, shock_params, config, bailout)
     injections = _injection_vector(network, bailout)[None, :]
     central = network.tier_slice(Tier.CENTRAL)
 
@@ -359,7 +362,10 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
         # rows in descending order of their common factor M, so the first
         # block cleared is the worst-shocked; rows are drawn SUB_BLOCK_ROWS at
         # a time in this order (a draw per 4-row block costs as many GIL
-        # hand-offs between workers as a sweep)
+        # hand-offs between workers as a sweep).  Each draw is a fresh block,
+        # freed before the next: a buffer reused for the whole chunk left
+        # glibc's dynamic mmap threshold at the size of the sweep's iterates,
+        # so their heap pages were returned and faulted in again every block
         order = np.argsort(-common_factors(seed, idx), kind="stable")
         drawn = [0, 0, None]  # rows start to stop - 1 of `order`, their assets
 
@@ -369,7 +375,7 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
                 drawn[2] = assets = None  # free these rows before drawing the next
                 start, stop = r0, max(r1, min(r0 + SUB_BLOCK_ROWS, len(idx)))
                 assets = _draw_base(network, shock_params, config, seed,
-                                    [idx[i] for i in order[start:stop]], bailout)
+                                    [idx[i] for i in order[start:stop]], floor)
                 assets += injections
                 drawn[:] = start, stop, assets
             cleared = clear_tiered_batch(network, assets[r0 - start:r1 - start],
@@ -465,8 +471,10 @@ class _AllocationEvaluator:
     allocation is one fictitious-default solve on them (`clear_tier_sums`).
     No bailout defaults a bank that survives without one, so a chunk keeps,
     per scenario and tier, only the assets of the banks that default at zero
-    bailout plus one (`defaulting_prefixes`), cut SUB_BLOCK_ROWS scenarios at
-    a time and joined (`SortedTiers.concat`).  The first evaluation builds
+    bailout plus one (`defaulting_prefixes`).  It is drawn SUB_BLOCK_ROWS
+    scenarios at a time into one buffer, each draw sorted, solved at zero
+    bailout and cut before the next, and the cuts joined
+    (`SortedTiers.concat`).  The first evaluation builds
     the chunks in order, a pool width at a time, and copies each into one
     `SortedTiers` (`kept`) until the next would take it past
     BASE_CACHE_BYTES; a chunk is freed once copied, so the fill holds at
@@ -485,6 +493,7 @@ class _AllocationEvaluator:
         self.seed = seed
         self.n_jobs = n_jobs
         self.threshold = loss_threshold(network, config)
+        self.floor = _loss_floor(network, shock_params, config, BailoutAllocation())
         self.cache: dict[BailoutAllocation, np.ndarray] = {}
         self.chunks = _chunks(n_scenarios)
         self.kept: SortedTiers | None = None  # the leading chunks, once built
@@ -492,11 +501,12 @@ class _AllocationEvaluator:
     def _build(self, pos: int) -> SortedTiers:
         """Chunk pos's pre-bailout assets, cut to the defaulting prefixes."""
         idx = self.chunks[pos]
-        # each block is drawn inside the generator, so no name holds its full rows
+        # every block is drawn into one buffer; its prefixes are copied out
+        buffer = np.empty((SUB_BLOCK_ROWS, self.network.n_banks))
         return SortedTiers.concat((
             defaulting_prefixes(self.network, _draw_base(
                 self.network, self.shock_params, self.config, self.seed,
-                idx[lo:lo + SUB_BLOCK_ROWS], BailoutAllocation()))
+                idx[lo:lo + SUB_BLOCK_ROWS], self.floor, out=buffer))
             for lo in range(0, len(idx), SUB_BLOCK_ROWS)
         ), self.network.counts)
 

@@ -11,7 +11,8 @@ Philox stream, so any chunking or degree of parallelism reproduces the
 same draws.  `sample_loss_matrix` is the one entry point and works a
 chunk at a time: each row's stream yields its common factor M into a
 (rows,) vector and its idiosyncratic normals straight into the row of the
-(rows, n_banks) output; one in-place pass over the chunk then scales,
+(rows, n_banks) output, a fresh array or the leading rows of a buffer the
+caller reuses (`out`); one in-place pass over the chunk then scales,
 adds the common term, applies Phi and the inverse marginal, and clips to
 [0, 1].  Every element sees the same operations as in a per-scenario
 evaluation, so the result does not depend on how scenarios are grouped.
@@ -98,7 +99,7 @@ def _streams(seed: int, indices):
     One generator is re-keyed per scenario: setting its state to a fresh
     stream's (zero counter, empty buffer) gives the draws of a new
     `Philox(key=...)` at a fifth of the cost: each scenario is keyed once
-    per draw of its rows (32 at a time) and, in `simulate`, once more by
+    per draw of its rows (16 at a time) and, in `simulate`, once more by
     `common_factors`.  The generator is valid until the next scenario's.
     """
     bits = np.random.Philox(key=0)
@@ -192,15 +193,29 @@ def _transform_above_floor(params: ShockParams, common: np.ndarray, out: np.ndar
 
 
 def sample_loss_matrix(params: ShockParams, n_banks: int, seed: int,
-                       indices, floor=None) -> np.ndarray:
+                       indices, floor=None, out=None) -> np.ndarray:
     """Loss fractions for many scenarios, one row per scenario_index.
 
     With a per-bank `floor` (n_banks,), a loss at or below its bank's floor
     may come back as -inf; every other entry has the bits it has without
     one.  A floor of -inf (or below 0) asks for every loss of that bank.
+    Given `out`, a C-contiguous float64 buffer of n_banks columns and at
+    least one row per scenario, the rows are written into its leading rows
+    and that view is returned; the bits do not depend on the buffer.
     """
     indices = list(indices)
-    out = np.empty((len(indices), n_banks))
+    shape = (len(indices), n_banks)
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.flags.c_contiguous and out.ndim == 2
+              and out.shape[0] >= shape[0] and out.shape[1] == n_banks):
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape {shape} or with more "
+            f"rows; got {getattr(out, 'dtype', type(out).__name__)} of shape "
+            f"{getattr(out, 'shape', None)}"
+        )
+    out = out[:shape[0]]
     common = _draw_latents(seed, indices, out)
     if floor is None:
         _copula_transform(params, common, out)

@@ -633,12 +633,13 @@ def test_simulate_sweep_bitwise_equals_full_width(monkeypatch, order):
     shock, config = gb.ShockParams(exempt_central=True), gb.LossConfig(deposit_insurance=True)
     bailout = gb.BailoutAllocation(per_massive=1.0, per_big=0.05)
     rows, chunk, seed = 60, 40, 19770525
-    expected = gb.simulate_records(net, shock, bailout, config, rows, seed, 1, chunk)
+    monkeypatch.setattr(gb.risk, "DEFAULT_BATCH_SIZE", chunk)
+    expected = gb.simulate_records(net, shock, bailout, config, rows, seed, 1)
     if order == "best-first":
         real = gb.risk.common_factors
         monkeypatch.setattr(gb.risk, "common_factors", lambda seed, idx: -real(seed, idx))
     calls = simulate_calls(monkeypatch)
-    table = gb.simulate_records(net, shock, bailout, config, rows, seed, 1, chunk)
+    table = gb.simulate_records(net, shock, bailout, config, rows, seed, 1)
     for column in ("external_shortfall", "central_shortfall", "deposits_lost",
                    "defaults_by_tier"):
         assert np.array_equal(getattr(table, column), getattr(expected, column)), column
@@ -646,7 +647,7 @@ def test_simulate_sweep_bitwise_equals_full_width(monkeypatch, order):
     blocks = 0
     for lo in range(0, rows, chunk):
         assets = gb.risk._draw_base(net, shock, config, seed, range(lo, min(lo + chunk, rows)),
-                                    bailout)
+                                    gb.risk._loss_floor(net, shock, config, bailout))
         assets += injections
         ref = full_width_reference(net, assets)
         final = {}  # per row, its last call
@@ -788,15 +789,24 @@ def assert_results_equal(a, b):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), block=st.integers(1, 3),
-       shift=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), min_size=3, max_size=3))
-def test_kept_prefixes_give_the_bits_of_the_full_sort(seed, rows, block, shift):
+       shift=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), min_size=3, max_size=3),
+       inf_share=st.sampled_from([0.0, 0.3, 0.9]))
+def test_kept_prefixes_give_the_bits_of_the_full_sort(seed, rows, block, shift, inf_share):
     rng = np.random.default_rng(seed)
     net, _ = random_tiered(rng)
     assets = rng.uniform(0.0, 2.0, size=(rows, net.n_banks))
+    # banks the shock sampler skipped hold +inf; in the first row one tier
+    # has no finite asset and another only finite ones
+    assets[rng.uniform(size=assets.shape) < inf_share] = np.inf
+    none, whole = rng.permutation(len(gb.Tier))[:2]
+    assets[0, net.tier_slice(none)] = np.inf
+    assets[0, net.tier_slice(whole)] = rng.uniform(0.0, 2.0, size=net.counts[whole])
     full = sort_tiers(net, assets)
     prefixes = cut_in_blocks(net, assets, block)
     k0 = clear_tier_sums(net, full, [0.0, 0.0, 0.0]).defaulting
     assert np.array_equal(prefixes.lengths, np.minimum(k0 + 1, net.counts))
+    # a bank holding +inf never defaults: a tier of them keeps one
+    assert prefixes.lengths[0, none] == 1
     for r in range(rows):
         for t in gb.Tier:
             assert np.array_equal(kept(prefixes, r, t),

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import galbank as gb
 from galbank import report, risk
 from galbank.cli import main
-from galbank.clearing import _TierSystem, clear_tiered_batch
+from galbank.clearing import _TierSystem, clear_tiered_batch, defaulting_prefixes
 from galbank.network import _claims_face
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 
@@ -187,7 +187,8 @@ def test_chunked_table_bitwise_equals_row_loop_with_ragged_chunk(
     records = {}
     real_clear = risk.clear_tiered_batch
     # the assets `simulate` draws: +inf for the banks that surely pay in full
-    drawn = risk._draw_base(net, shock, config, SEED, range(80), bailout)
+    drawn = risk._draw_base(net, shock, config, SEED, range(80),
+                            risk._loss_floor(net, shock, config, bailout))
     drawn += _injection_vector(net, bailout)
 
     def clear_and_record(network, assets, **kwargs):
@@ -202,7 +203,8 @@ def test_chunked_table_bitwise_equals_row_loop_with_ragged_chunk(
 
     monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_record)
     # chunks of 37, 37 and a ragged 6, run in order on one thread
-    table = gb.simulate_records(net, shock, bailout, config, 80, SEED, 1, 37)
+    monkeypatch.setattr(risk, "DEFAULT_BATCH_SIZE", 37)
+    table = gb.simulate_records(net, shock, bailout, config, 80, SEED, 1)
     assert len(records) == len(table) == 80
     assert_table_matches_records(table, [records[i] for i in sorted(records)])
 
@@ -230,7 +232,8 @@ def byte_boundary_network(counts):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("counts", [(1, 1, 1), (1, 2, 5), (1, 2, 6), (1, 5, 40)],
                          ids=["3-banks", "8-banks", "9-banks", "46-banks"])
-def test_packed_flags_bitwise_equal_row_loop_across_byte_boundaries(counts, threads):
+def test_packed_flags_bitwise_equal_row_loop_across_byte_boundaries(monkeypatch, counts,
+                                                                    threads):
     # below, at and just past a byte of packed flags: the padding bits of a
     # row's last byte must count no default and lose no deposit
     net = byte_boundary_network(counts)
@@ -239,14 +242,16 @@ def test_packed_flags_bitwise_equal_row_loop_across_byte_boundaries(counts, thre
     bailout = gb.BailoutAllocation()
     records, last_bank = [], []
     # chunks of 37, 37 and a ragged 6, each cleared whole as the oracle
-    for idx in risk._chunks(80, 37):
-        assets = risk._draw_base(net, shock, config, SEED, idx, bailout)
+    monkeypatch.setattr(risk, "DEFAULT_BATCH_SIZE", 37)
+    floor = risk._loss_floor(net, shock, config, bailout)
+    for idx in risk._chunks(80):
+        assets = risk._draw_base(net, shock, config, SEED, idx, floor)
         cleared = clear_tiered_batch(net, assets)
         records += _records_from_arrays(idx, net, cleared.defaulted, cleared.payments,
                                         cleared.external_paid)
         last_bank += cleared.defaulted[:, -1].tolist()
     assert any(last_bank) and not all(last_bank)
-    table = gb.simulate_records(net, shock, bailout, config, 80, SEED, threads, 37)
+    table = gb.simulate_records(net, shock, bailout, config, 80, SEED, threads)
     assert_table_matches_records(table, records)
     # as `from_tier_sums` gives it, so `ScenarioTable.concat` never mixes dtypes
     assert table.defaults_by_tier.dtype == np.int64
@@ -336,17 +341,16 @@ def test_monte_carlo_thread_invariance(default_net, monkeypatch):
     net = default_net
     params = gb.ShockParams()
     config = gb.LossConfig()
+    # the 60 scenarios in one chunk at the default chunk size
+    assert risk.DEFAULT_BATCH_SIZE >= 60
+    one_chunk = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 60, SEED)
     # chunks of 20 so that four workers share the 60 scenarios, even on a
     # box with fewer cores than that
     monkeypatch.setattr(risk, "_usable_cores", lambda: 4)
-    serial = gb.simulate_records(
-        net, params, gb.BailoutAllocation(), config, 60, SEED, 1, 20
-    )
-    threaded = gb.simulate_records(
-        net, params, gb.BailoutAllocation(), config, 60, SEED, 4, 20
-    )
+    monkeypatch.setattr(risk, "DEFAULT_BATCH_SIZE", 20)
+    serial = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 60, SEED, 1)
+    threaded = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 60, SEED, 4)
     assert_tables_equal(serial, threaded)
-    one_chunk = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 60, SEED)
     assert_tables_equal(serial, one_chunk)
 
 
@@ -685,8 +689,8 @@ def test_evaluator_cache_stays_within_budget(small_net, monkeypatch):
     assert evaluator.kept.values.size == evaluator.kept.lengths.sum()
 
 
-# bytes a fill holds beyond `kept` and its chunks in flight: a 32-row
-# sub-block of `small_net`'s 46 banks (11.8 KB), the pool and small
+# bytes a fill holds beyond `kept` and its chunks in flight: a 16-row draw
+# buffer of `small_net`'s 46 banks (5.9 KB), the pool and small
 # temporaries; measured at most 25 KB
 FILL_SLACK = 48 * 1024
 
@@ -736,27 +740,43 @@ def test_evaluator_cache_cap_on_calibrated_network(default_net):
     assert 20 * kept.nbytes < 0.02 * risk.BASE_CACHE_BYTES
 
 
-def test_frontier_chunk_build_holds_one_sub_block():
-    # sorting a whole 500-scenario chunk at once would hold 70 MB
-    net = acceptance_net()
-    evaluator = _AllocationEvaluator(net, gb.ShockParams(exempt_central=True),
-                                     gb.LossConfig(), 500, SEED, 1)
-    tracemalloc.start()
-    try:
-        tiers = evaluator._build(0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    scratch = risk.SUB_BLOCK_ROWS * net.n_banks * 8
-    assert peak <= scratch + tiers.nbytes + 2**20
+def largest_draw_prefix_bytes(evaluator) -> int:
+    """The largest bytes one draw of the first chunk keeps (`defaulting_prefixes`)."""
+    idx, net = evaluator.chunks[0], evaluator.network
+    return max(
+        defaulting_prefixes(net, risk._draw_base(net, evaluator.shock_params, evaluator.config,
+                                                 SEED, idx[lo:lo + risk.SUB_BLOCK_ROWS],
+                                                 evaluator.floor)).nbytes
+        for lo in range(0, len(idx), risk.SUB_BLOCK_ROWS)
+    )
+
+
+def test_frontier_chunk_build_holds_one_sub_block(default_net):
+    # a chunk is drawn into one 16-row buffer, and each draw is sorted,
+    # solved and cut to the defaulting prefixes before the next.  Measured
+    # peaks: 3.5 MB at the acceptance calibration, and 60.6 MB at the default
+    # one, where the chunk keeps 56.8 MB; drawn 32 rows at a time into fresh
+    # blocks it held 5.8 and 66.5 MB, and sorted whole, 70 MB more
+    for net, shock in [(acceptance_net(), gb.ShockParams(exempt_central=True)),
+                       (default_net, gb.ShockParams())]:
+        evaluator = _AllocationEvaluator(net, shock, gb.LossConfig(), 500, SEED, 1)
+        draw = largest_draw_prefix_bytes(evaluator)
+        tracemalloc.start()
+        try:
+            tiers = evaluator._build(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = risk.SUB_BLOCK_ROWS * net.n_banks * 8
+        assert peak <= buffer + draw + tiers.nbytes + 2**20
 
 
 def test_simulate_chunk_holds_no_float_matrix(default_net):
-    # a 500-scenario chunk is drawn SUB_BLOCK_ROWS rows at a time and cleared
-    # and accounted a block at a time: it holds its bit-packed default flags,
-    # the drawn rows and two iterate buffers, plus n-wide network vectors
-    # (measured 7.0 MB in all); drawn whole, the assets and the payments
-    # took 70 MB each
+    # a 500-scenario chunk is drawn SUB_BLOCK_ROWS rows at a time (at least a
+    # block) and cleared and accounted a block at a time: it holds its
+    # bit-packed default flags, the drawn rows and two iterate buffers, plus
+    # n-wide network vectors (measured 4.9 MB in all; 7.0 MB with 32-row
+    # draws); drawn whole, the assets and the payments took 70 MB each
     net = default_net
     block = risk._block_rows(net.n_banks)
     for bailout in ORACLE_BAILOUTS:
@@ -767,7 +787,7 @@ def test_simulate_chunk_holds_no_float_matrix(default_net):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        scratch = (risk.SUB_BLOCK_ROWS + 2 * block) * net.n_banks * 8
+        scratch = (max(risk.SUB_BLOCK_ROWS, block) + 2 * block) * net.n_banks * 8
         assert peak <= 500 * ((net.n_banks + 7) // 8) + scratch + 2 * 2**20
 
 
@@ -965,7 +985,7 @@ def test_skipping_sure_solvent_banks_keeps_every_bit(name, seed, rows):
     skipped = np.isneginf(losses)
     assert np.array_equal(losses[~skipped], full[~skipped])
     full_assets = _base_assets(net, shock, full, config) + injections
-    assets = risk._draw_base(net, shock, config, seed, range(rows), bailout) + injections
+    assets = risk._draw_base(net, shock, config, seed, range(rows), floor) + injections
     assert not np.isnan(assets).any()
     assert np.array_equal(np.isposinf(assets), skipped)
     # every skipped bank, transformed in full, holds at least what pays in full
@@ -1105,13 +1125,12 @@ def test_acceptance_frontier_loss_vectors_keep_their_bits():
     assert digest.hexdigest() == FRONTIER_LOSSES_SHA256
 
 
-def test_benchmark_tracer_runs_the_frontier(tmp_path):
-    # the benchmark's traced pass (`perfbench/child.py`, run as it is) wraps
-    # names of `galbank.cli` and `galbank.risk`; a rename or a call path that
-    # bypasses them leaves its per-layer figures silently empty
+def _traced_pass(tmp_path, name):
+    """The benchmark's traced pass (`perfbench/child.py`, run as it is) of
+    workload `name` at 1,000 scenarios: its result and its reference entry."""
     root = Path(__file__).resolve().parent.parent
     workloads = _perfbench_workloads()
-    workload = workloads.WORKLOADS["frontier-acceptance"]
+    workload = workloads.WORKLOADS[name]
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(workload.config))
     spec = {
@@ -1127,8 +1146,24 @@ def test_benchmark_tracer_runs_the_frontier(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads((tmp_path / "result.json").read_text())
     references = json.loads((root / "perfbench" / "references.json").read_text())
+    return result, references[name]["1000"][str(workloads.REFERENCE_SEED)]
+
+
+def test_benchmark_tracer_runs_the_frontier(tmp_path):
+    # the traced pass wraps names of `galbank.cli` and `galbank.risk`; a
+    # rename or a call path that bypasses them leaves its per-layer figures
+    # silently empty
+    result, expected = _traced_pass(tmp_path, "frontier-acceptance")
     # 3: some grid points are unattainable at the cap
-    expected = references[workload.name]["1000"][str(workloads.REFERENCE_SEED)]
     assert result["exit_code"] == expected["exit_code"] == 3
     assert result["layers"]["shocks.scenarios"][0] == 1_000
     assert any(name == "risk.frontier.losses" for name, *_ in result["spans"])
+
+
+def test_benchmark_tracer_runs_simulate_bailout(tmp_path):
+    # the traced pass on the bailout workload: every scenario is drawn through
+    # `risk.sample_loss_matrix` and cleared through `risk.clear_tiered_batch`
+    result, expected = _traced_pass(tmp_path, "simulate-bailout")
+    assert result["exit_code"] == expected["exit_code"] == 0
+    layers = result["layers"]
+    assert layers["shocks.scenarios"][0] == layers["clearing.scenarios"][0] == 1_000

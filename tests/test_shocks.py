@@ -164,6 +164,32 @@ def test_floor_leaves_rows_past_the_crossover_whole(monkeypatch):
     assert skipped.any() and np.array_equal(part[~skipped], full[~skipped])
 
 
+@pytest.mark.parametrize("floor", [None, RUN_FLOORS], ids=["no-floor", "floor"])
+def test_loss_matrix_into_a_reused_buffer(floor):
+    # each draw writes the leading rows of the buffer and returns them as a
+    # view, with the bits of a fresh draw, whatever the buffer held before
+    params = gb.ShockParams()
+    buffer = np.full((16, 600), np.nan)
+    for indices in (range(16), range(16, 21), [40, 3]):
+        fresh = sample_loss_matrix(params, 600, SEED, indices, floor=floor)
+        drawn = sample_loss_matrix(params, 600, SEED, indices, floor=floor, out=buffer)
+        assert drawn.base is buffer and drawn.shape == fresh.shape
+        assert np.array_equal(drawn, fresh)
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((4, 600)),                    # too few rows
+    np.empty((16, 599)),                   # too few banks
+    np.empty(600 * 16),                    # not a matrix
+    np.empty((16, 600), dtype=np.float32),
+    np.empty((600, 16)).T,                 # not C-contiguous
+    np.empty((16, 1200))[:, ::2],
+], ids=["rows", "banks", "flat", "float32", "transposed", "strided"])
+def test_loss_matrix_buffer_checked(out):
+    with pytest.raises(ValueError, match=r"C-contiguous float64 array of shape \(5, 600\)"):
+        sample_loss_matrix(gb.ShockParams(), 600, SEED, range(5), out=out)
+
+
 def test_floor_shape_checked():
     with pytest.raises(ValueError, match="floor"):
         sample_loss_matrix(gb.ShockParams(), 10, SEED, range(2), floor=np.zeros(9))
