@@ -4,7 +4,10 @@
 clears each chunk a cache-sized block of rows at a time (`clear_in_blocks`),
 keeps each block's default flags bit-packed, one bit per bank, with its
 defaults per tier, and accounts the chunk in one vectorised pass over them,
-unpacking a cache-sized block of rows at a time.  Both it and
+unpacking a cache-sized block of rows at a time.  A row's lost deposits are
+summed as BLAS dots over consecutive pieces of at most DOT_PIECE_MAX banks
+(`_dot_pieces`), so no call wakes OpenBLAS's thread pool and no output bit
+depends on the BLAS thread count.  Both it and
 the frontier draw SUB_BLOCK_ROWS scenarios at a time through `_draw_base`,
 which hands the shock sampler a per-bank loss floor (`_loss_floor`, taken
 once per run): a bank whose assets, with the run's bailout, reach
@@ -36,6 +39,7 @@ bisects them over the loss column under common random numbers.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -74,6 +78,8 @@ BASE_CACHE_BYTES = 2**30
 SUB_BLOCK_ROWS = 16
 # relative margin on the assets at which a bank surely pays in full (`_loss_floor`)
 SOLVENT_MARGIN = 1e-12
+# longest BLAS dot x86-64 OpenBLAS runs on the calling thread (`_dot_pieces`)
+DOT_PIECE_MAX = 10_000
 # slack for cross-allocation monotonicity checks; clearing tolerance can
 # perturb payments by ~tolerance * max obligation
 MONOTONE_SLACK = 1e-3
@@ -162,7 +168,12 @@ class ScenarioTable:
         default flags bit-packed along the banks (`np.packbits(flags, axis=1)`,
         `_packed_width(n_banks)` bytes a row), its defaults per tier
         (`_tier_defaults`), its central banks' payments and its payments on
-        the outside obligation."""
+        the outside obligation.
+
+        A row's lost deposits are BLAS dots over the pieces of `_dot_pieces`,
+        added left to right: no dot is long enough for OpenBLAS to wake its
+        thread pool, and at 17,501 banks the sum has the bits of one dot split
+        over two threads, as the byte references were recorded."""
         width = _packed_width(network.n_banks)
         if defaulted.dtype != np.uint8 or defaulted.ndim != 2 or defaulted.shape[1] != width:
             raise ValueError(
@@ -170,14 +181,20 @@ class ScenarioTable:
                 f"{network.n_banks} banks bit-packed; got {defaulted.dtype} of shape "
                 f"{defaulted.shape}"
             )
-        deposits = network.deposits_vector()[:, None]
-        # one BLAS dot per row, as (1, n) @ (n, 1): a single gemv over the
-        # batch sums in another order and moves the last bits; blocks of
-        # rows keep the unpacked flags and their float copy cache-sized
+        deposits = network.deposits_vector()
+        pieces = _dot_pieces(network.n_banks)
+
+        def lost(flags: np.ndarray) -> np.ndarray:
+            # per row, one BLAS dot per piece, as (1, k) @ (k,), added left to
+            # right: a single gemv over the rows sums in another order
+            dots = [flags[:, None, piece] @ deposits[piece] for piece in pieces]
+            return functools.reduce(np.add, dots).ravel()
+
+        # blocks of rows keep the unpacked flags and their float copy cache-sized
         block = _block_rows(network.n_banks)
         deposits_lost = np.concatenate([
-            (np.unpackbits(defaulted[r:r + block], axis=1, count=network.n_banks)
-             .view(bool)[:, None, :] @ deposits).ravel()
+            lost(np.unpackbits(defaulted[r:r + block], axis=1, count=network.n_banks)
+                 .view(bool))
             for r in range(0, defaulted.shape[0], block)
         ])
         owed = total_obligation(network.profiles[Tier.CENTRAL])
@@ -212,6 +229,26 @@ class ScenarioTable:
 def _packed_width(n_banks: int) -> int:
     """Bytes per row of default flags bit-packed along the banks."""
     return (n_banks + 7) // 8
+
+
+def _dot_pieces(n_banks: int) -> list[slice]:
+    """The consecutive pieces a row's deposits dot is summed in.
+
+    x86-64 OpenBLAS runs a ddot of more than DOT_PIECE_MAX elements on its
+    thread pool, each thread taking ceil(remaining / threads left) of them,
+    the first pieces the longest, and adds the threads' dots left to right.
+    These pieces follow that split with as few threads as keep every piece
+    at or below DOT_PIECE_MAX, so no dot wakes the pool and the bits do not
+    depend on the BLAS thread count: 17,501 banks are 8,751 + 8,750, the
+    split of two threads, and 10,000 or fewer are one dot.
+    """
+    left = -(-n_banks // DOT_PIECE_MAX)
+    pieces, lo = [], 0
+    while left:
+        hi = lo + -(-(n_banks - lo) // left)
+        pieces.append(slice(lo, hi))
+        lo, left = hi, left - 1
+    return pieces
 
 
 def _tier_defaults(network: GalacticNetwork, defaulted: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -120,15 +121,40 @@ def test_deposits_counted_only_without_insurance(tmp_path):
 
 # --- vectorised accounting against the per-row loop --------------------------
 
+def _blas_pieces(n):
+    """(lo, hi) bounds of the ceil(n / 10,000) near-equal consecutive pieces,
+    the longer ones first."""
+    bounds = [int(piece[0]) for piece in np.array_split(np.arange(n), -(-n // 10_000))]
+    return list(zip(bounds, bounds[1:] + [n]))
+
+
+@pytest.mark.parametrize("n, lengths", [
+    (1, [1]), (10_000, [10_000]), (10_001, [5_001, 5_000]), (17_501, [8_751, 8_750]),
+    (20_000, [10_000, 10_000]), (25_000, [8_334, 8_333, 8_333]),
+])
+def test_dot_pieces_follow_openblas_split(n, lengths):
+    pieces = risk._dot_pieces(n)
+    assert [p.stop - p.start for p in pieces] == lengths
+    assert max(lengths) <= risk.DOT_PIECE_MAX
+    # consecutive, in order, covering the row
+    assert [p.start for p in pieces] == [0] + [p.stop for p in pieces[:-1]]
+    assert pieces[-1].stop == n and all(p.step is None for p in pieces)
+    assert [(p.start, p.stop) for p in pieces] == _blas_pieces(n)
+
+
 def _records_from_arrays(indices, network, defaulted, payments, external_paid):
     """The per-row accounting loop the vectorised pass replaced, as the oracle.
 
     One (index, external, central, deposits, n_defaults, by_tier) tuple per
     row; row r of the arrays is scenario indices[r].  The shortfall is
-    derived from the payments, as the full-width Picard loop formed it.
+    derived from the payments, as the full-width Picard loop formed it.  The
+    deposits are dotted in the pieces OpenBLAS splits a dot of more than
+    10,000 elements into over its threads (`_blas_pieces`), added left to
+    right, so the oracle has the same bits at any BLAS thread count.
     """
     shortfall = np.maximum(_TierSystem(network).p_bar_row[None, :] - payments, 0.0)
     deposits = network.deposits_vector()
+    pieces = _blas_pieces(network.n_banks)
     slices = [network.tier_slice(t) for t in gb.Tier]
     central = slices[gb.Tier.CENTRAL]
     total_external = network.total_external_obligation()
@@ -137,7 +163,8 @@ def _records_from_arrays(indices, network, defaulted, payments, external_paid):
             scenario_index,
             float(total_external - external_paid[row]),
             float(shortfall[row, central].sum()),
-            float(defaulted[row] @ deposits),
+            float(functools.reduce(operator.add, (
+                defaulted[row, lo:hi] @ deposits[lo:hi] for lo, hi in pieces))),
             int(defaulted[row].sum()),
             tuple(int(defaulted[row, sl].sum()) for sl in slices),
         )
@@ -1067,29 +1094,41 @@ def test_usable_cores_within_cpu_count():
     assert 1 <= risk._usable_cores() <= (os.cpu_count() or 1)
 
 
-def _simulate_losses_csv(tmp_path, blas_threads: str) -> bytes:
-    """losses.csv of a 500-scenario headline run in a fresh process."""
+def _simulate_digests(tmp_path, workloads, name, blas_threads: str) -> dict:
+    """sha256 of each CSV of workload `name` at the documented seed and 1,000
+    scenarios, run in a fresh process at `blas_threads` OpenBLAS threads."""
+    workload = workloads.WORKLOADS[name]
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = str(Path(gb.__file__).resolve().parents[1])
-    out = tmp_path / f"blas-{blas_threads}"
+    run = tmp_path / f"{name}-blas-{blas_threads}"
+    run.mkdir()
+    config_path = run / "config.json"
+    config_path.write_text(json.dumps(workload.config))
+    out = run / "out"
     subprocess.run(
         [sys.executable, "-c", "import sys; from galbank.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "simulate", "--scenarios", "500",
-         "--seed", "19770525", "--out", str(out)],
+         "sys.exit(main(sys.argv[1:]))",
+         *workload.argv(config_path, out, workloads.REFERENCE_SEED, 1_000)],
         env=env, check=True, capture_output=True, timeout=300,
     )
-    return (out / "losses.csv").read_bytes()
+    return {csv_name: hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
+            for csv_name in workload.outputs}
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two BLAS threads")
-@pytest.mark.xfail(strict=True, reason=(
-    "from_clearing sums each row's deposits with a BLAS dot over all banks, which "
-    "OpenBLAS splits over its threads; the tier-sum accounting of ROADMAP item 2 "
-    "removes this"))
 def test_losses_csv_independent_of_blas_threads(tmp_path):
-    assert _simulate_losses_csv(tmp_path, "1") == _simulate_losses_csv(tmp_path, "2")
+    # each row's deposits are dotted in pieces no BLAS thread count splits
+    # further, so both simulate workloads write their recorded bytes at 1 and
+    # 2 OpenBLAS threads; the references are only read here
+    workloads = _perfbench_workloads()
+    references = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "references.json").read_text())
+    for name in ("simulate-headline", "simulate-bailout"):
+        expected = references[name]["1000"][str(workloads.REFERENCE_SEED)]["sha256"]
+        for blas_threads in ("1", "2"):
+            assert _simulate_digests(tmp_path, workloads, name, blas_threads) == expected, (
+                name, blas_threads)
 
 
 # --- the acceptance frontier's loss vectors ------------------------------------
