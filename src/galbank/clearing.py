@@ -40,17 +40,7 @@ networks lives with the tests, in `tests/oracles.py`):
   (the calibration allows no other count) that has the bits of the
   full-row product; a network built directly with several central banks
   sums the few terms in another order than a BLAS dot would, and the last
-  bits can differ.  `simulate`'s per-row deposits dots over the default
-  flags run after the last block, in one burst.  They were once one dot over
-  all banks, which OpenBLAS ran on its thread pool, whose threads spin
-  between calls: on the 2-core box, accounting each 4-row block as it was
-  cleared (a dot per block, no packed flags) took `simulate-bailout` from
-  4.48 to 6.74 s, slower in all 6 alternating pairs, for 2.5 MB less peak
-  RSS.  The dots are now pieces short enough to run on the calling thread
-  (`risk._dot_pieces`).  With them, a dot per block measured 4.33 -> 4.38 s
-  (faster in 3 of 6 pairs) for 1.1 MB less peak RSS: the spin was the
-  whole cost.  The burst stays until `simulate` leaves the Picard sweep,
-  which takes the packed flags and this accounting with it.
+  bits can differ.  `simulate` accounts each block as it clears it.
 
 * `clear_tier_sums`: Eisenberg and Noe's (2001) fictitious-default
   algorithm on the three tier sums.  A bank of tier d defaults exactly when

@@ -2,9 +2,8 @@
 
 `simulate_records` runs the scenarios a chunk at a time: it draws and
 clears each chunk a cache-sized block of rows at a time (`clear_in_blocks`),
-keeps each block's default flags bit-packed, one bit per bank, with its
-defaults per tier, and accounts the chunk in one vectorised pass over them,
-unpacking a cache-sized block of rows at a time.  A row's lost deposits are
+and accounts each block as it clears it, keeping only per-row results
+(`ScenarioTable.from_clearing`).  A row's lost deposits are
 summed as BLAS dots over consecutive pieces of at most DOT_PIECE_MAX banks
 (`_dot_pieces`), so no call wakes OpenBLAS's thread pool and no output bit
 depends on the BLAS thread count.  Both it and
@@ -50,9 +49,9 @@ from enum import Enum
 import numpy as np
 
 from .clearing import (
+    BatchClearingResult,
     SortedTiers,
     TierSumsResult,
-    _block_rows,
     _tier_system,
     clear_in_blocks,
     clear_tier_sums,
@@ -161,47 +160,35 @@ class ScenarioTable:
         return self.external_shortfall + self.deposits_lost
 
     @classmethod
-    def from_clearing(cls, network: GalacticNetwork, defaulted: np.ndarray,
-                      defaults_by_tier: np.ndarray, central_paid: np.ndarray,
-                      external_paid: np.ndarray) -> "ScenarioTable":
-        """Accounting for every row of a cleared batch at once, from its
-        default flags bit-packed along the banks (`np.packbits(flags, axis=1)`,
-        `_packed_width(n_banks)` bytes a row), its defaults per tier
-        (`_tier_defaults`), its central banks' payments and its payments on
-        the outside obligation.
+    def from_clearing(cls, network: GalacticNetwork,
+                      cleared: BatchClearingResult) -> "ScenarioTable":
+        """Accounting for every row of a `clear_tiered_batch` result.
 
         A row's lost deposits are BLAS dots over the pieces of `_dot_pieces`,
         added left to right: no dot is long enough for OpenBLAS to wake its
         thread pool, and at 17,501 banks the sum has the bits of one dot split
         over two threads, as the byte references were recorded."""
-        width = _packed_width(network.n_banks)
-        if defaulted.dtype != np.uint8 or defaulted.ndim != 2 or defaulted.shape[1] != width:
-            raise ValueError(
-                f"default flags must be uint8 of shape (rows, {width}), the network's "
-                f"{network.n_banks} banks bit-packed; got {defaulted.dtype} of shape "
-                f"{defaulted.shape}"
-            )
+        defaulted = cleared.defaulted
+        if defaulted.shape[1] != network.n_banks:
+            raise ValueError(f"a clearing result of {defaulted.shape[1]} banks cannot be "
+                             f"accounted on a network of {network.n_banks} banks")
         deposits = network.deposits_vector()
-        pieces = _dot_pieces(network.n_banks)
-
-        def lost(flags: np.ndarray) -> np.ndarray:
-            # per row, one BLAS dot per piece, as (1, k) @ (k,), added left to
-            # right: a single gemv over the rows sums in another order
-            dots = [flags[:, None, piece] @ deposits[piece] for piece in pieces]
-            return functools.reduce(np.add, dots).ravel()
-
-        # blocks of rows keep the unpacked flags and their float copy cache-sized
-        block = _block_rows(network.n_banks)
-        deposits_lost = np.concatenate([
-            lost(np.unpackbits(defaulted[r:r + block], axis=1, count=network.n_banks)
-                 .view(bool))
-            for r in range(0, defaulted.shape[0], block)
-        ])
+        # per row, one BLAS dot per piece, as (1, k) @ (k,), added left to
+        # right: a single gemv over the rows sums in another order
+        dots = [defaulted[:, None, piece] @ deposits[piece]
+                for piece in _dot_pieces(network.n_banks)]
+        # counted row by row: on a 4-row block, about half the time of an
+        # int64 sum over each tier's columns
+        slices = [network.tier_slice(t) for t in Tier]
+        defaults_by_tier = np.array(
+            [[np.count_nonzero(row[sl]) for sl in slices] for row in defaulted],
+            dtype=np.int64)
         owed = total_obligation(network.profiles[Tier.CENTRAL])
+        central_paid = cleared.payments[:, network.tier_slice(Tier.CENTRAL)]
         return cls(
-            external_shortfall=network.total_external_obligation() - external_paid,
+            external_shortfall=network.total_external_obligation() - cleared.external_paid,
             central_shortfall=np.maximum(owed - central_paid, 0.0).sum(axis=1),
-            deposits_lost=deposits_lost,
+            deposits_lost=functools.reduce(np.add, dots).ravel(),
             defaults_by_tier=defaults_by_tier,
         )
 
@@ -225,10 +212,8 @@ class ScenarioTable:
             np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)
         ))
 
-
-def _packed_width(n_banks: int) -> int:
-    """Bytes per row of default flags bit-packed along the banks."""
-    return (n_banks + 7) // 8
+    def take(self, rows) -> "ScenarioTable":
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 def _dot_pieces(n_banks: int) -> list[slice]:
@@ -249,16 +234,6 @@ def _dot_pieces(n_banks: int) -> list[slice]:
         pieces.append(slice(lo, hi))
         lo, left = hi, left - 1
     return pieces
-
-
-def _tier_defaults(network: GalacticNetwork, defaulted: np.ndarray) -> np.ndarray:
-    """(rows, 3) int64 defaulted banks per tier, from (rows, n_banks) bool flags.
-
-    Counts row by row: on a 4-row block, about half the time of an int64 sum
-    over each tier's columns."""
-    slices = [network.tier_slice(t) for t in Tier]
-    return np.array([[np.count_nonzero(row[sl]) for sl in slices] for row in defaulted],
-                    dtype=np.int64)
 
 
 def green_line_loss(network: GalacticNetwork, config: LossConfig) -> Money:
@@ -387,15 +362,9 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
     chunks = _chunks(n_scenarios)
     floor = _loss_floor(network, shock_params, config, bailout)
     injections = _injection_vector(network, bailout)[None, :]
-    central = network.tier_slice(Tier.CENTRAL)
 
     def run_chunk(pos: int) -> ScenarioTable:
         idx = chunks[pos]
-        # one bit per bank: 1.1 MB a chunk at 17,501 banks, against 8.75 MB as bool
-        defaulted = np.empty((len(idx), _packed_width(network.n_banks)), dtype=np.uint8)
-        defaults_by_tier = np.empty((len(idx), len(Tier)), dtype=np.int64)
-        central_paid = np.empty((len(idx), network.counts[Tier.CENTRAL]))
-        external_paid = np.empty(len(idx))
         # rows in descending order of their common factor M, so the first
         # block cleared is the worst-shocked; rows are drawn SUB_BLOCK_ROWS at
         # a time in this order (a draw per 4-row block costs as many GIL
@@ -405,6 +374,7 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
         # so their heap pages were returned and faulted in again every block
         order = np.argsort(-common_factors(seed, idx), kind="stable")
         drawn = [0, 0, None]  # rows start to stop - 1 of `order`, their assets
+        tables = {}  # each block's accounting, under its first row of `order`
 
         def clear_block(r0: int, r1: int, min_iterations: int) -> int:
             start, stop, assets = drawn
@@ -417,17 +387,13 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
                 drawn[:] = start, stop, assets
             cleared = clear_tiered_batch(network, assets[r0 - start:r1 - start],
                                          min_iterations=min_iterations)
-            rows = order[r0:r1]
-            defaulted[rows] = np.packbits(cleared.defaulted, axis=1)
-            defaults_by_tier[rows] = _tier_defaults(network, cleared.defaulted)
-            central_paid[rows] = cleared.payments[:, central]
-            external_paid[rows] = cleared.external_paid
+            # a block cleared again replaces its table
+            tables[r0] = ScenarioTable.from_clearing(network, cleared)
             return cleared.iterations
 
         clear_in_blocks(len(idx), network.n_banks, clear_block)
-        # the deposits dots run here, in one burst over the chunk's flags
-        return ScenarioTable.from_clearing(network, defaulted, defaults_by_tier,
-                                           central_paid, external_paid)
+        table = ScenarioTable.concat([tables[r0] for r0 in sorted(tables)])
+        return table.take(np.argsort(order))  # back to scenario order
 
     return ScenarioTable.concat(_run_chunks(run_chunk, range(len(chunks)), n_jobs))
 

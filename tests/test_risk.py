@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import galbank as gb
-from galbank import report, risk
+from galbank import clearing, report, risk
 from galbank.cli import main
 from galbank.clearing import _TierSystem, clear_tiered_batch, defaulting_prefixes
 from galbank.network import _claims_face
@@ -45,16 +45,8 @@ def central_only_network(obligation=10.0):
 
 # --- loss accounting --------------------------------------------------------
 
-def table_of(network, cleared):
-    """`ScenarioTable.from_clearing` on a `clear_tiered_batch` result."""
-    central = cleared.payments[:, network.tier_slice(gb.Tier.CENTRAL)]
-    return gb.ScenarioTable.from_clearing(
-        network, np.packbits(cleared.defaulted, axis=1),
-        risk._tier_defaults(network, cleared.defaulted), central, cleared.external_paid)
-
-
 def account(network, assets):
-    return table_of(network, clear_tiered_batch(network, assets))
+    return gb.ScenarioTable.from_clearing(network, clear_tiered_batch(network, assets))
 
 
 def test_loss_zero_when_everyone_pays():
@@ -86,19 +78,13 @@ def test_green_line_benchmark():
 def test_loss_size_mismatch_rejected():
     net = gb.build_network()
     toy = central_only_network()
-    cleared = clear_tiered_batch(toy, np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        table_of(net, cleared)
-
-
-def test_from_clearing_rejects_unpacked_flags():
-    net = gb.build_network(gb.CalibrationParams(tier_counts=(1, 2, 6)))
-    cleared = clear_tiered_batch(net, np.zeros((2, net.n_banks)))
-    central = cleared.payments[:, net.tier_slice(gb.Tier.CENTRAL)]
-    with pytest.raises(ValueError, match=r"uint8 of shape \(rows, 2\).*bool of shape \(2, 9\)"):
-        gb.ScenarioTable.from_clearing(net, cleared.defaulted,
-                                       risk._tier_defaults(net, cleared.defaulted),
-                                       central, cleared.external_paid)
+    small = clear_tiered_batch(toy, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"of 3 banks .* of 17501 banks"):
+        gb.ScenarioTable.from_clearing(net, small)
+    # a wider result would otherwise be accounted on its first 3 columns
+    big = clear_tiered_batch(net, np.zeros((1, net.n_banks)))
+    with pytest.raises(ValueError, match=r"of 17501 banks .* of 3 banks"):
+        gb.ScenarioTable.from_clearing(toy, big)
 
 
 def test_deposits_counted_only_without_insurance(tmp_path):
@@ -199,7 +185,7 @@ def test_vectorised_pass_bitwise_equals_row_loop(default_net, bailout, rows):
     assets = _base_assets(net, shock, losses, config)
     cleared = clear_tiered_batch(net, assets + _injection_vector(net, bailout)[None, :])
     assert cleared.defaulted.any() and not cleared.defaulted.all()
-    table = table_of(net, cleared)
+    table = gb.ScenarioTable.from_clearing(net, cleared)
     assert_table_matches_records(table, _records_from_arrays(
         idx, net, cleared.defaulted, cleared.payments, cleared.external_paid
     ))
@@ -261,8 +247,8 @@ def byte_boundary_network(counts):
                          ids=["3-banks", "8-banks", "9-banks", "46-banks"])
 def test_packed_flags_bitwise_equal_row_loop_across_byte_boundaries(monkeypatch, counts,
                                                                     threads):
-    # below, at and just past a byte of packed flags: the padding bits of a
-    # row's last byte must count no default and lose no deposit
+    # small networks, 3 to 46 banks, whose last bank defaults in some rows:
+    # each row's defaults and lost deposits count exactly its own banks
     net = byte_boundary_network(counts)
     shock = gb.ShockParams()
     config = gb.LossConfig()
@@ -800,12 +786,13 @@ def test_frontier_chunk_build_holds_one_sub_block(default_net):
 
 def test_simulate_chunk_holds_no_float_matrix(default_net):
     # a 500-scenario chunk is drawn SUB_BLOCK_ROWS rows at a time (at least a
-    # block) and cleared and accounted a block at a time: it holds its
-    # bit-packed default flags, the drawn rows and two iterate buffers, plus
-    # n-wide network vectors (measured 4.9 MB in all; 7.0 MB with 32-row
-    # draws); drawn whole, the assets and the payments took 70 MB each
+    # block) and cleared and accounted a block at a time: it holds the drawn
+    # rows and two iterate buffers, plus n-wide network vectors (measured
+    # 3.9 MB in all; 4.9 MB with the chunk's default flags bit-packed,
+    # 7.0 MB with 32-row draws); drawn whole, the assets and the payments
+    # took 70 MB each
     net = default_net
-    block = risk._block_rows(net.n_banks)
+    block = clearing._block_rows(net.n_banks)
     for bailout in ORACLE_BAILOUTS:
         gb.simulate_records(net, gb.ShockParams(), bailout, gb.LossConfig(), 8, SEED)
         tracemalloc.start()
@@ -815,7 +802,7 @@ def test_simulate_chunk_holds_no_float_matrix(default_net):
         finally:
             tracemalloc.stop()
         scratch = (max(risk.SUB_BLOCK_ROWS, block) + 2 * block) * net.n_banks * 8
-        assert peak <= 500 * ((net.n_banks + 7) // 8) + scratch + 2 * 2**20
+        assert peak <= scratch + 2 * 2**20
 
 
 BENCHMARK_RUNS = {
@@ -844,7 +831,7 @@ def test_worst_first_clears_no_block_again_at_documented_seed(monkeypatch, name)
 
     monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_count)
     gb.simulate_records(net, shock, bailout, gb.LossConfig(), scenarios, 19770525, threads)
-    block = risk._block_rows(net.n_banks)
+    block = clearing._block_rows(net.n_banks)
     assert len(clears) == scenarios // block and sum(clears) == scenarios
     assert (draws_per_scenario(draws, scenarios) == 1).all()
 
@@ -943,7 +930,7 @@ def test_simulate_calls_each_hook_once_per_sub_block_and_block(monkeypatch):
 
     monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_count)
     gb.simulate_records(net, shock, bailout, gb.LossConfig(), 1_000, 19770525, threads)
-    sub, block = risk.SUB_BLOCK_ROWS, risk._block_rows(net.n_banks)
+    sub, block = risk.SUB_BLOCK_ROWS, clearing._block_rows(net.n_banks)
     per_chunk = [sub] * (500 // sub) + [500 % sub]
     assert sorted(len(c) for c in draws) == sorted(per_chunk * 2)
     assert clears == [block] * (1_000 // block)
