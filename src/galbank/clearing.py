@@ -3,8 +3,9 @@
 Payments settle at the fixed point p_i = min(pbar_i, assets_i + inflows_i)
 where each debtor repays creditors in proportion to face liabilities.
 Picard iteration from total obligations converges monotonically down to
-the greatest clearing vector (the canonical output); iteration from zero
-climbs to the least vector and serves as a uniqueness diagnostic.
+the greatest clearing vector, the one the losses come from.  Iteration from
+zero climbs to the least vector; the tests run it (`tests/oracles.py`) to
+check that the calibrated network's clearing vector is unique.
 
 The calibrated 17,501-bank network has two tiered solvers, both exact for
 the even-split convention, under which a bank's inflow depends on payments
@@ -181,20 +182,16 @@ def _check_assets(assets: np.ndarray) -> None:
 
 
 def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
-                       tolerance: float = DEFAULT_TOLERANCE, start: str = "greatest",
                        min_iterations: int = 0) -> BatchClearingResult:
     """Clear many asset scenarios at once on the tier-compressed network.
 
     `scenario_assets` (n_scenarios, n_banks): post-shock, post-bailout cash
     plus surviving bond value per bank, +inf for a bank that surely pays in
-    full (see the module docstring).  Every row stops at the batch's
-    sweep: the first, at or after sweep `min_iterations`, at which every row
-    is within tolerance.
+    full (see the module docstring).  Picard iteration starts at the total
+    obligations.  Every row stops at the batch's sweep: the first, at or
+    after sweep `min_iterations`, at which every row is within
+    DEFAULT_TOLERANCE * max(pbar).
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if start not in ("greatest", "least"):
-        raise ValueError("start must be 'greatest' or 'least'")
     assets = np.atleast_2d(np.asarray(scenario_assets, dtype=float))
     rows, n = assets.shape
     if n != network.n_banks:
@@ -202,12 +199,9 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
     _check_assets(assets)
 
     sys = _tier_system(network)
-    limit = tolerance * sys.scale
+    limit = DEFAULT_TOLERANCE * sys.scale
     cur, nxt = np.empty((rows, n)), np.empty((rows, n))
-    if start == "greatest":
-        np.copyto(cur, sys.p_bar_row)
-    else:
-        cur.fill(0.0)
+    np.copyto(cur, sys.p_bar_row)
     sums = np.empty((rows, len(Tier)))  # per row, the tier sums of its iterate
     for d, sl in enumerate(sys.slices):
         sums[:, d] = cur[:, sl].sum(axis=1)

@@ -21,6 +21,8 @@ from .risk import (
     LossConfig,
     MinimalBailout,
     ScenarioTable,
+    exceedance_probability,
+    expected_loss,
     green_line_loss,
     loss_threshold,
 )
@@ -91,20 +93,19 @@ def write_losses_csv(path: Path, table: ScenarioTable, config: LossConfig):
     )
 
 
-def write_histogram_csv(path: Path, table: ScenarioTable,
-                        network: GalacticNetwork, bins: int = HISTOGRAM_BINS):
+def write_histogram_csv(path: Path, table: ScenarioTable, network: GalacticNetwork):
     """Loss histograms, both insurance settings, binned as percent of GGP."""
     no_ins = table.loss(False) / network.ggp * 100.0
     ins = table.loss(True) / network.ggp * 100.0
     top = float(max(no_ins.max(initial=0.0), ins.max(initial=0.0)))
     if top <= 0.0:
         top = 1.0
-    edges = np.linspace(0.0, top, bins + 1)
+    edges = np.linspace(0.0, top, HISTOGRAM_BINS + 1)
     counts_no_ins, _ = np.histogram(no_ins, bins=edges)
     counts_ins, _ = np.histogram(ins, bins=edges)
     rows = [
         (edges[i], edges[i + 1], counts_no_ins[i], counts_ins[i])
-        for i in range(bins)
+        for i in range(HISTOGRAM_BINS)
     ]
     _write_rows(path, "bin edges in percent of GGP",
                 ["bin_left_pct_ggp", "bin_right_pct_ggp",
@@ -128,12 +129,12 @@ def summary_stats(table: ScenarioTable, network: GalacticNetwork,
         "green_line": green,
         "green_line_ggp_fraction": green / ggp,
         "threshold": threshold,
-        "mean_loss_no_insurance": no_ins.mean(),
-        "mean_loss_insurance": ins.mean(),
-        "mean_loss_no_insurance_ggp_fraction": no_ins.mean() / ggp,
-        "mean_loss_insurance_ggp_fraction": ins.mean() / ggp,
-        "exceedance_no_insurance": float((no_ins > threshold).mean()),
-        "exceedance_insurance": float((ins > threshold).mean()),
+        "mean_loss_no_insurance": expected_loss(no_ins),
+        "mean_loss_insurance": expected_loss(ins),
+        "mean_loss_no_insurance_ggp_fraction": expected_loss(no_ins) / ggp,
+        "mean_loss_insurance_ggp_fraction": expected_loss(ins) / ggp,
+        "exceedance_no_insurance": exceedance_probability(no_ins, threshold),
+        "exceedance_insurance": exceedance_probability(ins, threshold),
         "fraction_below_green_line": float(below.mean()),
         "mean_defaults": float(n_defaults.mean()),
         "mean_insurance_payout": float(payouts.mean()),

@@ -182,7 +182,7 @@ class ScenarioTable:
         slices = [network.tier_slice(t) for t in Tier]
         defaults_by_tier = np.array(
             [[np.count_nonzero(row[sl]) for sl in slices] for row in defaulted],
-            dtype=np.int64)
+            dtype=np.int64).reshape(len(defaulted), len(Tier))
         owed = total_obligation(network.profiles[Tier.CENTRAL])
         central_paid = cleared.payments[:, network.tier_slice(Tier.CENTRAL)]
         return cls(
@@ -590,8 +590,7 @@ class _AllocationEvaluator:
 
 
 def bailout_frontier(evaluator: _AllocationEvaluator, criterion: Criterion, grid, *,
-                     per_massive_cap: Money = 8.0,
-                     resolution: Money = 0.001) -> list[FrontierPoint]:
+                     per_massive_cap: Money, resolution: Money) -> list[FrontierPoint]:
     """Minimal per-massive bailout for each per-big grid value.
 
     The evaluator fixes the network, shock, loss criteria and scenarios, and

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against.
 
 A dense Picard solver for arbitrary small networks (greatest and least
-clearing vectors), the bilateral expansion of a tiered network under the
+clearing vectors), the tiered Picard loop one full-width sweep at a time
+from either start, the bilateral expansion of a tiered network under the
 even-split convention, the interbank conservation identity, and a plain
 form of the fictitious-default tier-sum solve.  None of them is on a
 `galbank` command's path; the tests import them from here.
@@ -22,6 +23,7 @@ from galbank.clearing import (
     SortedTiers,
     TierSumsResult,
     _inflow_base,
+    _TierSystem,
     _tier_system,
 )
 from galbank.network import GalacticNetwork, Money, Tier, _claims_face, total_obligation
@@ -119,6 +121,50 @@ def least_clearing_vector(net: DenseNetwork,
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     return _dense_outcome(net, tolerance, "least")
+
+
+def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
+                         start="greatest"):
+    """The tiered Picard loop as one full-width sweep per iteration.
+
+    From the greatest start `clearing.clear_tiered_batch`, whole or a block
+    at a time, must reproduce it bit for bit; from the least start (zero) it
+    climbs to the least clearing vector.
+    """
+    sys = _TierSystem(network)
+    if start == "greatest":
+        p = np.tile(sys.p_bar_row, (assets.shape[0], 1))
+    else:
+        p = np.zeros_like(assets)
+    p_new = np.empty_like(p)
+    scratch = np.empty_like(p)
+    residuals = []
+    for iterations in range(clearing.MAX_ITERATIONS):
+        sums = np.stack([p[:, s].sum(axis=1) for s in sys.slices], axis=1)
+        base = sums @ sys.cross + sums * sys.self_coef[None, :]
+        for d, sl in enumerate(sys.slices):
+            blk = p_new[:, sl]
+            np.multiply(p[:, sl], -sys.self_coef[d], out=blk)
+            blk += base[:, d, None]
+            blk += assets[:, sl]
+            np.minimum(blk, sys.p_bar_tier[d], out=blk)
+        np.subtract(p_new, p, out=scratch)
+        np.abs(scratch, out=scratch)
+        resid = float(scratch.max(initial=0.0))
+        p, p_new = p_new, p
+        if resid <= tolerance * sys.scale:
+            break
+        residuals.append(resid)
+    else:
+        raise RuntimeError("reference loop did not converge")
+    shortfall = np.maximum(sys.p_bar_row[None, :] - p, 0.0)
+    return {
+        "payments": p,
+        "defaulted": shortfall > clearing.DEFAULT_FLAG_TOL,
+        "external_paid": p @ np.repeat(sys.ext_share_tier, network.counts),
+        "iterations": iterations,
+        "residuals": tuple(residuals),
+    }
 
 
 def expand_network(network: GalacticNetwork, scenario_assets: np.ndarray) -> DenseNetwork:

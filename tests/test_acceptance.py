@@ -14,12 +14,19 @@ import pytest
 from scipy import special
 
 import galbank as gb
+from galbank import clearing
 from galbank.cli import main
 from galbank.clearing import clear_tiered_batch
 from galbank.network import _claims_face
 from galbank.risk import _AllocationEvaluator
 from galbank.shocks import _copula_transform, _draw_latents
-from oracles import DenseNetwork, clearing_dense, expand_network, least_clearing_vector
+from oracles import (
+    DenseNetwork,
+    clearing_dense,
+    expand_network,
+    full_width_reference,
+    least_clearing_vector,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -38,8 +45,8 @@ BAND4_BUFFERS = (0.16, 0.05, 0.9)   # mean insurance payout as % of GGP
 # documented calibration for the frontier run: the central bank can cover
 # its outside obligation at full inflow and is exempt from the market shock
 FRONTIER_BUFFERS = (0.15, 0.05, 2.0)
-FRONTIER_GRID = (0.0, 0.02, 0.04, 0.05, 0.06, 0.07, 0.09,
-                 0.12, 0.16, 0.21, 0.28, 0.36, 0.45)
+FRONTIER_GRID = gb.GridSpec(per_big=(0.0, 0.02, 0.04, 0.05, 0.06, 0.07, 0.09,
+                                      0.12, 0.16, 0.21, 0.28, 0.36, 0.45))
 FRONTIER_SCENARIOS = 2_000
 
 
@@ -91,7 +98,9 @@ def frontier_run():
     frontiers = {}
     minima = {}
     for criterion in gb.Criterion:
-        points = gb.bailout_frontier(evaluator, criterion, FRONTIER_GRID)
+        points = gb.bailout_frontier(evaluator, criterion, FRONTIER_GRID.per_big,
+                                     per_massive_cap=FRONTIER_GRID.per_massive_cap,
+                                     resolution=FRONTIER_GRID.resolution)
         frontiers[criterion] = points
         if any(p.attainable for p in points):
             minima[criterion] = gb.minimal_total_bailout(points, net, criterion)
@@ -141,7 +150,7 @@ def test_c2_table2_arithmetic():
            "recombined totals within 1%, GGP shares within 0.1 pp")
 
 
-def test_c3_clearing_correctness():
+def test_c3_clearing_correctness(monkeypatch):
     # hand examples, exact
     two = DenseNetwork(
         np.array([[0.0, 10.0], [0.0, 0.0]]), np.array([0.0, 10.0]),
@@ -160,6 +169,7 @@ def test_c3_clearing_correctness():
     # 100 random tier networks: compressed agrees with the dense expansion
     rng = np.random.default_rng(SEED)
     worst = 0.0
+    monkeypatch.setattr(clearing, "DEFAULT_TOLERANCE", 1e-12)
     for _ in range(100):
         counts = (1, int(rng.integers(2, 11)), int(rng.integers(2, 51)))
         profiles = (
@@ -173,7 +183,7 @@ def test_c3_clearing_correctness():
         )
         net = gb.GalacticNetwork(counts, profiles, sheets, ggp=1.0, outstanding_debt=0.0)
         assets = rng.uniform(0.0, 2.0, net.n_banks)
-        comp = clear_tiered_batch(net, assets[None], tolerance=1e-12)
+        comp = clear_tiered_batch(net, assets[None])
         ref = clearing_dense(expand_network(net, assets), tolerance=1e-12)
         scale = max(float(np.abs(ref.payments).max()), 1e-9)
         worst = max(worst, float(np.abs(comp.payments[0] - ref.payments).max()) / scale)
@@ -184,9 +194,10 @@ def test_c3_clearing_correctness():
     shock = gb.ShockParams()
     losses = gb.shocks.sample_loss_matrix(shock, net.n_banks, SEED, range(100))
     assets = (1.0 - losses) * net.external_assets_vector()[None, :]
-    top = clear_tiered_batch(net, assets, tolerance=1e-11)
-    bottom = clear_tiered_batch(net, assets, tolerance=1e-11, start="least")
-    gap = float(np.abs(top.payments - bottom.payments).max())
+    monkeypatch.setattr(clearing, "DEFAULT_TOLERANCE", 1e-11)
+    top = clear_tiered_batch(net, assets)
+    bottom = full_width_reference(net, assets, tolerance=1e-11, start="least")
+    gap = float(np.abs(top.payments - bottom["payments"]).max())
     assert gap < 1e-5
     report("C3 clearing correctness", True,
            f"dense-vs-compressed worst rel err {worst:.2e}; "

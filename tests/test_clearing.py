@@ -21,7 +21,13 @@ from galbank.clearing import (
 )
 from galbank.network import _claims_face
 import oracles
-from oracles import DenseNetwork, clearing_dense, expand_network, least_clearing_vector
+from oracles import (
+    DenseNetwork,
+    clearing_dense,
+    expand_network,
+    full_width_reference,
+    least_clearing_vector,
+)
 
 
 def dense(liabilities, external, assets):
@@ -245,14 +251,15 @@ def test_compressed_batch_consistent_with_single():
         assert np.allclose(batch.payments[row], single.payments[0], atol=1e-5)
 
 
-def test_compressed_greatest_equals_least_on_calibrated():
+def test_compressed_greatest_equals_least_on_calibrated(monkeypatch):
     net = gb.build_network()
     params = gb.ShockParams()
     losses = gb.shocks.sample_loss_matrix(params, net.n_banks, 77, range(3))
     assets = (1.0 - losses) * net.external_assets_vector()[None, :]
-    top = clear_tiered_batch(net, assets, tolerance=1e-11)
-    bottom = clear_tiered_batch(net, assets, tolerance=1e-11, start="least")
-    assert np.max(np.abs(top.payments - bottom.payments)) < 1e-5
+    monkeypatch.setattr(clearing, "DEFAULT_TOLERANCE", 1e-11)
+    top = clear_tiered_batch(net, assets)
+    bottom = full_width_reference(net, assets, tolerance=1e-11, start="least")
+    assert np.max(np.abs(top.payments - bottom["payments"])) < 1e-5
 
 
 def test_compressed_degenerate_self_split():
@@ -283,8 +290,6 @@ def test_compressed_rejects_bad_inputs():
         clear_tiered_batch(net, np.zeros(5)[None])
     with pytest.raises(ValueError):
         clear_tiered_batch(net, -np.ones(net.n_banks)[None])
-    with pytest.raises(ValueError):
-        clear_tiered_batch(net, np.zeros((1, net.n_banks)), start="sideways")
 
 
 def test_compressed_shortfall_in_own_buffer_and_assets_untouched():
@@ -321,11 +326,11 @@ def test_non_convergence_names_iterations_residuals_and_row(monkeypatch):
     net = tiered((1, 2, 2), profiles)
     # row 0 is solvent and settles at once; row 1 needs several iterations
     assets = np.array([[10.0] * 5, [0.5, 0.8, 0.3, 0.2, 0.9]])
-    needed = clear_tiered_batch(net, assets, start="least")
+    needed = clear_tiered_batch(net, assets)
     assert needed.iterations >= 3
     monkeypatch.setattr(clearing, "MAX_ITERATIONS", needed.iterations)
     with pytest.raises(RuntimeError) as info:
-        clear_tiered_batch(net, assets, start="least")
+        clear_tiered_batch(net, assets)
     message = str(info.value)
     assert f"in {needed.iterations} iterations" in message
     assert f"{needed.residuals[-1]:.3g}" in message
@@ -334,49 +339,7 @@ def test_non_convergence_names_iterations_residuals_and_row(monkeypatch):
 
 # --- blocked sweep against the full-width loop ------------------------------
 
-def full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE,
-                         start="greatest"):
-    """The tiered Picard loop as one full-width sweep per iteration.
-
-    The solver, whole or a block at a time, must reproduce it bit for bit.
-    """
-    sys = _TierSystem(network)
-    if start == "greatest":
-        p = np.tile(sys.p_bar_row, (assets.shape[0], 1))
-    else:
-        p = np.zeros_like(assets)
-    p_new = np.empty_like(p)
-    scratch = np.empty_like(p)
-    residuals = []
-    for iterations in range(clearing.MAX_ITERATIONS):
-        sums = np.stack([p[:, s].sum(axis=1) for s in sys.slices], axis=1)
-        base = sums @ sys.cross + sums * sys.self_coef[None, :]
-        for d, sl in enumerate(sys.slices):
-            blk = p_new[:, sl]
-            np.multiply(p[:, sl], -sys.self_coef[d], out=blk)
-            blk += base[:, d, None]
-            blk += assets[:, sl]
-            np.minimum(blk, sys.p_bar_tier[d], out=blk)
-        np.subtract(p_new, p, out=scratch)
-        np.abs(scratch, out=scratch)
-        resid = float(scratch.max(initial=0.0))
-        p, p_new = p_new, p
-        if resid <= tolerance * sys.scale:
-            break
-        residuals.append(resid)
-    else:
-        raise RuntimeError("reference loop did not converge")
-    shortfall = np.maximum(sys.p_bar_row[None, :] - p, 0.0)
-    return {
-        "payments": p,
-        "defaulted": shortfall > clearing.DEFAULT_FLAG_TOL,
-        "external_paid": p @ np.repeat(sys.ext_share_tier, network.counts),
-        "iterations": iterations,
-        "residuals": tuple(residuals),
-    }
-
-
-def blockwise(network, assets, start="greatest", tolerance=clearing.DEFAULT_TOLERANCE):
+def blockwise(network, assets):
     """`clear_in_blocks` over `assets`, each block's assets a fresh copy as
     `simulate` draws them.  Returns the batch's fields assembled from each
     block's last call, the blocks cleared again and each row's clear count."""
@@ -388,8 +351,8 @@ def blockwise(network, assets, start="greatest", tolerance=clearing.DEFAULT_TOLE
     clears = np.zeros(rows, dtype=int)
 
     def clear_block(r0, r1, min_iterations):
-        batch = clear_tiered_batch(network, assets[r0:r1].copy(), tolerance=tolerance,
-                                   start=start, min_iterations=min_iterations)
+        batch = clear_tiered_batch(network, assets[r0:r1].copy(),
+                                   min_iterations=min_iterations)
         for field in got:
             got[field][r0:r1] = getattr(batch, field)
         last[r0] = batch
@@ -407,12 +370,13 @@ def blockwise(network, assets, start="greatest", tolerance=clearing.DEFAULT_TOLE
     return got, again, clears
 
 
-def assert_matches_reference(network, assets, start, tolerance=clearing.DEFAULT_TOLERANCE):
+def assert_matches_reference(network, assets):
     """The whole batch at once and block by block equal the full-width loop
-    in every field; returns the blocks cleared again."""
-    ref = full_width_reference(network, assets, tolerance=tolerance, start=start)
-    whole = clear_tiered_batch(network, assets, tolerance=tolerance, start=start)
-    got, again, clears = blockwise(network, assets, start, tolerance)
+    from the greatest start, at `clearing.DEFAULT_TOLERANCE`, in every field;
+    returns the blocks cleared again."""
+    ref = full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE)
+    whole = clear_tiered_batch(network, assets)
+    got, again, clears = blockwise(network, assets)
     for field, expected in ref.items():
         assert np.array_equal(getattr(whole, field), expected), field
         assert np.array_equal(got[field], expected), field
@@ -444,8 +408,7 @@ def test_blocked_sweep_bitwise_equals_full_width(seed, block, shape):
             "ragged": 2 * b + max(1, b // 2),
         }[shape]
         assets = rng.uniform(0.0, 2.0, size=(rows, net.n_banks))
-        for start in ("greatest", "least"):
-            assert_matches_reference(net, assets, start)
+        assert_matches_reference(net, assets)
 
 
 def test_blocked_sweep_bitwise_on_calibrated_partial_block():
@@ -454,15 +417,13 @@ def test_blocked_sweep_bitwise_on_calibrated_partial_block():
     losses = gb.shocks.sample_loss_matrix(params, net.n_banks, 19770525, range(37))
     assets = (1.0 - losses) * net.external_assets_vector()[None, :]
     assert 37 % _block_rows(net.n_banks) != 0
-    for start in ("greatest", "least"):
-        assert_matches_reference(net, assets, start)
+    assert_matches_reference(net, assets)
 
 
 def graded_draw():
     """A random tiered network and six asset rows, from deep default to solvent.
 
-    Alone, the rows stop after 44, 37, 10, 7, 0 and 5 sweeps from the
-    greatest start and 41, 41, 13, 10, 4 and 6 from the least.
+    Alone, the rows stop after 44, 37, 10, 7, 0 and 5 sweeps.
     """
     rng = np.random.default_rng(30)
     net, _ = random_tiered(rng)
@@ -475,48 +436,46 @@ def one_block_of(monkeypatch, net, rows):
     assert _block_rows(net.n_banks) == rows
 
 
-@pytest.mark.parametrize("start", ["greatest", "least"])
+# the ids of this test and the next two name the start they sweep from, the greatest
 @pytest.mark.parametrize("rows,block", [([5, 0], 1), ([4, 5, 2, 3, 0], 2)],
-                         ids=["top-up", "ragged"])
-def test_blocked_sweep_bitwise_when_early_blocks_stop_first(monkeypatch, start, rows, block):
+                         ids=["top-up-greatest", "ragged-greatest"])
+def test_blocked_sweep_bitwise_when_early_blocks_stop_first(monkeypatch, rows, block):
     net, assets = graded_draw()
     one_block_of(monkeypatch, net, block)
     batch = assets[rows]
     # the first block settles alone before the batch does, and the sweeps up
     # to the batch's stop still move its bits: it must be cleared again from
     # the start after the last block (ragged in the second case)
-    alone = full_width_reference(net, batch[:block], start=start)
-    ref = full_width_reference(net, batch, start=start)
+    alone = full_width_reference(net, batch[:block])
+    ref = full_width_reference(net, batch)
     assert alone["iterations"] < ref["iterations"]
     assert not np.array_equal(alone["payments"], ref["payments"][:block])
-    assert assert_matches_reference(net, batch, start) >= 1
+    assert assert_matches_reference(net, batch) >= 1
 
 
 def stop_sweep(residuals, limit, first=0):
     return next(s for s in range(first, len(residuals)) if residuals[s] <= limit)
 
 
-@pytest.mark.parametrize("start,rows,limit", [("greatest", [1, 2], 0.85),
-                                              ("least", [1, 4], 1.02)])
-def test_blocked_sweep_bitwise_when_a_stopped_block_rebounds(monkeypatch, start, rows,
-                                                             limit):
+@pytest.mark.parametrize("rows,limit", [([1, 2], 0.85)], ids=["greatest-rows0-0.85"])
+def test_blocked_sweep_bitwise_when_a_stopped_block_rebounds(monkeypatch, rows, limit):
     net, assets = graded_draw()
     one_block_of(monkeypatch, net, 1)
-    tolerance = limit / _TierSystem(net).scale
-    first, second = (full_width_reference(net, assets[r:r + 1], tolerance=1e-14,
-                                          start=start)["residuals"] for r in rows)
+    monkeypatch.setattr(clearing, "DEFAULT_TOLERANCE", limit / _TierSystem(net).scale)
+    first, second = (full_width_reference(net, assets[r:r + 1], tolerance=1e-14)["residuals"]
+                     for r in rows)
     # the first row is within the limit before the second row is, and above
     # it again at the sweep where the second row first is
     a = stop_sweep(first, limit)
     b = stop_sweep(second, limit, a)
     assert a < b and first[b] > limit
-    assert_matches_reference(net, assets[rows], start, tolerance)
+    assert_matches_reference(net, assets[rows])
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2, 3]),
-       rows=st.integers(1, 10), start=st.sampled_from(["greatest", "least"]))
-def test_blocked_sweep_bitwise_in_any_row_order(seed, block, rows, start):
+       rows=st.integers(1, 10))
+def test_blocked_sweep_bitwise_in_any_row_order(seed, block, rows):
     rng = np.random.default_rng(seed)
     net, _ = random_tiered(rng)
     # rows from deep default to solvent in random order, so blocks stop at
@@ -525,18 +484,18 @@ def test_blocked_sweep_bitwise_in_any_row_order(seed, block, rows, start):
     assets = rng.uniform(0.0, 2.0, size=(rows, net.n_banks)) * scale
     with pytest.MonkeyPatch.context() as mp:
         one_block_of(mp, net, block)
-        assert_matches_reference(net, assets, start)
+        assert_matches_reference(net, assets)
 
 
-@pytest.mark.parametrize("start", ["greatest", "least"])
-def test_worst_block_first_clears_no_block_again(monkeypatch, start):
+@pytest.mark.parametrize("solvent,deep", [(4, 0)], ids=["greatest"])
+def test_worst_block_first_clears_no_block_again(monkeypatch, solvent, deep):
     net, assets = graded_draw()
     one_block_of(monkeypatch, net, 1)
-    # alone, row 4 stops after 0 or 4 sweeps, row 0 after 44 or 41: the
+    # alone, the solvent row stops after 0 sweeps, the deep one after 44: the
     # solvent block first, the deep one raises the stop and the solvent one is
     # cleared again; the deep one first, neither is
-    assert assert_matches_reference(net, assets[[4, 0]], start) == 1
-    assert assert_matches_reference(net, assets[[0, 4]], start) == 0
+    assert assert_matches_reference(net, assets[[solvent, deep]]) == 1
+    assert assert_matches_reference(net, assets[[deep, solvent]]) == 0
 
 
 def test_block_that_stops_before_the_floor_is_an_error(monkeypatch):
@@ -561,7 +520,7 @@ def test_min_iterations_delays_the_stop():
     assert len(later.residuals) == 3
 
 
-def test_several_central_banks_pay_outside_within_tolerance():
+def test_several_central_banks_pay_outside_within_tolerance(monkeypatch):
     # the outside payment sums the central banks' own terms: with two central
     # banks it may differ in the last bits from a dot over the whole row, and
     # it agrees with the dense solver within the clearing tolerance
@@ -574,7 +533,8 @@ def test_several_central_banks_pay_outside_within_tolerance():
     net = tiered((2, 3, 4), profiles)
     assert net.counts[gb.Tier.CENTRAL] == 2
     assets = rng.uniform(0.0, 4.0, size=(5, net.n_banks))
-    batch = clear_tiered_batch(net, assets, tolerance=1e-13)
+    monkeypatch.setattr(clearing, "DEFAULT_TOLERANCE", 1e-13)
+    batch = clear_tiered_batch(net, assets)
     dot = batch.payments @ np.repeat(_TierSystem(net).ext_share_tier, net.counts)
     assert np.allclose(batch.external_paid, dot, rtol=4 * np.finfo(float).eps, atol=0)
     for row in range(5):
@@ -768,7 +728,9 @@ def test_tier_sums_match_dense_and_picard(seed, rows, shift):
     per_bank = assets + np.repeat(shift, net.counts)
     out = clear_tier_sums(net, sort_tiers(net, assets), shift)
     bound = TIER_SUM_REL * np.maximum(tier_obligations(net), 1e-12)
-    picard = clear_tiered_batch(net, per_bank, tolerance=1e-13)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clearing, "DEFAULT_TOLERANCE", 1e-13)
+        picard = clear_tiered_batch(net, per_bank)
     assert (np.abs(out.sums - tier_totals(net, picard.payments)) <= bound).all()
     scale = _TierSystem(net).p_bar_tier.max()
     for r in range(rows):

@@ -23,6 +23,7 @@ from galbank.network import _claims_face
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 
 SEED = 20240917
+GRID = gb.GridSpec()  # the frontier's default search cap and resolution
 TABLE_COLUMNS = ("external_shortfall", "central_shortfall", "deposits_lost",
                  "defaults_by_tier")
 
@@ -85,6 +86,14 @@ def test_loss_size_mismatch_rejected():
     big = clear_tiered_batch(net, np.zeros((1, net.n_banks)))
     with pytest.raises(ValueError, match=r"of 17501 banks .* of 3 banks"):
         gb.ScenarioTable.from_clearing(toy, big)
+
+
+def test_zero_row_table_concatenates_with_another():
+    net = central_only_network()
+    empty = account(net, np.zeros((0, 3)))
+    one = account(net, np.array([[4.0, 0.0, 0.0]]))
+    assert empty.defaults_by_tier.shape == (0, 3)
+    assert_tables_equal(gb.ScenarioTable.concat([empty, one]), one)
 
 
 def test_deposits_counted_only_without_insurance(tmp_path):
@@ -480,7 +489,9 @@ def test_frontier_trivial_threshold(default_net):
     params = gb.ShockParams()
     config = gb.LossConfig(threshold_fraction=0.9)
     evaluator = _AllocationEvaluator(net, params, config, 60, SEED, 1)
-    points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION, [0.0, 0.01])
+    points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION, [0.0, 0.01],
+                                 per_massive_cap=GRID.per_massive_cap,
+                                 resolution=GRID.resolution)
     assert all(p.attainable and p.per_massive == 0.0 for p in points)
     best = gb.minimal_total_bailout(points, net, gb.Criterion.EXPECTATION)
     assert best.total == 0.0
@@ -495,7 +506,7 @@ def test_frontier_unattainable_reported(default_net):
     config = gb.LossConfig(threshold_fraction=0.01)
     evaluator = _AllocationEvaluator(net, params, config, 40, SEED, 1)
     points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION, [0.0],
-                                 per_massive_cap=0.5)
+                                 per_massive_cap=0.5, resolution=GRID.resolution)
     assert len(points) == 1
     assert not points[0].attainable
     with pytest.raises(ValueError):
@@ -505,10 +516,11 @@ def test_frontier_unattainable_reported(default_net):
 def test_frontier_rejects_bad_grid(default_net):
     evaluator = _AllocationEvaluator(default_net, gb.ShockParams(), gb.LossConfig(),
                                      10, SEED, 1)
-    with pytest.raises(ValueError):
-        gb.bailout_frontier(evaluator, gb.Criterion.VAR, [])
-    with pytest.raises(ValueError):
-        gb.bailout_frontier(evaluator, gb.Criterion.VAR, [0.02, 0.01])
+    for per_big in ([], [0.02, 0.01]):
+        with pytest.raises(ValueError):
+            gb.bailout_frontier(evaluator, gb.Criterion.VAR, per_big,
+                                per_massive_cap=GRID.per_massive_cap,
+                                resolution=GRID.resolution)
 
 
 def test_evaluator_common_random_numbers_monotone(default_net):
@@ -1143,7 +1155,9 @@ def test_acceptance_frontier_loss_vectors_keep_their_bits():
     evaluator = _AllocationEvaluator(net, config.shock, config.loss, 1_000,
                                      workloads.REFERENCE_SEED, 2)
     for criterion in gb.Criterion:
-        gb.bailout_frontier(evaluator, criterion, workloads.ACCEPTANCE_GRID)
+        gb.bailout_frontier(evaluator, criterion, workloads.ACCEPTANCE_GRID,
+                            per_massive_cap=config.grid.per_massive_cap,
+                            resolution=config.grid.resolution)
     assert len(evaluator.cache) == 23
     digest = hashlib.sha256()
     for alloc in sorted(evaluator.cache, key=lambda a: (a.per_massive, a.per_big)):

@@ -7,9 +7,16 @@ source with `ast`: a name is live once a live definition refers to it, by
 bare name or as an attribute (`report.write_losses_csv`).  A live class
 makes all of its methods live.  Imports are not references, so a name that
 only `__init__.py` re-exports does not count.
+
+A parameter default is an option, so some call in the package must set it:
+by keyword, by position, or through `functools.partial`.  Calls are matched
+to a `def` by name alone, so a call to any function of that name counts.
+The one exemption is `cli.main`'s `argv`: the console script calls `main()`
+with no arguments, and the tests and the benchmark pass `argv`.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -17,6 +24,9 @@ import galbank
 
 PACKAGE = Path(galbank.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
+
+# (module, function, parameter) of the defaults no call in the package needs to set
+UNSET_DEFAULTS_ALLOWED = {("cli", "main", "argv")}
 
 # names the README's "Python API" section documents beyond what the CLI runs
 DOCUMENTED_API = (
@@ -78,3 +88,76 @@ def test_documented_api_is_in_the_readme():
 def test_every_package_name_is_run_or_documented():
     unreachable = _unreachable(["main", *DOCUMENTED_API])
     assert not unreachable, f"neither run by a galbank command nor documented: {unreachable}"
+
+
+def _called_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _call_sites() -> dict:
+    """{name: [(positional count, keyword names)]} for every call in the
+    package.  `functools.partial(f, ...)` counts as a call to `f`; a starred
+    argument counts as any number of positional arguments, and a `**`
+    argument shows as the keyword None, which stands for every keyword."""
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if _called_name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            sites.setdefault(_called_name(func), []).append(
+                (math.inf if starred else len(args), {k.arg for k in node.keywords}))
+    return sites
+
+
+def _functions():
+    """(module, qualified name, called name, bound, node) for every `def` in
+    the package.  A method is `bound`: a call fills its first parameter (the
+    package has no staticmethod).  A class's `__init__` is called by the
+    class's name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owner.get(id(node))
+            if cls is None:
+                yield path.stem, node.name, node.name, False, node
+            else:
+                called = cls.name if node.name == "__init__" else node.name
+                yield path.stem, f"{cls.name}.{node.name}", called, True, node
+
+
+def _unset_defaults() -> dict:
+    """{"module.function": [parameters]} of the parameter defaults that no
+    call in the package overrides."""
+    sites = _call_sites()
+    unset = {}
+    for module, qualname, called, bound, node in _functions():
+        a = node.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)  # the first with a default
+        # (name, position in a call, or None where only a keyword sets it)
+        defaulted = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+        for name, position in defaulted:
+            if (module, qualname, name) in UNSET_DEFAULTS_ALLOWED:
+                continue
+            if not any(name in keywords or None in keywords
+                       or (position is not None and count > position)
+                       for count, keywords in sites.get(called, [])):
+                unset.setdefault(f"{module}.{qualname}", []).append(name)
+    return unset
+
+
+def test_every_parameter_default_is_set_by_some_call():
+    unset = _unset_defaults()
+    assert not unset, f"parameter defaults no call in the package sets: {unset}"
