@@ -13,7 +13,7 @@ from .calibration import (
     outstanding_debt,
 )
 from .clearing import clear_tiered_batch
-from .config import ConfigError, GridSpec, RunConfig, load_config, parse_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .network import (
     BalanceSheet,
     DegenerateNetworkError,
@@ -28,6 +28,7 @@ from .risk import (
     BailoutAllocation,
     Criterion,
     FrontierPoint,
+    GridSpec,
     LossConfig,
     MinimalBailout,
     ScenarioTable,

@@ -162,11 +162,7 @@ def cmd_frontier(args) -> int:
     minima = []
     gaps = False
     for criterion in criteria:
-        points = bailout_frontier(
-            evaluator, criterion, config.grid.per_big,
-            per_massive_cap=config.grid.per_massive_cap,
-            resolution=config.grid.resolution,
-        )
+        points = bailout_frontier(evaluator, criterion, config.grid)
         frontiers[criterion] = points
         gaps = gaps or any(not p.attainable for p in points)
         attainable = [p for p in points if p.attainable]

@@ -2,8 +2,8 @@
 
 A config file is a single JSON document with optional blocks
 ``calibration``, ``shock``, ``loss`` and ``grid`` plus top-level
-``n_scenarios`` and ``seed``.  The ``calibration``, ``shock`` and ``loss``
-blocks name fields of `CalibrationParams`, `ShockParams` and `LossConfig`;
+``n_scenarios`` and ``seed``.  The four blocks name fields of
+`CalibrationParams`, `ShockParams`, `LossConfig` and `GridSpec`;
 a field left out keeps the dataclass default, so an empty document
 reproduces the reference run.  Values are type-checked here and
 range-checked once, by the dataclasses.  Unknown fields and non-finite
@@ -19,37 +19,15 @@ from functools import partial
 from pathlib import Path
 
 from .calibration import CalibrationParams
-from .risk import LossConfig
+from .risk import GridSpec, LossConfig
 from .shocks import ShockParams, ShockTarget
 
 DEFAULT_SEED = 19770525
 DEFAULT_SCENARIOS = 10_000
-# most points a per_big range may give: each is a bisection of about 15
-# frontier evaluations, so a mistyped step fails instead of running for days
-MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; message carries the field location."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    per_big: tuple[float, ...] = tuple(round(0.005 * i, 6) for i in range(11))
-    per_massive_cap: float = 8.0
-    resolution: float = 0.001
-
-    def __post_init__(self):
-        if not self.per_big:
-            raise ConfigError("grid.per_big: must be non-empty")
-        if list(self.per_big) != sorted(self.per_big):
-            raise ConfigError("grid.per_big: must be sorted ascending")
-        if any(b < 0 for b in self.per_big):
-            raise ConfigError("grid.per_big: values must be non-negative")
-        if not 0 < self.per_massive_cap < math.inf:
-            raise ConfigError("grid.per_massive_cap: must be positive and finite")
-        if not 0 < self.resolution < math.inf:
-            raise ConfigError("grid.resolution: must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -93,8 +71,8 @@ def _is_number(value) -> bool:
         return False
 
 
-def _number(block, key, location, default=None):
-    value = block.get(key, default)
+def _number(block, key, location):
+    value = block[key]
     _require(_is_number(value), f"{location}.{key}", "expected a finite number")
     return float(value)
 
@@ -152,6 +130,9 @@ _BLOCKS = {
         "deposit_insurance": _boolean, "threshold_fraction": _number,
         "confidence": _number, "bond_recovery": _number,
     }),
+    "grid": (GridSpec, {
+        "per_big": _numbers, "per_massive_cap": _number, "resolution": _number,
+    }),
 }
 
 
@@ -165,41 +146,15 @@ def _parse_block(name: str, block: dict):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_grid(block: dict) -> GridSpec:
-    loc = "grid"
-    range_keys = {"per_big_start", "per_big_stop", "per_big_step"}
-    _check_keys(block, {"per_big", "per_massive_cap", "resolution", *range_keys}, loc)
-    values = {key: _number(block, key, loc)
-              for key in ("per_massive_cap", "resolution") if key in block}
-
-    if "per_big" in block:
-        _require(not range_keys & block.keys(), f"{loc}.per_big",
-                 "give either an explicit list or a range, not both")
-        values["per_big"] = _numbers(block, "per_big", loc)
-    elif range_keys & block.keys():
-        start = _number(block, "per_big_start", loc, 0.0)
-        stop = _number(block, "per_big_stop", loc)
-        step = _number(block, "per_big_step", loc)
-        _require(step > 0, f"{loc}.per_big_step", "must be > 0")
-        _require(stop >= start, f"{loc}.per_big_stop", "must be >= per_big_start")
-        count = (stop - start) / step
-        _require(math.isfinite(count), f"{loc}.per_big_step", "the point count overflows")
-        _require(round(count) < MAX_GRID_POINTS, f"{loc}.per_big_step",
-                 f"gives {round(count) + 1:,} points, more than {MAX_GRID_POINTS:,}")
-        values["per_big"] = tuple(round(start + i * step, 9) for i in range(round(count) + 1))
-    return GridSpec(**values)
-
-
 def parse_config(data: dict) -> RunConfig:
     _require(isinstance(data, dict), "config", "top level must be a JSON object")
-    _check_keys(data, {*_BLOCKS, "grid", "n_scenarios", "seed"}, "config")
-    for name in (*_BLOCKS, "grid"):
+    _check_keys(data, {*_BLOCKS, "n_scenarios", "seed"}, "config")
+    for name in _BLOCKS:
         _require(isinstance(data.get(name, {}), dict), name, "expected an object")
     return RunConfig(
         **{name: _parse_block(name, data.get(name, {})) for name in _BLOCKS},
         **{key: _integer(data, key, "config") for key in ("n_scenarios", "seed")
            if key in data},
-        grid=_parse_grid(data.get("grid", {})),
     )
 
 

@@ -73,11 +73,6 @@ class BalanceSheet:
         ):
             _check_amount(name, getattr(self, name))
 
-    @property
-    def total_assets(self) -> Money:
-        """Face-value assets before shocks, bond defaults and bailouts."""
-        return self.external_assets + self.interbank_claims_face + self.bond_holdings_face
-
 
 def total_obligation(profile: LiabilityProfile) -> Money:
     """Everything one bank owes: the three tier totals plus external debt."""

@@ -116,6 +116,27 @@ class LossConfig:
 
 
 @dataclass(frozen=True)
+class GridSpec:
+    """The frontier's search: the per-big grid, the per-massive cap, the resolution."""
+
+    per_big: tuple[float, ...] = tuple(round(0.005 * i, 6) for i in range(11))
+    per_massive_cap: float = 8.0
+    resolution: float = 0.001
+
+    def __post_init__(self):
+        if not self.per_big:
+            raise ValueError("per_big must be non-empty")
+        if not all(0.0 <= b < math.inf for b in self.per_big):
+            raise ValueError("per_big values must be finite and non-negative")
+        if list(self.per_big) != sorted(self.per_big):
+            raise ValueError("per_big must be sorted ascending")
+        if not 0.0 < self.per_massive_cap < math.inf:
+            raise ValueError("per_massive_cap must be positive and finite")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError("resolution must be positive and finite")
+
+
+@dataclass(frozen=True)
 class BailoutAllocation:
     """Cash per bank of each tier; the central bank never receives funds."""
 
@@ -589,34 +610,28 @@ class _AllocationEvaluator:
                                    self.config.confidence)
 
 
-def bailout_frontier(evaluator: _AllocationEvaluator, criterion: Criterion, grid, *,
-                     per_massive_cap: Money, resolution: Money) -> list[FrontierPoint]:
+def bailout_frontier(evaluator: _AllocationEvaluator, criterion: Criterion,
+                     grid: GridSpec) -> list[FrontierPoint]:
     """Minimal per-massive bailout for each per-big grid value.
 
     The evaluator fixes the network, shock, loss criteria and scenarios, and
     its cache carries over between calls.  All allocations share the same
     scenario streams (common random numbers), so the attainable minima are
     non-increasing in per_big; that property is asserted on every run.  Grid
-    points where the criterion fails even at `per_massive_cap` are reported
-    as unattainable rather than errors.
+    points where the criterion fails even at `grid.per_massive_cap` are
+    reported as unattainable rather than errors.
     """
-    grid = [float(b) for b in grid]
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    if sorted(grid) != grid:
-        raise ValueError("grid must be sorted ascending")
-
     points = []
-    for per_big in grid:
+    for per_big in grid.per_big:
         ok = lambda pm: evaluator.satisfied(
             BailoutAllocation(per_massive=pm, per_big=per_big), criterion
         )
-        minimal = _bisect_min(ok, 0.0, per_massive_cap, resolution)
+        minimal = _bisect_min(ok, 0.0, grid.per_massive_cap, grid.resolution)
         points.append(FrontierPoint(per_big=per_big, per_massive=minimal))
         log.info("frontier %s: per_big=%g -> per_massive=%s",
                  criterion.value, per_big, minimal)
 
-    _assert_frontier_monotone(points, resolution)
+    _assert_frontier_monotone(points, grid.resolution)
     return points
 
 

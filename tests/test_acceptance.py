@@ -98,9 +98,7 @@ def frontier_run():
     frontiers = {}
     minima = {}
     for criterion in gb.Criterion:
-        points = gb.bailout_frontier(evaluator, criterion, FRONTIER_GRID.per_big,
-                                     per_massive_cap=FRONTIER_GRID.per_massive_cap,
-                                     resolution=FRONTIER_GRID.resolution)
+        points = gb.bailout_frontier(evaluator, criterion, FRONTIER_GRID)
         frontiers[criterion] = points
         if any(p.attainable for p in points):
             minima[criterion] = gb.minimal_total_bailout(points, net, criterion)

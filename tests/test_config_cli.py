@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from galbank import config as config_module, report
 from galbank.cli import main
 from galbank.config import DEFAULT_SEED
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 def write_config(tmp_path: Path, data: dict) -> Path:
     path = tmp_path / "config.json"
@@ -42,17 +44,28 @@ def test_empty_config_is_headline_run():
 
 
 @pytest.mark.parametrize("block,cls", [("shock", gb.ShockParams), ("loss", gb.LossConfig),
-                                       ("calibration", gb.CalibrationParams)])
+                                       ("calibration", gb.CalibrationParams),
+                                       ("grid", gb.GridSpec)])
 def test_block_keys_are_dataclass_fields(block, cls):
     _, readers = config_module._BLOCKS[block]
     assert readers.keys() == {f.name for f in fields(cls)}
+
+
+def test_readme_example_config_is_the_run_config_it_documents():
+    section = re.search(r"^## Config\n(.*?)^## ", README.read_text(), re.S | re.M)
+    assert section, "README has no 'Config' section"
+    example = re.search(r"```json\n(.*?)```", section.group(1), re.S)
+    assert example, "README's 'Config' section has no JSON example"
+    # every value it shows is the default but the grid's per_big list
+    assert gb.parse_config(json.loads(example.group(1))) == gb.RunConfig(
+        grid=gb.GridSpec(per_big=(0.0, 0.02, 0.04, 0.06, 0.08)))
 
 
 def test_load_config_none_gives_defaults():
     assert gb.load_config(None) == gb.RunConfig()
 
 
-def test_unknown_field_rejected_with_location():
+def test_unknown_field_rejected_with_location(tmp_path, capsys):
     with pytest.raises(gb.ConfigError, match=r"shock\.correl"):
         gb.parse_config({"shock": {"correl": 0.3}})
     with pytest.raises(gb.ConfigError, match=r"config\.fronteer"):
@@ -66,6 +79,16 @@ def test_unknown_field_rejected_with_location():
                        ("us_gdp", [[1942, 182.5]])):
         with pytest.raises(gb.ConfigError, match=rf"calibration\.{key}: unknown field"):
             gb.parse_config({"calibration": {key: value}})
+    # the per_big range, now removed: the explicit list is the one spelling
+    for key in ("per_big_start", "per_big_stop", "per_big_step"):
+        data = {"grid": {key: 0.01}}
+        with pytest.raises(gb.ConfigError, match=rf"grid\.{key}: unknown field"):
+            gb.parse_config(data)
+        out = tmp_path / "out"
+        assert main(["frontier", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)]) == 2
+        assert f"grid.{key}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # a valid value other than the default for every calibration input
@@ -112,47 +135,10 @@ def test_invalid_values_rejected():
 def test_grid_parsing():
     config = gb.parse_config({"grid": {"per_big": [0.0, 0.01, 0.02]}})
     assert config.grid.per_big == (0.0, 0.01, 0.02)
-    config = gb.parse_config(
-        {"grid": {"per_big_start": 0.0, "per_big_stop": 0.02, "per_big_step": 0.01}}
-    )
-    assert config.grid.per_big == (0.0, 0.01, 0.02)
-    with pytest.raises(gb.ConfigError, match="sorted"):
+    with pytest.raises(gb.ConfigError, match="grid: per_big must be sorted"):
         gb.parse_config({"grid": {"per_big": [0.02, 0.01]}})
-    with pytest.raises(gb.ConfigError, match=r"grid\.per_massive_cap"):
+    with pytest.raises(ValueError, match="per_massive_cap"):
         gb.GridSpec(per_massive_cap=float("inf"))
-    for range_key in ("per_big_start", "per_big_stop", "per_big_step"):
-        with pytest.raises(gb.ConfigError, match="not both"):
-            gb.parse_config({"grid": {"per_big": [0.0], range_key: 0.01}})
-
-
-def test_grid_range_point_count_overflow_is_config_error(tmp_path, capsys):
-    data = {"grid": {"per_big_stop": 1e300, "per_big_step": 1e-300}}
-    with pytest.raises(gb.ConfigError, match=r"grid\.per_big_step: .*overflows"):
-        gb.parse_config(data)
-    out = tmp_path / "out"
-    assert main(["frontier", "--config", str(write_config(tmp_path, data)),
-                 "--out", str(out)]) == 2
-    assert "grid.per_big_step" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_grid_range_point_cap(tmp_path, capsys, monkeypatch):
-    cap = config_module.MAX_GRID_POINTS
-    at_cap = {"per_big_stop": cap - 1.0, "per_big_step": 1.0}
-    assert len(gb.parse_config({"grid": at_cap}).grid.per_big) == cap
-    monkeypatch.setattr(config_module, "range", None, raising=False)  # nothing may be built
-    for step in (1e-6, 1e-300):
-        data = {"grid": {"per_big_stop": 1.0, "per_big_step": step}}
-        with pytest.raises(gb.ConfigError, match=r"grid\.per_big_step: gives .* points, more than"):
-            gb.parse_config(data)
-        out = tmp_path / f"out-{step}"
-        assert main(["frontier", "--config", str(write_config(tmp_path, data)),
-                     "--out", str(out)]) == 2
-        assert "grid.per_big_step" in capsys.readouterr().err
-        assert not out.exists()
-    one_past = {"per_big_stop": float(cap), "per_big_step": 1.0}
-    with pytest.raises(gb.ConfigError, match=f"gives {cap + 1:,} points"):
-        gb.parse_config({"grid": one_past})
 
 
 def test_shock_and_loss_blocks_flow_through():
@@ -188,7 +174,7 @@ NON_FINITE = [
      r"calibration\.capital_buffer_per_tier"),
     ({"grid": {"per_massive_cap": float("inf")}}, r"grid\.per_massive_cap"),
     ({"grid": {"per_big": [0.0, float("inf")]}}, r"grid\.per_big"),
-    ({"grid": {"per_big_stop": float("nan"), "per_big_step": 0.01}}, r"grid\.per_big_stop"),
+    ({"grid": {"resolution": float("nan")}}, r"grid\.resolution"),
     ({"shock": {"correlation": 10 ** 400}}, r"shock\.correlation"),
 ]
 

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import math
 import operator
 import os
 import subprocess
@@ -23,7 +24,6 @@ from galbank.network import _claims_face
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 
 SEED = 20240917
-GRID = gb.GridSpec()  # the frontier's default search cap and resolution
 TABLE_COLUMNS = ("external_shortfall", "central_shortfall", "deposits_lost",
                  "defaults_by_tier")
 
@@ -489,9 +489,8 @@ def test_frontier_trivial_threshold(default_net):
     params = gb.ShockParams()
     config = gb.LossConfig(threshold_fraction=0.9)
     evaluator = _AllocationEvaluator(net, params, config, 60, SEED, 1)
-    points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION, [0.0, 0.01],
-                                 per_massive_cap=GRID.per_massive_cap,
-                                 resolution=GRID.resolution)
+    points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION,
+                                 gb.GridSpec(per_big=(0.0, 0.01)))
     assert all(p.attainable and p.per_massive == 0.0 for p in points)
     best = gb.minimal_total_bailout(points, net, gb.Criterion.EXPECTATION)
     assert best.total == 0.0
@@ -505,22 +504,25 @@ def test_frontier_unattainable_reported(default_net):
     # can never cover its outside obligation once the bonds are gone
     config = gb.LossConfig(threshold_fraction=0.01)
     evaluator = _AllocationEvaluator(net, params, config, 40, SEED, 1)
-    points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION, [0.0],
-                                 per_massive_cap=0.5, resolution=GRID.resolution)
+    points = gb.bailout_frontier(evaluator, gb.Criterion.EXPECTATION,
+                                 gb.GridSpec(per_big=(0.0,), per_massive_cap=0.5))
     assert len(points) == 1
     assert not points[0].attainable
     with pytest.raises(ValueError):
         gb.minimal_total_bailout(points, net, gb.Criterion.EXPECTATION)
 
 
-def test_frontier_rejects_bad_grid(default_net):
-    evaluator = _AllocationEvaluator(default_net, gb.ShockParams(), gb.LossConfig(),
-                                     10, SEED, 1)
-    for per_big in ([], [0.02, 0.01]):
-        with pytest.raises(ValueError):
-            gb.bailout_frontier(evaluator, gb.Criterion.VAR, per_big,
-                                per_massive_cap=GRID.per_massive_cap,
-                                resolution=GRID.resolution)
+def test_frontier_rejects_bad_grid():
+    # a bad grid fails when its spec is built, not at the frontier's first bisection
+    for per_big, message in (((), "non-empty"), ((0.02, 0.01), "sorted"),
+                             ((-0.01, 0.0), "non-negative"),
+                             ((0.0, math.nan), "finite"), ((0.0, math.inf), "finite")):
+        with pytest.raises(ValueError, match=f"per_big .*{message}"):
+            gb.GridSpec(per_big=per_big)
+    # the config rejects the non-finite values as it reads them, at the field
+    for value in (math.nan, math.inf):
+        with pytest.raises(gb.ConfigError, match=r"grid\.per_big: expected"):
+            gb.parse_config({"grid": {"per_big": [0.0, value]}})
 
 
 def test_evaluator_common_random_numbers_monotone(default_net):
@@ -1155,9 +1157,8 @@ def test_acceptance_frontier_loss_vectors_keep_their_bits():
     evaluator = _AllocationEvaluator(net, config.shock, config.loss, 1_000,
                                      workloads.REFERENCE_SEED, 2)
     for criterion in gb.Criterion:
-        gb.bailout_frontier(evaluator, criterion, workloads.ACCEPTANCE_GRID,
-                            per_massive_cap=config.grid.per_massive_cap,
-                            resolution=config.grid.resolution)
+        gb.bailout_frontier(evaluator, criterion,
+                            gb.GridSpec(per_big=tuple(workloads.ACCEPTANCE_GRID)))
     assert len(evaluator.cache) == 23
     digest = hashlib.sha256()
     for alloc in sorted(evaluator.cache, key=lambda a: (a.per_massive, a.per_big)):

@@ -4,9 +4,11 @@ Every module-level function, class and constant of `src/galbank` must be
 reachable by name from the console entry point `galbank.cli.main`, or be
 named in the README's "Python API" section.  Reachability is read from the
 source with `ast`: a name is live once a live definition refers to it, by
-bare name or as an attribute (`report.write_losses_csv`).  A live class
-makes all of its methods live.  Imports are not references, so a name that
-only `__init__.py` re-exports does not count.
+bare name or as an attribute (`report.write_losses_csv`).  A method or
+property of a live class is live once a live definition reads it as an
+attribute (`table.n_defaults`), matched by name alone; dunder methods live
+with their class.  Imports are not references, so a name that only
+`__init__.py` re-exports does not count.
 
 A parameter default is an option, so some call in the package must set it:
 by keyword, by position, or through `functools.partial`.  Calls are matched
@@ -38,7 +40,10 @@ DOCUMENTED_API = (
 
 
 def _definitions():
-    """{(module, name): node} for every module-level def, class and assignment."""
+    """{(module, name): [nodes]} for every module-level def, class and
+    assignment, and for every method but the dunders as "Class.method".  A
+    class's own nodes are its bases, decorators and body without those
+    methods."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -49,31 +54,50 @@ def _definitions():
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
+            nodes = [node]
+            if isinstance(node, ast.ClassDef):
+                methods = [f for f in node.body if isinstance(f, ast.FunctionDef)
+                           and not f.name.startswith("__")]
+                for f in methods:
+                    found[(path.stem, f"{node.name}.{f.name}")] = [f]
+                nodes = [*node.bases, *node.keywords, *node.decorator_list,
+                         *(stmt for stmt in node.body if stmt not in methods)]
             for name in names:
                 if not name.startswith("__"):
-                    found[(path.stem, name)] = node
+                    found[(path.stem, name)] = nodes
     return found
 
 
-def _referenced(node) -> set:
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def _referenced(nodes) -> tuple[set, set]:
+    """The names `nodes` refer to, by bare name or as an attribute, and the
+    attribute names alone."""
+    walked = [n for node in nodes for n in ast.walk(node)]
+    attributes = {n.attr for n in walked if isinstance(n, ast.Attribute)}
+    return {n.id for n in walked if isinstance(n, ast.Name)} | attributes, attributes
 
 
 def _unreachable(roots) -> list:
     definitions = _definitions()
     by_name = {}
     for module, name in definitions:
-        by_name.setdefault(name, []).append((module, name))
-    live = set()
+        if "." not in name:
+            by_name.setdefault(name, []).append((module, name))
+    live, attributes = set(), set()
     todo = [key for name in roots for key in by_name.get(name, [])]
     while todo:
-        key = todo.pop()
-        if key in live:
-            continue
-        live.add(key)
-        for name in _referenced(definitions[key]):
-            todo.extend(by_name.get(name, []))
+        while todo:
+            key = todo.pop()
+            if key in live:
+                continue
+            live.add(key)
+            names, read = _referenced(definitions[key])
+            attributes |= read
+            for name in names:
+                todo.extend(by_name.get(name, []))
+        # the methods of live classes that a live definition reads
+        todo = [(module, name) for module, name in definitions.keys() - live
+                if "." in name and (module, name.split(".")[0]) in live
+                and name.split(".")[1] in attributes]
     return sorted(f"{module}.{name}" for module, name in definitions.keys() - live)
 
 
