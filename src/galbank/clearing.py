@@ -175,6 +175,13 @@ def _tier_system(network: GalacticNetwork) -> _TierSystem:
     return _TierSystem(network)
 
 
+def pays_in_full(network: GalacticNetwork) -> np.ndarray:
+    """Per tier d, pbar_d (1 + c_d): a bank of tier d holding this much pays
+    pbar_d at every Picard sweep and lies above every fictitious-default threshold."""
+    sys = _tier_system(network)
+    return sys.p_bar_tier * (1.0 + sys.self_coef)
+
+
 def _check_assets(assets: np.ndarray) -> None:
     # NaN fails the comparison too; `initial` lets an empty batch through
     if not assets.min(initial=0.0) >= 0.0:
@@ -487,7 +494,7 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
     coef = sys.cross + np.diag(sys.self_coef)
     one_c = 1.0 + sys.self_coef
     full = counts * sys.p_bar_tier
-    top = sys.p_bar_tier * one_c - shift
+    top = pays_in_full(network) - shift
     tie = TIE_ULPS * np.finfo(float).eps * sys.p_bar_tier * one_c
     cut = tiers.lengths < counts
 

@@ -1,11 +1,12 @@
 """JSON run configuration: loading, strict validation, defaults.
 
-A config file is a single JSON document with optional blocks
-``calibration``, ``shock``, ``loss`` and ``grid`` plus top-level
-``n_scenarios`` and ``seed``.  The four blocks name fields of
-`CalibrationParams`, `ShockParams`, `LossConfig` and `GridSpec`;
-a field left out keeps the dataclass default, so an empty document
-reproduces the reference run.  Values are type-checked here and
+A config file is a single JSON document read against `RunConfig`, the
+one statement of its schema.  Each dataclass-typed field of `RunConfig`
+(``calibration``, ``shock``, ``loss``, ``grid``) is a block whose keys are
+exactly that dataclass's fields; its other fields (``n_scenarios``,
+``seed``) are top-level values.  A field left out keeps the dataclass
+default, so an empty document reproduces the reference run.  Each value
+is type-checked by the reader its field's annotation picks, and
 range-checked once, by the dataclasses.  Unknown fields and non-finite
 numbers are rejected with the offending location in the message.
 """
@@ -14,13 +15,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from functools import partial
 from pathlib import Path
 
 from .calibration import CalibrationParams
 from .risk import GridSpec, LossConfig
-from .shocks import ShockParams, ShockTarget
+from .shocks import ShockParams
 
 DEFAULT_SEED = 19770525
 DEFAULT_SCENARIOS = 10_000
@@ -71,75 +74,60 @@ def _is_number(value) -> bool:
         return False
 
 
-def _number(block, key, location):
-    value = block[key]
-    _require(_is_number(value), f"{location}.{key}", "expected a finite number")
-    return float(value)
+def _is_list(value, item, count=None) -> bool:
+    return (isinstance(value, list) and len(value) > 0 and all(map(item, value))
+            and (count is None or len(value) == count))
 
 
-def _numbers(block, key, location, count=None):
-    raw = block[key]
-    _require(
-        isinstance(raw, list) and raw and all(_is_number(v) for v in raw)
-        and (count is None or len(raw) == count),
-        f"{location}.{key}", f"expected a list of {count or 'one or more'} finite numbers",
-    )
-    return tuple(float(v) for v in raw)
+def _floats(value) -> tuple:
+    return tuple(float(v) for v in value)
 
 
-def _integer(block, key, location):
-    _require(_is_integer(block[key]), f"{location}.{key}", "expected an integer")
-    return block[key]
-
-
-def _tier_counts(block, key, location):
-    raw = block[key]
-    _require(isinstance(raw, list) and len(raw) == 3 and all(map(_is_integer, raw)),
-             f"{location}.{key}", "expected three integers")
-    return tuple(raw)
-
-
-def _boolean(block, key, location):
-    _require(isinstance(block[key], bool), f"{location}.{key}", "expected true/false")
-    return block[key]
-
-
-def _shock_target(block, key, location):
-    try:
-        return ShockTarget(block[key])
-    except ValueError:
-        raise ConfigError(
-            f"{location}.{key}: expected one of "
-            f"{[t.value for t in ShockTarget]}, got {block[key]!r}"
-        ) from None
-
-
-# each block's dataclass and a type-checking reader per field
-_BLOCKS = {
-    "calibration": (CalibrationParams, {
-        "ds1_total_cost": _number, "ds1_paid_fraction": _number,
-        "ds2_total_cost": _number, "ggp_endor": _number, "tier_counts": _tier_counts,
-        "capital_buffer_per_tier": partial(_numbers, count=3),
-        "banking_sector_ggp_fraction": _number,
-    }),
-    "shock": (ShockParams, {
-        "correlation": _number, "beta_a": _number, "beta_b": _number,
-        "applies_to": _shock_target, "exempt_central": _boolean,
-    }),
-    "loss": (LossConfig, {
-        "deposit_insurance": _boolean, "threshold_fraction": _number,
-        "confidence": _number, "bond_recovery": _number,
-    }),
-    "grid": (GridSpec, {
-        "per_big": _numbers, "per_massive_cap": _number, "resolution": _number,
-    }),
+# per field annotation (`Money` is float): the check a JSON value must pass,
+# the message when it fails (formatted with the value), and its conversion
+_READERS = {
+    float: (_is_number, "expected a finite number", float),
+    bool: (lambda value: isinstance(value, bool), "expected true/false", bool),
+    int: (_is_integer, "expected an integer", int),
+    tuple[int, int, int]: (partial(_is_list, item=_is_integer, count=3),
+                           "expected three integers", tuple),
+    tuple[float, float, float]: (partial(_is_list, item=_is_number, count=3),
+                                 "expected a list of 3 finite numbers", _floats),
+    tuple[float, ...]: (partial(_is_list, item=_is_number),
+                        "expected a list of one or more finite numbers", _floats),
 }
 
 
-def _parse_block(name: str, block: dict):
-    cls, readers = _BLOCKS[name]
-    _check_keys(block, readers, name)
-    values = {key: read(block, key, name) for key, read in readers.items() if key in block}
+def _schema(cls) -> dict:
+    """Each field of dataclass `cls`, in order, with its resolved annotation."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _read(data: dict, schema: dict, location: str) -> dict:
+    """The values `data` gives for `schema`'s fields, each checked and
+    converted by the reader its annotation picks; every field needs one."""
+    values = {}
+    for key, hint in schema.items():
+        where = f"{location}.{key}"
+        if isinstance(hint, type) and issubclass(hint, Enum):
+            members = [m.value for m in hint]
+            reader = members.__contains__, f"expected one of {members}, got {{!r}}", hint
+        else:
+            reader = _READERS.get(hint)
+        if reader is None:
+            raise TypeError(f"{where}: no config reader for the annotation {hint!r}")
+        check, message, convert = reader
+        if key in data:
+            _require(check(data[key]), where, message.format(data[key]))
+            values[key] = convert(data[key])
+    return values
+
+
+def _parse_block(name: str, cls, block: dict):
+    schema = _schema(cls)
+    _check_keys(block, schema, name)
+    values = _read(block, schema, name)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -147,15 +135,18 @@ def _parse_block(name: str, block: dict):
 
 
 def parse_config(data: dict) -> RunConfig:
+    """`RunConfig` from a JSON document: each dataclass-typed field is a block
+    of its own, read before the top-level values."""
     _require(isinstance(data, dict), "config", "top level must be a JSON object")
-    _check_keys(data, {*_BLOCKS, "n_scenarios", "seed"}, "config")
-    for name in _BLOCKS:
+    schema = _schema(RunConfig)
+    _check_keys(data, schema, "config")
+    blocks = {name: cls for name, cls in schema.items() if is_dataclass(cls)}
+    for name in blocks:
         _require(isinstance(data.get(name, {}), dict), name, "expected an object")
-    return RunConfig(
-        **{name: _parse_block(name, data.get(name, {})) for name in _BLOCKS},
-        **{key: _integer(data, key, "config") for key in ("n_scenarios", "seed")
-           if key in data},
-    )
+    parsed = {name: _parse_block(name, cls, data.get(name, {}))
+              for name, cls in blocks.items()}
+    top = {name: hint for name, hint in schema.items() if name not in blocks}
+    return RunConfig(**parsed, **_read(data, top, "config"))
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -52,11 +52,11 @@ from .clearing import (
     BatchClearingResult,
     SortedTiers,
     TierSumsResult,
-    _tier_system,
     clear_in_blocks,
     clear_tier_sums,
     clear_tiered_batch,
     defaulting_prefixes,
+    pays_in_full,
 )
 from .network import GalacticNetwork, Money, Tier, total_obligation
 from .shocks import ShockParams, ShockTarget, common_factors, sample_loss_matrix
@@ -267,6 +267,15 @@ def loss_threshold(network: GalacticNetwork, config: LossConfig) -> Money:
     return config.threshold_fraction * network.ggp
 
 
+def _exposure(shock_params: ShockParams, external, bond_value) -> tuple:
+    """(exposed, kept): the assets, per bank or per tier, that the shock scales
+    and those it leaves whole; a zero `kept` adds exactly to the non-negative
+    or +inf assets."""
+    if shock_params.applies_to is ShockTarget.ALL_ASSETS:
+        return external + bond_value, np.zeros_like(bond_value)
+    return external, bond_value
+
+
 def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
                  losses: np.ndarray, config: LossConfig) -> np.ndarray:
     """Post-shock, post-bond-default cash per bank, before any bailout.
@@ -275,16 +284,13 @@ def _base_assets(network: GalacticNetwork, shock_params: ShockParams,
     result.  A -inf loss (a bank `sample_loss_matrix` skipped below its
     floor) becomes +inf assets.
     """
-    external = network.external_assets_vector()
-    bond_value = config.bond_recovery * network.bond_face_vector()
+    exposed, kept = _exposure(shock_params, network.external_assets_vector(),
+                              config.bond_recovery * network.bond_face_vector())
     if shock_params.exempt_central:
         losses[:, network.tier_slice(Tier.CENTRAL)] = 0.0
     np.subtract(1.0, losses, out=losses)
-    if shock_params.applies_to is ShockTarget.ALL_ASSETS:
-        losses *= (external + bond_value)[None, :]
-    else:
-        losses *= external[None, :]
-        losses += bond_value[None, :]
+    losses *= exposed[None, :]
+    losses += kept[None, :]
     return losses
 
 
@@ -311,22 +317,17 @@ def _loss_floor(network: GalacticNetwork, shock_params: ShockParams,
     at every clearing step; -inf where its loss moves no asset.
 
     Inflows and bailouts are non-negative, so a bank of tier d holding at
-    least p_bar_d (1 + c_d) (`_TierSystem.self_coef`) pays p_bar_d in every
-    Picard sweep and lies above every fictitious-default threshold.  The
+    least p_bar_d (1 + c_d) (`pays_in_full`) pays p_bar_d in every Picard
+    sweep and lies above every fictitious-default threshold.  The
     bound carries a relative margin of SOLVENT_MARGIN of the amounts that
     form it, far above the rounding of the floor, the assets and the sweep.
     """
-    system = _tier_system(network)
-    bound = system.p_bar_tier * (1.0 + system.self_coef)
-    external = np.array([network.sheets[t].external_assets for t in Tier])
-    bond_value = config.bond_recovery * np.array(
-        [network.sheets[t].bond_holdings_face for t in Tier])
+    bound = pays_in_full(network)
+    external = np.array([sheet.external_assets for sheet in network.sheets])
+    bond_value = config.bond_recovery * np.array([s.bond_holdings_face for s in network.sheets])
     cash = _tier_injections(bailout)
     need = bound - cash + SOLVENT_MARGIN * (bound + external + bond_value + cash)
-    if shock_params.applies_to is ShockTarget.ALL_ASSETS:
-        exposed, kept = external + bond_value, 0.0
-    else:
-        exposed, kept = external, bond_value
+    exposed, kept = _exposure(shock_params, external, bond_value)
     # a tier without shocked assets gets no floor: its -inf loss would be inf * 0
     with np.errstate(divide="ignore", invalid="ignore"):
         floor = np.where(exposed > 0, 1.0 - (need - kept) / exposed, -np.inf)

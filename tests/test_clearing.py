@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -873,6 +874,39 @@ def test_tier_sums_zero_threshold_tie_pays_in_full():
     assert np.allclose(out.sums, tier_totals(net, picard.payments), rtol=1e-15, atol=0)
     assert np.array_equal(out.sums, np.tile(tier_obligations(net), (2, 1)))
     assert not out.defaults.any() and out.rounds == 0
+
+
+def test_tier_sums_tie_margin_counts_a_bank_just_below_its_threshold():
+    # exact zero-shift thresholds from the liability schedule: with every bank
+    # paying in full, bank j of tier d pays in full exactly when a_j + inflow_d
+    # >= pbar_d, the inflow being its face claims
+    profiles = toy_net()[0].profiles
+    net = tiered((1, 3, 4), profiles)
+    counts = net.counts
+    owed = [[Fraction(profiles[c].owed_to(d)) for d in gb.Tier] for c in gb.Tier]
+    pbar = [sum(owed[d]) + Fraction(profiles[d].owed_external) for d in gb.Tier]
+    ulp = Fraction(np.finfo(float).eps)
+    rows = []
+    for d in gb.Tier:
+        # each bank of a tier owing itself is owed back what it owes
+        inflow = sum(counts[c] * owed[c][d] / counts[d] for c in gb.Tier if c != d)
+        threshold = pbar[d] - inflow - owed[d][d]
+        self_coef = owed[d][d] / pbar[d] / (counts[d] - 1) if counts[d] > 1 else 0
+        level = pbar[d] * (1 + self_coef)  # pbar_d (1 + c_d)
+        assert 0 < threshold < level < 10
+        nearest = float(threshold)
+        for planted in (float(threshold - 1000 * ulp * level), nearest,
+                        np.nextafter(nearest, np.inf)):
+            row = np.full(net.n_banks, 10.0)  # far above every level
+            row[net.tier_slice(d).start] = planted
+            rows.append(row)
+    out = clear_tier_sums(net, sort_tiers(net, rows), [0, 0, 0])
+    # only the bank 1,000 ulps below defaults; its shortfall is far below the
+    # flag tolerance, so the defaulting set shows it and `defaults` does not
+    expected = np.zeros((9, 3), dtype=int)
+    expected[[0, 3, 6], [0, 1, 2]] = 1
+    assert np.array_equal(out.defaulting, expected)
+    assert not out.defaults.any()
 
 
 def test_tier_sums_singular_system_names_row(monkeypatch):

@@ -1,7 +1,7 @@
 import csv
 import json
 import re
-from dataclasses import fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -43,12 +43,78 @@ def test_empty_config_is_headline_run():
     assert config.loss.threshold_fraction == 0.01
 
 
+# a valid value other than the default for every field of every block, and
+# for both top-level integers, in Python form
+NON_DEFAULT_RUN = {
+    "calibration": {
+        "ds1_total_cost": 100.0, "ds1_paid_fraction": 0.25, "ds2_total_cost": 300.0,
+        "ggp_endor": 5000.0, "tier_counts": (1, 10, 50),
+        "capital_buffer_per_tier": (0.0, 0.1, 0.05), "banking_sector_ggp_fraction": 0.5,
+    },
+    "shock": {"correlation": 0.1, "beta_a": 2.0, "beta_b": 5.0,
+              "applies_to": gb.ShockTarget.ALL_ASSETS, "exempt_central": True},
+    "loss": {"deposit_insurance": True, "threshold_fraction": 0.02, "confidence": 0.05,
+             "bond_recovery": 0.25},
+    "grid": {"per_big": (0.0, 0.01), "per_massive_cap": 4.0, "resolution": 0.01},
+    "n_scenarios": 30,
+    "seed": 7,
+}
+NON_DEFAULT_CALIBRATION = NON_DEFAULT_RUN["calibration"]
+
+
+def test_every_config_field_round_trips():
+    default = gb.RunConfig()
+    assert NON_DEFAULT_RUN.keys() == {f.name for f in fields(default)}
+    direct = {}
+    for name, given in NON_DEFAULT_RUN.items():
+        value = getattr(default, name)
+        if is_dataclass(value):
+            assert given.keys() == {f.name for f in fields(value)}, name
+            assert all(given[key] != getattr(value, key) for key in given), name
+            direct[name] = type(value)(**given)
+        else:
+            assert given != value, name
+            direct[name] = given
+    document = json.loads(json.dumps(NON_DEFAULT_RUN, default=lambda member: member.value))
+    assert gb.parse_config(document) == gb.RunConfig(**direct)
+
+
 @pytest.mark.parametrize("block,cls", [("shock", gb.ShockParams), ("loss", gb.LossConfig),
                                        ("calibration", gb.CalibrationParams),
                                        ("grid", gb.GridSpec)])
 def test_block_keys_are_dataclass_fields(block, cls):
-    _, readers = config_module._BLOCKS[block]
-    assert readers.keys() == {f.name for f in fields(cls)}
+    # a block reads every field of its dataclass, and nothing else
+    assert type(getattr(gb.RunConfig(), block)) is cls
+    given = NON_DEFAULT_RUN[block]
+    assert given.keys() == {f.name for f in fields(cls)}
+    document = json.loads(json.dumps({block: given}, default=lambda member: member.value))
+    assert gb.parse_config(document) == gb.RunConfig(**{block: cls(**given)})
+    with pytest.raises(gb.ConfigError, match=rf"^{block}\.extra: unknown field"):
+        gb.parse_config({block: {**document[block], "extra": 1}})
+
+
+def test_block_field_without_a_reader_is_named(monkeypatch):
+    @dataclass(frozen=True)
+    class Odd:
+        phase: complex = 0j
+
+    @dataclass(frozen=True)
+    class OddRun(gb.RunConfig):
+        odd: Odd = field(default_factory=Odd)
+
+    monkeypatch.setattr(config_module, "RunConfig", OddRun)
+    # the whole schema is read, whether or not the document names the field
+    for data in ({}, {"odd": {"phase": 1.0}}):
+        with pytest.raises(TypeError, match=r"^odd\.phase: no config reader"):
+            gb.parse_config(data)
+
+
+def test_blocks_are_checked_before_the_top_level_integers():
+    for seed in (-1, "7"):
+        with pytest.raises(gb.ConfigError, match=r"^shock: correlation must lie"):
+            gb.parse_config({"seed": seed, "shock": {"correlation": 2.0}})
+        with pytest.raises(gb.ConfigError, match=r"^loss\.confidence: expected a finite"):
+            gb.parse_config({"loss": {"confidence": "high"}, "seed": seed})
 
 
 def test_readme_example_config_is_the_run_config_it_documents():
@@ -56,8 +122,15 @@ def test_readme_example_config_is_the_run_config_it_documents():
     assert section, "README has no 'Config' section"
     example = re.search(r"```json\n(.*?)```", section.group(1), re.S)
     assert example, "README's 'Config' section has no JSON example"
+    document = json.loads(example.group(1))
+    # it names every field of every block and every top-level field
+    default = gb.RunConfig()
+    assert document.keys() == {f.name for f in fields(default)}
+    for name, value in document.items():
+        if is_dataclass(getattr(default, name)):
+            assert value.keys() == {f.name for f in fields(getattr(default, name))}, name
     # every value it shows is the default but the grid's per_big list
-    assert gb.parse_config(json.loads(example.group(1))) == gb.RunConfig(
+    assert gb.parse_config(document) == gb.RunConfig(
         grid=gb.GridSpec(per_big=(0.0, 0.02, 0.04, 0.06, 0.08)))
 
 
@@ -89,18 +162,6 @@ def test_unknown_field_rejected_with_location(tmp_path, capsys):
                      "--out", str(out)]) == 2
         assert f"grid.{key}: unknown field" in capsys.readouterr().err
         assert not out.exists()
-
-
-# a valid value other than the default for every calibration input
-NON_DEFAULT_CALIBRATION = {
-    "ds1_total_cost": 100.0,
-    "ds1_paid_fraction": 0.25,
-    "ds2_total_cost": 300.0,
-    "ggp_endor": 5000.0,
-    "tier_counts": (1, 10, 50),
-    "capital_buffer_per_tier": (0.0, 0.1, 0.05),
-    "banking_sector_ggp_fraction": 0.5,
-}
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(gb.CalibrationParams)])

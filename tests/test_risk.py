@@ -484,6 +484,29 @@ def test_evaluator_checks_monotone_by_dominance(small_net):
         ev._check_monotone(gb.BailoutAllocation(), np.array([0.5]))
 
 
+class StubEvaluator:
+    """An evaluator with only `satisfied`: the criterion holds from the
+    per-massive amount `needed(per_big)` up, never where that is None."""
+
+    def __init__(self, needed):
+        self.needed = needed
+
+    def satisfied(self, alloc, criterion):
+        needed = self.needed(alloc.per_big)
+        return needed is not None and alloc.per_massive >= needed
+
+
+@pytest.mark.parametrize("needed,message", [
+    # the minimum rises by 0.5, far more than the resolution, as per_big grows
+    ({0.0: 1.0, 0.01: 1.5}.get, r"frontier not monotone: per_massive rose from 1\.0"),
+    ({0.0: 1.0, 0.01: None}.get, r"frontier lost attainability at per_big=0\.01"),
+], ids=["minimum-rises", "attainability-lost"])
+def test_frontier_that_breaks_monotonicity_raises(needed, message):
+    grid = gb.GridSpec(per_big=(0.0, 0.01), per_massive_cap=8.0, resolution=0.001)
+    with pytest.raises(RuntimeError, match=message):
+        gb.bailout_frontier(StubEvaluator(needed), gb.Criterion.EXPECTATION, grid)
+
+
 def test_frontier_trivial_threshold(default_net):
     net = default_net
     params = gb.ShockParams()
