@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     fro = sub.add_parser("frontier", parents=[common],
                          help="minimal bailout allocations per criterion")
     fro.add_argument("--criterion", default="all",
-                     choices=["expectation", "var", "avar", "all"])
+                     choices=[c.value for c in Criterion] + ["all"])
     return parser
 
 
@@ -152,9 +152,7 @@ def cmd_frontier(args) -> int:
     config = _load(args)
     out = _prepare_out_dir(args)
     network = build_network(config.calibration)
-    criteria = (
-        list(Criterion) if args.criterion == "all" else [Criterion.parse(args.criterion)]
-    )
+    criteria = list(Criterion) if args.criterion == "all" else [Criterion(args.criterion)]
     evaluator = _AllocationEvaluator(
         network, config.shock, config.loss, config.n_scenarios, config.seed, args.threads,
     )
@@ -165,8 +163,7 @@ def cmd_frontier(args) -> int:
         points = bailout_frontier(evaluator, criterion, config.grid)
         frontiers[criterion] = points
         gaps = gaps or any(not p.attainable for p in points)
-        attainable = [p for p in points if p.attainable]
-        if attainable:
+        if any(p.attainable for p in points):
             minima.append(minimal_total_bailout(points, network, criterion))
 
     report.write_frontier_csv(out / "frontier.csv", frontiers, network)

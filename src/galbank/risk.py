@@ -24,9 +24,9 @@ The frontier's evaluator forms the same table from the per-tier payment
 totals and default counts of the fictitious-default solve
 (`clear_tier_sums`) on each chunk's pre-bailout assets, sorted per tier and
 cut to the banks that default without a bailout.  The leading chunks that
-fit in BASE_CACHE_BYTES are built once per run into one buffer and solved
-in one call per allocation; the chunks after them are built again at every
-allocation.
+fit in BASE_CACHE_BYTES are built once per run into one buffer and, after
+the first allocation, solved in one call per allocation; the chunks after
+them are built again at every allocation.
 
 The risk statistics (`expected_loss`, `exceedance_probability`,
 `average_var`, `criterion_satisfied`) take a 1-D loss array in that row
@@ -66,7 +66,7 @@ log = logging.getLogger(__name__)
 DEFAULT_BATCH_SIZE = 500
 # bytes of kept pre-bailout assets (`SortedTiers`) a frontier evaluator keeps
 # across allocations; the first chunk that does not fit, and every chunk after
-# it, is rebuilt on every evaluation
+# it, is rebuilt on every evaluation after the first
 BASE_CACHE_BYTES = 2**30
 # scenario rows a chunk is drawn in at a time: the chunk's only chunk-scale
 # float scratch (2.2 MB at 17,501 banks).  The 1,000-scenario acceptance
@@ -88,13 +88,6 @@ class Criterion(Enum):
     EXPECTATION = "expectation"
     VAR = "var"
     AVAR = "avar"
-
-    @classmethod
-    def parse(cls, name: str) -> "Criterion":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown criterion {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -499,14 +492,16 @@ class _AllocationEvaluator:
     bailout plus one (`defaulting_prefixes`).  It is drawn SUB_BLOCK_ROWS
     scenarios at a time into one buffer, each draw sorted, solved at zero
     bailout and cut before the next, and the cuts joined
-    (`SortedTiers.concat`).  The first evaluation builds
-    the chunks in order, a pool width at a time, and copies each into one
-    `SortedTiers` (`kept`) until the next would take it past
-    BASE_CACHE_BYTES; a chunk is freed once copied, so the fill holds at
-    most a pool width of chunks above `kept`.  The chunks after the cut are
-    built again, on the pool, at every evaluation, so no scenario is
-    dropped.  Which chunks are kept depends on the inputs alone, never on
-    the thread count or timing.
+    (`SortedTiers.concat`).
+
+    An evaluation runs in one of two phases.  The first builds every chunk
+    in order, a pool width at a time, solves each as it comes, and copies
+    the leading ones into one `SortedTiers` (`kept`) until the next would
+    take it past BASE_CACHE_BYTES; a chunk is freed once solved and copied,
+    so it holds at most a pool width of chunks above `kept`.  Every later
+    one solves `kept` and builds the chunks after the cut again, on the
+    pool, so no scenario is dropped.  Which chunks are kept depends on the
+    inputs alone, never on the thread count or timing.
     """
 
     def __init__(self, network, shock_params, config, n_scenarios, seed, n_jobs):
@@ -539,10 +534,24 @@ class _AllocationEvaluator:
         return ScenarioTable.from_tier_sums(self.network,
                                             clear_tier_sums(self.network, tiers, shift))
 
-    def _fill(self) -> list[SortedTiers]:
-        """Build the leading chunks into `kept`; return those built past the cut."""
+    def table(self, alloc: BailoutAllocation) -> ScenarioTable:
+        """Scenario accounting at one allocation.
+
+        The first evaluation solves each chunk on the calling thread as soon
+        as it is built, and fills `kept` as it goes.  Every later one solves
+        `kept` in one call on the calling thread: a solve is a run of small
+        numpy calls, whose overhead is then paid once for all its chunks.
+        Each chunk after the cut is built and solved on its pool worker and
+        freed there.
+        """
+        shift = _tier_injections(alloc)
+        if self.kept is not None:
+            tables = [self._solve(self.kept, shift)] if self.kept.rows else []
+            tail = [pos for pos, idx in enumerate(self.chunks) if idx.start >= self.kept.rows]
+            return ScenarioTable.concat(tables + _run_chunks(
+                lambda pos: self._solve(self._build(pos), shift), tail, self.n_jobs))
         width = max(1, min(self.n_jobs, _usable_cores()))
-        spilled = []
+        tables = []
 
         def leading():
             room = BASE_CACHE_BYTES
@@ -551,36 +560,15 @@ class _AllocationEvaluator:
                                     self.n_jobs)
                 while built:
                     tiers = built.pop(0)
-                    if spilled or tiers.nbytes > room:
-                        spilled.append(tiers)
-                    else:
+                    tables.append(self._solve(tiers, shift))
+                    if tiers.nbytes <= room:
                         room -= tiers.nbytes
                         yield tiers
-                    del tiers  # freed once copied, before the next batch is built
-                if spilled:
-                    return
+                    else:
+                        room = -1  # the cache is closed: no later chunk is kept
+                    del tiers  # freed once solved and copied, before the next width is built
 
         self.kept = SortedTiers.concat(leading(), self.network.counts)
-        return spilled
-
-    def table(self, alloc: BailoutAllocation) -> ScenarioTable:
-        """Scenario accounting at one allocation.
-
-        `kept` is solved in one call on the calling thread: a solve is a run
-        of small numpy calls, whose overhead is then paid once for all its
-        chunks.  Each chunk after the cut is built and solved on its pool
-        worker and freed there, but for those the first evaluation's fill
-        built past the cut: they are held, and solved here.
-        """
-        shift = _tier_injections(alloc)
-        spilled = self._fill() if self.kept is None else []
-        tables = [self._solve(self.kept, shift)] if self.kept.rows else []
-        tables += [self._solve(tiers, shift) for tiers in spilled]
-        del spilled  # freed before the tail is built
-        done = sum(map(len, tables))
-        tail = [pos for pos, idx in enumerate(self.chunks) if idx.start >= done]
-        tables += _run_chunks(lambda pos: self._solve(self._build(pos), shift), tail,
-                              self.n_jobs)
         return ScenarioTable.concat(tables)
 
     def losses(self, alloc: BailoutAllocation) -> np.ndarray:

@@ -383,6 +383,16 @@ def test_cli_threads_below_one_is_usage_error(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def test_cli_unknown_criterion_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["frontier", "--criterion", "sharpe", "--out", str(out)])
+    assert info.value.code == 2
+    assert ("argument --criterion: invalid choice: 'sharpe' "
+            "(choose from 'expectation', 'var', 'avar', 'all')") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_deterministic_and_thread_invariant(tmp_path):
     args = ["simulate", "--scenarios", "250", "--seed", "11"]
     out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))

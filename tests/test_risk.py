@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import galbank as gb
 from galbank import clearing, report, risk
-from galbank.cli import main
+from galbank.cli import build_parser, main
 from galbank.clearing import _TierSystem, clear_tiered_batch, defaulting_prefixes
 from galbank.network import _claims_face
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
@@ -32,6 +33,15 @@ def assert_tables_equal(a, b):
     assert len(a) == len(b)
     for column in TABLE_COLUMNS:
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def central_only_network(obligation=10.0):
@@ -254,8 +264,8 @@ def byte_boundary_network(counts):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("counts", [(1, 1, 1), (1, 2, 5), (1, 2, 6), (1, 5, 40)],
                          ids=["3-banks", "8-banks", "9-banks", "46-banks"])
-def test_packed_flags_bitwise_equal_row_loop_across_byte_boundaries(monkeypatch, counts,
-                                                                    threads):
+def test_small_network_accounting_equals_row_loop_across_chunks_and_threads(monkeypatch, counts,
+                                                                            threads):
     # small networks, 3 to 46 banks, whose last bank defaults in some rows:
     # each row's defaults and lost deposits count exactly its own banks
     net = byte_boundary_network(counts)
@@ -330,12 +340,6 @@ def test_empty_samples_rejected():
         gb.average_var(np.array([]), 0.1)
     with pytest.raises(ValueError):
         gb.criterion_satisfied(np.array([]), gb.Criterion.EXPECTATION, 1.0, 0.1)
-
-
-def test_criterion_parse():
-    assert gb.Criterion.parse("VaR") is gb.Criterion.VAR
-    with pytest.raises(ValueError):
-        gb.Criterion.parse("sharpe")
 
 
 # --- Monte Carlo ------------------------------------------------------------
@@ -739,15 +743,23 @@ def test_evaluator_cache_stays_within_budget(small_net, monkeypatch):
     assert evaluator.kept.values.size == evaluator.kept.lengths.sum()
 
 
-# bytes a fill holds beyond `kept` and its chunks in flight: a 16-row draw
-# buffer of `small_net`'s 46 banks (5.9 KB), the pool and small
-# temporaries; measured at most 25 KB
+# bytes a first evaluation holds beyond `kept`, its chunks in flight and the
+# tables it returns: a 16-row draw buffer of `small_net`'s 46 banks (5.9 KB),
+# the pool, a chunk's solve and small temporaries
 FILL_SLACK = 48 * 1024
 
 
+def table_bytes(table) -> int:
+    return sum(getattr(table, column).nbytes for column in TABLE_COLUMNS)
+
+
 def test_evaluator_fill_holds_one_pool_width_above_the_cache(small_net, monkeypatch):
-    # every chunk cached: the fill copies each chunk into `kept` and frees it
-    # before the next pool width is built, so it never holds the cache twice
+    # every chunk cached: the first evaluation solves each chunk, copies it
+    # into `kept` and frees it before the next pool width is built, so it
+    # never holds the cache twice.  Besides `kept` it holds the per-chunk
+    # tables and, once they are joined, the table it returns (measured peak
+    # 0.97 MB at widths 1 and 2; 3.0 MB when the whole cache was solved in
+    # one call after a separate fill pass)
     monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
     shock, config = gb.ShockParams(), gb.LossConfig()
     sizes = chunk_bytes(small_net, shock, config, 4_000)
@@ -756,14 +768,40 @@ def test_evaluator_fill_holds_one_pool_width_above_the_cache(small_net, monkeypa
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            assert evaluator._fill() == []
+            table = evaluator.table(gb.BailoutAllocation())
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         kept = evaluator.kept.nbytes
         assert kept == sum(sizes)
-        assert after - before <= kept + FILL_SLACK
-        assert peak - before <= kept + width * (max(sizes) + FILL_SLACK) < 2 * kept
+        assert len(table) == 4_000
+        returned = table_bytes(table)  # the per-chunk tables take as many bytes
+        assert after - before <= kept + returned + FILL_SLACK
+        assert peak - before <= kept + 2 * returned + width * (max(sizes) + FILL_SLACK)
+        assert kept + width * (max(sizes) + FILL_SLACK) < 2 * kept
+
+
+@pytest.mark.parametrize("cached_chunks", [0, 1, 2, 3])
+def test_evaluator_first_evaluation_keeps_the_bits_of_later_ones(small_net, monkeypatch,
+                                                                 cached_chunks):
+    # the first evaluation solves each chunk as it is built; a later one
+    # solves `kept` in one call and rebuilds and solves each chunk after the
+    # cut on the pool: both give every column the same bits
+    shock, config = gb.ShockParams(), gb.LossConfig(bond_recovery=0.2)
+    sizes = chunk_bytes(small_net, shock, config)
+    monkeypatch.setattr(risk, "BASE_CACHE_BYTES", sum(sizes[:cached_chunks]))
+    monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
+    for n_jobs in (1, 2):
+        for alloc in CACHE_ALLOCATIONS:
+            evaluator = _AllocationEvaluator(small_net, shock, config, CACHE_SCENARIOS, SEED,
+                                             n_jobs)
+            first = evaluator.table(alloc)
+            assert kept_chunks(evaluator) == [pos < cached_chunks for pos in range(3)]
+            later = evaluator.table(alloc)
+            assert len(first) == len(later) == CACHE_SCENARIOS
+            for column in TABLE_COLUMNS:
+                a, b = getattr(first, column), getattr(later, column)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
 
 
 def acceptance_net():
@@ -783,7 +821,7 @@ def test_evaluator_cache_cap_on_calibrated_network(default_net):
         (acceptance_net(), gb.ShockParams(exempt_central=True), 1_000, 2_500),
     ]:
         evaluator = _AllocationEvaluator(net, shock, gb.LossConfig(), 500, SEED, 1)
-        assert evaluator._fill() == []
+        assert len(evaluator.table(gb.BailoutAllocation())) == 500
         kept = evaluator.kept
         assert kept.rows == 500
         assert low * 500 <= kept.nbytes <= high * 500
@@ -842,21 +880,28 @@ def test_simulate_chunk_holds_no_float_matrix(default_net):
         assert peak <= scratch + 2 * 2**20
 
 
-BENCHMARK_RUNS = {
-    # network, shock, bailout, scenarios and threads of the `simulate-headline`
-    # and `simulate-bailout` benchmark workloads
-    "headline": (gb.CalibrationParams(), gb.ShockParams(), gb.BailoutAllocation(), 2_500, 1),
-    "bailout": (gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 2.0)),
-                gb.ShockParams(exempt_central=True),
-                gb.BailoutAllocation(per_massive=1.0, per_big=0.05), 5_000, 2),
-}
+def benchmark_run(name: str) -> tuple:
+    """(calibration, shock, bailout, loss config, scenarios, seed, threads) of
+    the `simulate-<name>` benchmark workload, read from its config and argv as
+    `galbank simulate` reads them."""
+    workloads = _perfbench_workloads()
+    workload = workloads.WORKLOADS[f"simulate-{name}"]
+    config = gb.parse_config(workload.config)
+    args = build_parser().parse_args(workload.argv(
+        "config.json", "out", workloads.REFERENCE_SEED, workload.scenarios))
+    bailout = gb.BailoutAllocation(per_massive=args.bailout_massive, per_big=args.bailout_big)
+    loss = replace(config.loss, deposit_insurance=args.insurance)
+    return config.calibration, config.shock, bailout, loss, args.scenarios, args.seed, args.threads
+
+
+BENCHMARK_RUNS = {name: benchmark_run(name) for name in ("headline", "bailout")}
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_RUNS))
 def test_worst_first_clears_no_block_again_at_documented_seed(monkeypatch, name):
     # the worst-shocked block sets each chunk's stop first, so every block is
     # drawn and cleared once
-    calibration, shock, bailout, scenarios, threads = BENCHMARK_RUNS[name]
+    calibration, shock, bailout, loss, scenarios, seed, threads = BENCHMARK_RUNS[name]
     net = gb.build_network(calibration)
     draws = count_shock_draws(monkeypatch)
     clears = []
@@ -867,7 +912,7 @@ def test_worst_first_clears_no_block_again_at_documented_seed(monkeypatch, name)
         return real(network, assets, **kwargs)
 
     monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_count)
-    gb.simulate_records(net, shock, bailout, gb.LossConfig(), scenarios, 19770525, threads)
+    gb.simulate_records(net, shock, bailout, loss, scenarios, seed, threads)
     block = clearing._block_rows(net.n_banks)
     assert len(clears) == scenarios // block and sum(clears) == scenarios
     assert (draws_per_scenario(draws, scenarios) == 1).all()
@@ -910,10 +955,10 @@ def test_evaluator_thread_count_keeps_bits(small_net, monkeypatch):
 
 def test_evaluator_builds_on_the_pool_and_solves_cached_chunks_here(small_net,
                                                                    monkeypatch):
-    # the first evaluation builds the chunks a pool width at a time; the
-    # cache is solved on the calling thread, and so are the chunks the fill
-    # built past the cut; after it, each chunk outside the cache is built
-    # and solved on its pool worker
+    # the first evaluation builds the chunks a pool width at a time and
+    # solves each on the calling thread; after it, the cache is solved on the
+    # calling thread, and each chunk outside it is built and solved on its
+    # pool worker
     shock, config = gb.ShockParams(), gb.LossConfig()
     sizes = chunk_bytes(small_net, shock, config)
     # room for the first chunk only
@@ -955,7 +1000,7 @@ def test_simulate_calls_each_hook_once_per_sub_block_and_block(monkeypatch):
     # the benchmark wraps `risk.sample_loss_matrix` and `risk.clear_tiered_batch`:
     # one shocks call per SUB_BLOCK_ROWS rows drawn and one clearing call per
     # block, every row once, so its shocks and clearing scenario counts agree
-    calibration, shock, bailout, _, threads = BENCHMARK_RUNS["bailout"]
+    calibration, shock, bailout, loss, _, seed, threads = BENCHMARK_RUNS["bailout"]
     net = gb.build_network(calibration)
     draws = count_shock_draws(monkeypatch)
     clears = []
@@ -966,7 +1011,7 @@ def test_simulate_calls_each_hook_once_per_sub_block_and_block(monkeypatch):
         return real(network, assets, **kwargs)
 
     monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_count)
-    gb.simulate_records(net, shock, bailout, gb.LossConfig(), 1_000, 19770525, threads)
+    gb.simulate_records(net, shock, bailout, loss, 1_000, seed, threads)
     sub, block = risk.SUB_BLOCK_ROWS, clearing._block_rows(net.n_banks)
     per_chunk = [sub] * (500 // sub) + [500 % sub]
     assert sorted(len(c) for c in draws) == sorted(per_chunk * 2)
@@ -1156,15 +1201,6 @@ def test_losses_csv_independent_of_blas_threads(tmp_path):
 
 
 # --- the acceptance frontier's loss vectors ------------------------------------
-
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks itself up there
-    spec.loader.exec_module(module)
-    return module
-
 
 # sha256 of the 23 loss vectors the acceptance frontier evaluates at the
 # documented seed and 1,000 scenarios, in allocation order
