@@ -118,7 +118,6 @@ def build_network(params: CalibrationParams | None = None) -> GalacticNetwork:
         sheets.append(
             BalanceSheet(
                 external_assets=external,
-                interbank_claims_face=claims,
                 bond_holdings_face=bonds[t],
                 deposits=deposits_from_assets(assets),
             )

@@ -297,16 +297,15 @@ class SortedTiers:
     layout is the lengths: a prefix begins at `starts[r, d]`, the running
     sum of the lengths before it (derived here, never passed in).  All rows
     and tiers sit in one flat buffer, so a search step reads every row and
-    tier in one gather; `sizes[d]` is the tier's bank count.  `from_assets`
-    keeps every bank, `prefixes` cuts each prefix shorter, and `concat`
-    joins the rows of several into one buffer, so that one solve covers
-    them all.  No prefix sums are kept: a solve sums each row's defaulting
-    assets once, as the defaulting set grows (`sums_between`).
+    tier in one gather.  `from_assets` keeps every bank, `prefixes` cuts
+    each prefix shorter, and `concat` joins the rows of several into one
+    buffer, so that one solve covers them all.  No prefix sums are kept: a
+    solve sums each row's defaulting assets once, as the defaulting set
+    grows (`sums_between`).
     """
 
     values: np.ndarray   # flat, every row's kept prefix of every tier
     lengths: np.ndarray  # (rows, 3) how many assets each prefix keeps
-    sizes: tuple         # banks per tier
     starts: np.ndarray = field(init=False)  # (rows, 3) where each prefix begins
 
     def __post_init__(self):
@@ -323,11 +322,10 @@ class SortedTiers:
         _check_assets(assets)
         for d in Tier:
             assets[:, network.tier_slice(d)].sort(axis=1)
-        return cls(assets.reshape(-1), np.tile(network.counts, (len(assets), 1)),
-                   network.counts)
+        return cls(assets.reshape(-1), np.tile(network.counts, (len(assets), 1)))
 
     @classmethod
-    def concat(cls, parts, sizes: tuple) -> "SortedTiers":
+    def concat(cls, parts) -> "SortedTiers":
         """The rows of `parts`, in order, in one flat buffer.
 
         The buffers grow by each part in place, and a part the caller no
@@ -343,7 +341,7 @@ class SortedTiers:
             values[used:] = part.values
             lengths[rows:] = part.lengths
             del part
-        return cls(values, lengths, sizes)
+        return cls(values, lengths)
 
     def prefixes(self, keep: np.ndarray) -> "SortedTiers":
         """Each row and tier's `keep[r, d]` smallest kept assets, copied in
@@ -354,7 +352,7 @@ class SortedTiers:
         if keep.shape != self.lengths.shape or not ((keep >= 0) & (keep <= self.lengths)).all():
             raise ValueError(f"prefix lengths must be {self.lengths.shape} counts "
                              f"between 0 and the lengths kept")
-        out = SortedTiers(np.empty(int(keep.sum())), keep, self.sizes)
+        out = SortedTiers(np.empty(int(keep.sum())), keep)
         if keep.size:
             np.concatenate([self.values[a:a + k] for a, k in
                             zip(self.starts.ravel().tolist(), keep.ravel().tolist())],
@@ -458,8 +456,9 @@ def _condition_1(a: np.ndarray) -> np.ndarray:
 def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> TierSumsResult:
     """Fictitious-default clearing of sorted scenario assets plus a tier shift.
 
-    Bank j of tier d holds `a_j + shift[d]`, with `a_j` from `tiers`.  Given
-    the tier sums S it pays min(pbar_d, (a_j + shift_d + B_d) / (1 + c_d)),
+    Bank j of tier d holds `a_j + shift[d]`, with `a_j` from `tiers`, sorted
+    from `network`'s banks, whose counts are the network's.  Given the
+    tier sums S it pays min(pbar_d, (a_j + shift_d + B_d) / (1 + c_d)),
     with B = S @ (cross + diag(c)) its inflow base and c_d its own-tier
     coefficient, so it defaults exactly when a_j < t_d = pbar_d (1 + c_d) -
     B_d - shift_d.  Starting from S = count * pbar, each round counts the
@@ -484,11 +483,6 @@ def clear_tier_sums(network: GalacticNetwork, tiers: SortedTiers, shift) -> Tier
     if shift.shape != (len(Tier),) or not np.all(np.isfinite(shift) & (shift >= 0)):
         raise ValueError(f"shift must be 3 finite non-negative amounts, got {shift}")
     counts = np.array(network.counts)
-    if tiers.sizes != network.counts:
-        raise ValueError(
-            f"sorted tiers hold {list(tiers.sizes)} banks per tier, "
-            f"the network {list(network.counts)}"
-        )
 
     sys = _tier_system(network)
     coef = sys.cross + np.diag(sys.self_coef)

@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import report
-from .calibration import build_network, outstanding_debt
+from .calibration import build_network
 from .config import ConfigError, load_config
 from .risk import (
     BailoutAllocation,
@@ -112,7 +112,7 @@ def cmd_calibrate(args) -> int:
     out = _prepare_out_dir(args)
     report.write_network_summary(out / "network_summary.csv", network, config.calibration)
     print(f"bank_count: {network.n_banks}")
-    print(f"outstanding_debt_q: {outstanding_debt(config.calibration):g}")
+    print(f"outstanding_debt_q: {network.outstanding_debt:g}")
     print(f"ggp_q: {network.ggp:g}")
     print(f"wrote {out / 'network_summary.csv'}")
     return EXIT_OK

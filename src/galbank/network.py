@@ -59,18 +59,15 @@ class LiabilityProfile:
 
 @dataclass(frozen=True)
 class BalanceSheet:
+    """One bank's own assets and deposits; its interbank claims follow from
+    the network's counts and profiles (`GalacticNetwork.claims_face`)."""
+
     external_assets: Money
-    interbank_claims_face: Money
     bond_holdings_face: Money
     deposits: Money
 
     def __post_init__(self):
-        for name in (
-            "external_assets",
-            "interbank_claims_face",
-            "bond_holdings_face",
-            "deposits",
-        ):
+        for name in ("external_assets", "bond_holdings_face", "deposits"):
             _check_amount(name, getattr(self, name))
 
 
@@ -153,14 +150,12 @@ class GalacticNetwork:
                 raise DegenerateNetworkError(
                     f"only the central bank may owe outside the system, {t.name} does"
                 )
-        # claims stored on the sheets must match the even-split arithmetic
         for t in Tier:
-            implied = _claims_face(self.counts, self.profiles, t)
-            stored = self.sheets[t].interbank_claims_face
-            if not math.isclose(stored, implied, rel_tol=1e-9, abs_tol=1e-12):
-                raise DegenerateNetworkError(
-                    f"claims on {t.name} sheet ({stored}) inconsistent with profiles ({implied})"
-                )
+            self.claims_face(t)  # raises on a same-tier debt in a one-bank tier
+
+    def claims_face(self, tier: Tier) -> Money:
+        """Face claims of one bank of `tier` on the others (even split)."""
+        return _claims_face(self.counts, self.profiles, tier)
 
     @property
     def n_banks(self) -> int:

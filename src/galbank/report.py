@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationParams, outstanding_debt
+from .calibration import CalibrationParams
 from .network import GalacticNetwork, Tier, total_obligation
 from .risk import (
     Criterion,
@@ -52,7 +52,7 @@ def write_network_summary(path: Path, network: GalacticNetwork,
     """Long-format per-tier balance sheet plus headline constants."""
     rows = [
         ("galaxy", "bank_count", network.n_banks),
-        ("galaxy", "outstanding_debt", outstanding_debt(params)),
+        ("galaxy", "outstanding_debt", network.outstanding_debt),
         ("galaxy", "ggp", network.ggp),
         ("galaxy", "banking_sector_ggp_fraction", params.banking_sector_ggp_fraction),
     ]
@@ -63,7 +63,7 @@ def write_network_summary(path: Path, network: GalacticNetwork,
             (name, "count", network.counts[t]),
             (name, "total_obligation", total_obligation(network.profiles[t])),
             (name, "owed_external", network.profiles[t].owed_external),
-            (name, "interbank_claims_face", sheet.interbank_claims_face),
+            (name, "interbank_claims_face", network.claims_face(t)),
             (name, "bond_holdings_face", sheet.bond_holdings_face),
             (name, "external_assets", sheet.external_assets),
             (name, "deposits", sheet.deposits),

@@ -528,7 +528,7 @@ class _AllocationEvaluator:
                 self.network, self.shock_params, self.config, self.seed,
                 idx[lo:lo + SUB_BLOCK_ROWS], self.floor, out=buffer))
             for lo in range(0, len(idx), SUB_BLOCK_ROWS)
-        ), self.network.counts)
+        ))
 
     def _solve(self, tiers: SortedTiers, shift: np.ndarray) -> ScenarioTable:
         return ScenarioTable.from_tier_sums(self.network,
@@ -568,7 +568,7 @@ class _AllocationEvaluator:
                         room = -1  # the cache is closed: no later chunk is kept
                     del tiers  # freed once solved and copied, before the next width is built
 
-        self.kept = SortedTiers.concat(leading(), self.network.counts)
+        self.kept = SortedTiers.concat(leading())
         return ScenarioTable.concat(tables)
 
     def losses(self, alloc: BailoutAllocation) -> np.ndarray:

@@ -87,10 +87,7 @@ def _inverse_marginal(params: ShockParams, u: np.ndarray) -> None:
         np.power(u, 0.25, out=u)
         np.subtract(1.0, u, out=u)
     else:
-        from scipy import stats  # costs ~0.65 s of import; only this branch needs it
-        # row by row: ppf on a whole chunk holds several chunk-sized temporaries
-        for row in u:
-            row[...] = stats.beta.ppf(row, params.beta_a, params.beta_b)
+        special.betaincinv(params.beta_a, params.beta_b, u, out=u)
 
 
 def _streams(seed: int, indices):

@@ -26,7 +26,7 @@ from galbank.clearing import (
     _TierSystem,
     _tier_system,
 )
-from galbank.network import GalacticNetwork, Money, Tier, _claims_face, total_obligation
+from galbank.network import GalacticNetwork, Money, Tier, total_obligation
 
 log = logging.getLogger(__name__)
 
@@ -196,9 +196,7 @@ def expand_network(network: GalacticNetwork, scenario_assets: np.ndarray) -> Den
 
 def interbank_conservation_gap(network: GalacticNetwork) -> Money:
     """Total claims minus total interbank liabilities; zero by construction."""
-    claims = sum(
-        network.counts[t] * _claims_face(network.counts, network.profiles, t) for t in Tier
-    )
+    claims = sum(network.counts[t] * network.claims_face(t) for t in Tier)
     owed = sum(
         network.counts[t]
         * (total_obligation(network.profiles[t]) - network.profiles[t].owed_external)

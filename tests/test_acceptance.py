@@ -17,7 +17,6 @@ import galbank as gb
 from galbank import clearing
 from galbank.cli import main
 from galbank.clearing import clear_tiered_batch
-from galbank.network import _claims_face
 from galbank.risk import _AllocationEvaluator
 from galbank.shocks import _copula_transform, _draw_latents
 from oracles import (
@@ -176,7 +175,7 @@ def test_c3_clearing_correctness(monkeypatch):
             gb.LiabilityProfile(*rng.uniform(0.0, 1.0, 3), 0.0),
         )
         sheets = tuple(
-            gb.BalanceSheet(0.0, _claims_face(counts, profiles, t), 0.0, 0.0)
+            gb.BalanceSheet(0.0, 0.0, 0.0)
             for t in gb.Tier
         )
         net = gb.GalacticNetwork(counts, profiles, sheets, ggp=1.0, outstanding_debt=0.0)

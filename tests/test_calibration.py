@@ -3,9 +3,10 @@ import pytest
 import galbank as gb
 
 
-def face_assets(sheet):
-    """A sheet's assets at face value, before shocks, bond defaults and bailouts."""
-    return sheet.external_assets + sheet.interbank_claims_face + sheet.bond_holdings_face
+def face_assets(net, tier):
+    """A tier's per-bank assets at face value, before shocks, bond defaults and bailouts."""
+    sheet = net.sheets[tier]
+    return sheet.external_assets + net.claims_face(tier) + sheet.bond_holdings_face
 
 
 def test_outstanding_debt():
@@ -63,18 +64,15 @@ def test_build_network_residual_rule():
     assert big.external_assets == pytest.approx(expected, rel=1e-12)
     # deposits follow the quarter-of-assets rule on every sheet
     for t in gb.Tier:
-        sheet = net.sheets[t]
-        assert sheet.deposits == pytest.approx(face_assets(sheet) / 4.0, rel=1e-12)
+        assert net.sheets[t].deposits == pytest.approx(face_assets(net, t) / 4.0, rel=1e-12)
 
 
 def test_build_network_zero_buffer_full_coverage():
     params = gb.CalibrationParams(capital_buffer_per_tier=(0.0, 0.0, 0.0))
     net = gb.build_network(params)
     for t in gb.Tier:
-        sheet = net.sheets[t]
-        assert face_assets(sheet) >= gb.total_obligation(net.profiles[t]) - 1e-12
-    big = net.sheets[gb.Tier.BIG]
-    assert face_assets(big) == pytest.approx(0.572, rel=1e-12)
+        assert face_assets(net, t) >= gb.total_obligation(net.profiles[t]) - 1e-12
+    assert face_assets(net, gb.Tier.BIG) == pytest.approx(0.572, rel=1e-12)
 
 
 def test_build_network_deterministic():

@@ -5,7 +5,8 @@ Runs `galbank.cli.main` in-process for every workload of
 checks the exit code and the sha256 of every CSV against the digests in
 `perfbench/references.json`.  Both files are only read here.  A change that
 moves any output bit fails this test; such a change must re-record the
-references and say why.
+references and say why.  The same holds for `galbank calibrate`'s
+network_summary.csv, pinned below.
 """
 
 import hashlib
@@ -73,3 +74,24 @@ def test_workload_csv_bytes_match_references_at_every_seed(tmp_path, name, seed)
     for csv_name in workload.outputs:
         digest = hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
         assert digest == expected["sha256"][csv_name], (csv_name, seed)
+
+
+# `galbank calibrate` is in no benchmark workload, so its one CSV is pinned
+# here: at the default, acceptance and paid-off (zero debt) calibrations
+NETWORK_SUMMARY_SHA256 = {
+    "default": ({}, "63cbc114e1a532a4d10b4d028feae1b825031166a38f75a988cf2438c2a701ba"),
+    "acceptance": (workloads.ACCEPTANCE_CALIBRATION,
+                   "0bbe136004d9bbd681e4462d1f68a72ae2129233640ab29cefa7a78d19728262"),
+    "paid-off": ({"calibration": {"ds1_paid_fraction": 1.0, "ds2_total_cost": 0.0}},
+                 "6ed15ff94d2f432b06c6b37b739f497752621fbdd1a3908ec5f0aa432d56ebc2"),
+}
+
+
+@pytest.mark.parametrize("name", list(NETWORK_SUMMARY_SHA256))
+def test_network_summary_bytes_pinned(tmp_path, name):
+    config, expected = NETWORK_SUMMARY_SHA256[name]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "network_summary.csv").read_bytes()).hexdigest() == expected

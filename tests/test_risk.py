@@ -21,7 +21,6 @@ import galbank as gb
 from galbank import clearing, report, risk
 from galbank.cli import build_parser, main
 from galbank.clearing import _TierSystem, clear_tiered_batch, defaulting_prefixes
-from galbank.network import _claims_face
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 
 SEED = 20240917
@@ -50,7 +49,7 @@ def central_only_network(obligation=10.0):
         gb.LiabilityProfile(),
         gb.LiabilityProfile(),
     )
-    sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0, 0.0) for _ in range(3))
+    sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0) for _ in range(3))
     return gb.GalacticNetwork((1, 1, 1), profiles, sheets, ggp=100.0, outstanding_debt=10.0)
 
 
@@ -254,8 +253,7 @@ def byte_boundary_network(counts):
     )
     external = (9.0, 2.0, 0.6)
     sheets = tuple(
-        gb.BalanceSheet(external[t], _claims_face(counts, profiles, t),
-                        0.5 if t is gb.Tier.CENTRAL else 0.0, 1.0 + t)
+        gb.BalanceSheet(external[t], 0.5 if t is gb.Tier.CENTRAL else 0.0, 1.0 + t)
         for t in gb.Tier
     )
     return gb.GalacticNetwork(counts, profiles, sheets, ggp=100.0, outstanding_debt=1.0)

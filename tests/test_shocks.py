@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -11,7 +12,13 @@ from hypothesis import given, strategies as st
 from scipy import special, stats
 
 import galbank as gb
-from galbank.shocks import _copula_transform, _draw_latents, common_factors, sample_loss_matrix
+from galbank.shocks import (
+    _copula_transform,
+    _draw_latents,
+    _inverse_marginal,
+    common_factors,
+    sample_loss_matrix,
+)
 
 SEED = 987654321
 INDEPENDENT = gb.ShockParams(correlation=0.0)
@@ -240,15 +247,46 @@ def test_general_beta_shapes_use_exact_marginal():
     assert result.pvalue > 0.01
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats takes most of a second to import and only the general-beta
-    # marginal needs it, so the CLI must not pull it in at start-up
+@pytest.mark.parametrize("shapes", [(2.0, 5.0), (0.5, 3.0), (3.0, 0.7)])
+def test_general_beta_marginal_has_the_bits_of_stats_beta_ppf(shapes):
+    params = gb.ShockParams(beta_a=shapes[0], beta_b=shapes[1])
+    idio = np.empty((20, 5_000))
+    common = _draw_latents(SEED, range(20), idio)
+    u = special.ndtr(0.5 * common[:, None] + math.sqrt(0.75) * idio).ravel()
+    u = np.concatenate([[0.0, 1.0, 1.0 - 2.0**-53], u])
+    got = u.copy()
+    _inverse_marginal(params, got)
+    assert np.array_equal(got.view(np.int64), stats.beta.ppf(u, *shapes).view(np.int64))
+    assert got[0] == 0.0 and got[1] == 1.0
+    # in the lower tail, where stats.beta.ppf (scipy 1.17) is off (at
+    # beta(0.5, 3) it returns 5.5e-23 for 2.8e-8, whose quantile is 2.2e-16),
+    # each quantile still inverts the exact CDF
+    tail = 10.0 ** -np.arange(1.0, 31.0)
+    got = tail.copy()
+    _inverse_marginal(params, got)
+    for x, p in zip(got, tail):
+        assert float(mpmath.betainc(*shapes, 0, x, regularized=True)) == pytest.approx(
+            p, rel=1e-13)
+
+
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    # scipy.stats takes most of a second to import; neither the CLI's import
+    # nor a general-beta simulate, whose marginal is `special.betaincinv`,
+    # may pull it in
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"shock": {"beta_a": 2.0}}))
     src = os.path.dirname(os.path.dirname(gb.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, galbank.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    probe = ("import sys, galbank.cli\n"
+             "print('scipy.stats' in sys.modules)\n"
+             "code = galbank.cli.main(sys.argv[1:])\n"
+             "print(code, 'scipy.stats' in sys.modules)\n")
+    argv = ["simulate", "--config", str(config), "--scenarios", "8",
+            "--out", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "0 False"
 
 
 def test_params_validation():
