@@ -16,32 +16,29 @@ networks lives with the tests, in `tests/oracles.py`):
   It is bound by memory traffic, not arithmetic.  Scenario rows are
   independent but for the batch-wide stopping rule: every row stops at the
   batch's sweep, the first at which every row is within tolerance.  So
-  `clear_in_blocks` clears a batch a few rows at a time (`_block_rows`,
-  sized to the per-core L2 cache), each block through all its sweeps while
-  it stays in cache, and the caller keeps only per-row results: `simulate`
-  draws a chunk's assets 16 rows at a time, in the order it clears them, so
-  no batch-wide float array exists.  A block stops at the first sweep within tolerance
-  that is no earlier than the latest stop of the blocks before it
-  (`min_iterations`).  Blocks run in row order, and `simulate` orders each
-  chunk's rows by descending common factor M (the first draw on each
-  scenario's stream), so the worst-shocked block usually sets the batch's
-  sweep first.  A block that stopped before a later block raised it is
-  drawn again and cleared from the start, to the new stop or past it; the
-  check repeats until every block stopped at the same sweep.  Row order
-  decides only how often this fallback runs (at no benchmark seed), and
-  blocking changes no result bit: every row runs exactly the sweeps of the
-  full-width loop, every element sees the same operations in the same
-  order, each row's tier sum is the same pairwise sum over the same
-  contiguous row segment, a block's 3x3 inflow-base product gives each row
-  the bits the whole batch's product gives it (the bitwise tests against
-  the full-width loop check this for the BLAS in use), and a maximum does
-  not depend on the order it is taken in.  A block makes no n-wide BLAS
-  call: only the central bank owes outside the system, so its payments
-  times its outside share are the outside payment.  With one central bank
-  (the calibration allows no other count) that has the bits of the
-  full-row product; a network built directly with several central banks
-  sums the few terms in another order than a BLAS dot would, and the last
-  bits can differ.  `simulate` accounts each block as it clears it.
+  `risk.simulate_records` clears a chunk a few rows at a time
+  (`_block_rows`, sized to the per-core L2 cache), each block through all
+  its sweeps while it stays in cache, accounting it at once, and draws the
+  assets 16 rows at a time in the order it clears them: no chunk-wide float
+  array exists.  A block stops at the first sweep within tolerance no
+  earlier than the latest stop of the blocks before it (`min_iterations`).
+  The chunk's rows run in descending order of common factor M (the first
+  draw on each scenario's stream), so the worst-shocked block usually sets
+  the chunk's sweep first; a pass whose blocks stopped at different sweeps
+  runs again from its latest stop.  Row order decides only how often a pass
+  runs again (at no benchmark seed), and blocking changes no result bit:
+  every row runs exactly the sweeps of the full-width loop, every element
+  sees the same operations in the same order, each row's tier sum is the
+  same pairwise sum over the same contiguous row segment, a block's 3x3
+  inflow-base product gives each row the bits the whole batch's product
+  gives it (the bitwise tests against the full-width loop check this for
+  the BLAS in use), and a maximum does not depend on the order it is taken
+  in.  A block makes no n-wide BLAS call: only the central bank owes
+  outside the system, so its payments times its outside share are the
+  outside payment.  With one central bank (the calibration allows no other
+  count) that has the bits of the full-row product; a network built
+  directly with several central banks sums the few terms in another order
+  than a BLAS dot would, and the last bits can differ.
 
 * `clear_tier_sums`: Eisenberg and Noe's (2001) fictitious-default
   algorithm on the three tier sums.  A bank of tier d defaults exactly when
@@ -253,39 +250,6 @@ def clear_tiered_batch(network: GalacticNetwork, scenario_assets: np.ndarray,
         iterations=s,
         residuals=tuple(float(r) for r in resid[:s]),
     )
-
-
-def clear_in_blocks(rows: int, n_banks: int, clear_block) -> int:
-    """Clear a batch a cache-sized block of rows at a time, to the batch's sweep.
-
-    `clear_block(r0, r1, min_iterations)` clears rows r0 to r1 - 1 with
-    `clear_tiered_batch(..., min_iterations=min_iterations)`, keeps what it
-    needs of the result and returns its `iterations`; a row cleared again
-    must get the same assets.  Blocks run in row order, so a caller puts the
-    rows it expects to need the most sweeps first.  Once every block stopped
-    at the same sweep, each row holds the bits the whole batch cleared at
-    once would give it.  Returns the number of blocks cleared again because
-    a later block raised the stop.
-    """
-    size = _block_rows(n_banks)
-    blocks = [(r0, min(r0 + size, rows)) for r0 in range(0, rows, size)]
-    last = [-1] * len(blocks)  # per block, the sweep it stopped at
-    stop = 0    # the batch's sweep, as far as the blocks cleared so far tell
-    again = 0
-    # `stop` never passes the batch's sweep: a block stops at its first sweep
-    # within tolerance at or after `stop`, and the batch's sweep is one.  Once
-    # every block has stopped exactly at `stop`, all are within tolerance
-    # there, so `stop` is the batch's sweep.
-    while behind := [b for b in range(len(blocks)) if last[b] != stop]:
-        for b in behind:
-            again += last[b] >= 0
-            last[b] = clear_block(*blocks[b], stop)
-            if last[b] < stop:  # it would be cleared again forever
-                raise RuntimeError(f"rows {blocks[b][0]} to {blocks[b][1] - 1} stopped at "
-                                   f"sweep {last[b]}, before min_iterations {stop}")
-            stop = max(stop, last[b])
-    log.debug("blockwise clearing: %d blocks, %d cleared again", len(blocks), again)
-    return again
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,10 +99,13 @@ def _prepare_out_dir(args) -> Path:
 
 def _load(args):
     config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.scenarios is not None:
-        config = replace(config, n_scenarios=args.scenarios)
+    for flag, field, value in (("--seed", "seed", args.seed),
+                               ("--scenarios", "n_scenarios", args.scenarios)):
+        if value is not None:
+            try:
+                config = replace(config, **{field: value})
+            except ConfigError as exc:
+                raise ConfigError(f"{flag}: {exc}") from exc
     return config
 
 

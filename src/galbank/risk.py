@@ -1,9 +1,11 @@
 """Loss accounting, Monte Carlo estimation, risk criteria and bailout search.
 
-`simulate_records` runs the scenarios a chunk at a time: it draws and
-clears each chunk a cache-sized block of rows at a time (`clear_in_blocks`),
-and accounts each block as it clears it, keeping only per-row results
-(`ScenarioTable.from_clearing`).  A row's lost deposits are
+`simulate_records` runs the scenarios a chunk at a time, each chunk in
+forward passes: it draws the chunk's rows, worst-shocked first, clears
+them a cache-sized block at a time (`_block_rows`) and accounts each block
+as it clears it, keeping only per-row results (`ScenarioTable.from_clearing`);
+a pass whose blocks stopped at different sweeps is run again from the
+latest stop.  A row's lost deposits are
 summed as BLAS dots over consecutive pieces of at most DOT_PIECE_MAX banks
 (`_dot_pieces`), so no call wakes OpenBLAS's thread pool and no output bit
 depends on the BLAS thread count.  Both it and
@@ -52,7 +54,7 @@ from .clearing import (
     BatchClearingResult,
     SortedTiers,
     TierSumsResult,
-    clear_in_blocks,
+    _block_rows,
     clear_tier_sums,
     clear_tiered_batch,
     defaulting_prefixes,
@@ -377,6 +379,8 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
     chunks = _chunks(n_scenarios)
     floor = _loss_floor(network, shock_params, config, bailout)
     injections = _injection_vector(network, bailout)[None, :]
+    block = _block_rows(network.n_banks)
+    per_draw = max(1, SUB_BLOCK_ROWS // block) * block  # whole blocks
 
     def run_chunk(pos: int) -> ScenarioTable:
         idx = chunks[pos]
@@ -388,27 +392,32 @@ def simulate_records(network: GalacticNetwork, shock_params: ShockParams,
         # glibc's dynamic mmap threshold at the size of the sweep's iterates,
         # so their heap pages were returned and faulted in again every block
         order = np.argsort(-common_factors(seed, idx), kind="stable")
-        drawn = [0, 0, None]  # rows start to stop - 1 of `order`, their assets
-        tables = {}  # each block's accounting, under its first row of `order`
-
-        def clear_block(r0: int, r1: int, min_iterations: int) -> int:
-            start, stop, assets = drawn
-            if not start <= r0 < r1 <= stop:
-                drawn[2] = assets = None  # free these rows before drawing the next
-                start, stop = r0, max(r1, min(r0 + SUB_BLOCK_ROWS, len(idx)))
+        # A block stops at its first sweep within tolerance at or after `stop`,
+        # and the chunk's sweep (the first at which every row is) is one, so
+        # `stop` never passes it; a pass whose blocks all stop at `stop` has
+        # cleared every row to exactly that sweep, with the bits of the whole
+        # chunk at once.  A pass runs again only if it raised `stop`, which
+        # stays below MAX_ITERATIONS (the sweep raises there): the passes end.
+        stop = passes = 0
+        while True:
+            passes += 1
+            tables, stops = [], []
+            for lo in range(0, len(idx), per_draw):
                 assets = _draw_base(network, shock_params, config, seed,
-                                    [idx[i] for i in order[start:stop]], floor)
+                                    [idx[i] for i in order[lo:lo + per_draw]], floor)
                 assets += injections
-                drawn[:] = start, stop, assets
-            cleared = clear_tiered_batch(network, assets[r0 - start:r1 - start],
-                                         min_iterations=min_iterations)
-            # a block cleared again replaces its table
-            tables[r0] = ScenarioTable.from_clearing(network, cleared)
-            return cleared.iterations
-
-        clear_in_blocks(len(idx), network.n_banks, clear_block)
-        table = ScenarioTable.concat([tables[r0] for r0 in sorted(tables)])
-        return table.take(np.argsort(order))  # back to scenario order
+                for r0 in range(0, len(assets), block):
+                    cleared = clear_tiered_batch(network, assets[r0:r0 + block],
+                                                 min_iterations=stop)
+                    stop = max(stop, cleared.iterations)
+                    stops.append(cleared.iterations)
+                    tables.append(ScenarioTable.from_clearing(network, cleared))
+                    del cleared  # freed before the next block's iterates
+                del assets
+            if all(s == stop for s in stops):
+                break
+        log.debug("chunk of %d scenarios: %d pass(es), stop at sweep %d", len(idx), passes, stop)
+        return ScenarioTable.concat(tables).take(np.argsort(order))  # back to scenario order
 
     return ScenarioTable.concat(_run_chunks(run_chunk, range(len(chunks)), n_jobs))
 

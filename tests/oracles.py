@@ -4,14 +4,17 @@ A dense Picard solver for arbitrary small networks (greatest and least
 clearing vectors), the tiered Picard loop one full-width sweep at a time
 from either start, the bilateral expansion of a tiered network under the
 even-split convention, the interbank conservation identity, and a plain
-form of the fictitious-default tier-sum solve.  None of them is on a
-`galbank` command's path; the tests import them from here.
+form of the fictitious-default tier-sum solve, and the same solve in exact
+rational arithmetic.  None of them is on a `galbank` command's path; the
+tests import them from here.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -283,3 +286,77 @@ def reference_tier_sums(network: GalacticNetwork, tiers: SortedTiers,
 
     defaults = count_below(top - base - DEFAULT_FLAG_TOL * one_c)
     return TierSumsResult(sums, defaults, rounds, k, sums @ sys.ext_share_tier)
+
+
+# --- fictitious default in exact rational arithmetic ------------------------------
+
+def _exact_sum(values) -> Fraction:
+    """The exact sum of floats, each an integer over a power of two."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max((d for _, d in ratios), default=1)
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
+
+
+def _solve_exact(a, b) -> list:
+    """x with a x = b, by Gauss-Jordan elimination in Fractions (a nonsingular)."""
+    m = [list(row) + [v] for row, v in zip(a, b)]
+    for i in range(len(m)):
+        p = next(r for r in range(i, len(m)) if m[r][i] != 0)
+        m[i], m[p] = m[p], m[i]
+        for r in range(len(m)):
+            if r != i and m[r][i] != 0:
+                f = m[r][i] / m[i][i]
+                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return [m[i][-1] / m[i][i] for i in range(len(m))]
+
+
+@dataclass(frozen=True)
+class ExactClearing:
+    sums: list              # per tier, the banks' payments in all, Q
+    defaults: list          # per tier, the banks short by more than DEFAULT_FLAG_TOL
+    external_paid: Fraction  # paid on the outside obligations, Q
+
+
+def exact_clearing(assets, profiles, counts, shift) -> ExactClearing:
+    """Eisenberg and Noe's fictitious-default algorithm in exact rationals.
+
+    `assets` is one scenario's float assets per bank in tier order, each an
+    exact binary rational; bank j of tier d holds a_j + shift[d].  The even
+    split gives, per unit of tier c's payments, coef[c][d] to each bank of
+    tier d (owed(c->d) / pbar_c over count_d, or count_d - 1 within a tier),
+    so with tier sums S bank j pays min(pbar_d, (a_j + shift_d + B_d) /
+    (1 + c_d)), B_d = sum_c S_c coef[c][d], c_d = coef[d][d].  It defaults
+    strictly below t_d = pbar_d (1 + c_d) - B_d - shift_d.  From full
+    payment, each round counts the defaults, adds the new ones' assets and
+    solves for S exactly, until no count moves.
+    """
+    tiers = range(len(counts))
+    owed = [[Fraction(profiles[c].owed_to(d)) for d in tiers] for c in tiers]
+    ext = [Fraction(profiles[c].owed_external) for c in tiers]
+    pbar = [sum(owed[c]) + ext[c] for c in tiers]
+    coef = [[owed[c][d] / pbar[c] / (counts[d] - (c == d)) if owed[c][d] else Fraction(0)
+             for d in tiers] for c in tiers]
+    one_c = [1 + coef[d][d] for d in tiers]
+    shift = [Fraction(s) for s in shift]
+    bounds = np.cumsum([0, *counts]).tolist()
+    values = [np.sort(assets[bounds[d]:bounds[d + 1]]).tolist() for d in tiers]
+
+    sums = [counts[d] * pbar[d] for d in tiers]
+    k, smallest = [0] * len(counts), [Fraction(0)] * len(counts)
+    while True:
+        base = [sum(sums[c] * coef[c][d] for c in tiers) for d in tiers]
+        top = [pbar[d] * one_c[d] - base[d] - shift[d] for d in tiers]
+        found = [bisect.bisect_left(values[d], top[d]) for d in tiers]
+        assert all(f >= n for f, n in zip(found, k)), "a default was undone"
+        if found == k:
+            break
+        smallest = [smallest[d] + _exact_sum(values[d][k[d]:found[d]]) for d in tiers]
+        k = found
+        system = [[(c == d) - k[d] / one_c[d] * coef[c][d] for c in tiers] for d in tiers]
+        rhs = [(counts[d] - k[d]) * pbar[d] + (smallest[d] + k[d] * shift[d]) / one_c[d]
+               for d in tiers]
+        sums = _solve_exact(system, rhs)
+    flag = Fraction(DEFAULT_FLAG_TOL)
+    defaults = [bisect.bisect_left(values[d], top[d] - flag * one_c[d]) for d in tiers]
+    paid = sum(sums[c] * ext[c] / pbar[c] for c in tiers if ext[c])
+    return ExactClearing(sums, defaults, paid)

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +14,6 @@ from galbank.clearing import (
     SortedTiers,
     _TierSystem,
     _block_rows,
-    clear_in_blocks,
     clear_tier_sums,
     clear_tiered_batch,
     defaulting_prefixes,
@@ -336,53 +334,56 @@ def test_non_convergence_names_iterations_residuals_and_row(monkeypatch):
 
 # --- blocked sweep against the full-width loop ------------------------------
 
-def blockwise(network, assets):
-    """`clear_in_blocks` over `assets`, each block's assets a fresh copy as
-    `simulate` draws them.  Returns the batch's fields assembled from each
-    block's last call, the blocks cleared again and each row's clear count."""
+def blockwise(mp, network, assets):
+    """`simulate_records` on `assets` as one chunk, its rows drawn as given
+    and in row order.  Returns the chunk's fields assembled from the last
+    pass's calls, and the passes run."""
     rows = assets.shape[0]
-    got = {"payments": np.full(assets.shape, np.nan),
-           "defaulted": np.zeros(assets.shape, dtype=bool),
-           "external_paid": np.full(rows, np.nan)}
-    last = {}  # per block, its last call's result
-    clears = np.zeros(rows, dtype=int)
-
-    def clear_block(r0, r1, min_iterations):
-        batch = clear_tiered_batch(network, assets[r0:r1].copy(),
-                                   min_iterations=min_iterations)
-        for field in got:
-            got[field][r0:r1] = getattr(batch, field)
-        last[r0] = batch
-        clears[r0:r1] += 1
-        return batch.iterations
-
-    again = clear_in_blocks(rows, network.n_banks, clear_block)
-    # every block stopped at the batch's sweep; a sweep's residual is the
-    # largest of the blocks'
-    iterations = {batch.iterations for batch in last.values()}
+    mp.setattr(gb.risk, "DEFAULT_BATCH_SIZE", rows)
+    mp.setattr(gb.risk, "_draw_base", lambda network, shock, config, seed, idx, floor:
+               assets[list(idx)])
+    mp.setattr(gb.risk, "common_factors", lambda seed, idx: np.zeros(len(idx)))
+    calls = simulate_calls(mp)
+    table = gb.simulate_records(network, gb.ShockParams(), gb.BailoutAllocation(),
+                                gb.LossConfig(), rows, 0)
+    # each pass clears every block once, in row order, each block's rows as drawn
+    block = _block_rows(network.n_banks)
+    blocks = -(-rows // block)
+    passes, extra = divmod(len(calls), blocks)
+    assert extra == 0
+    for p in range(passes):
+        drawn = [a for a, _ in calls[p * blocks:(p + 1) * blocks]]
+        assert [len(a) for a in drawn] == [min(block, rows - r0) for r0 in range(0, rows, block)]
+        assert np.array_equal(np.concatenate(drawn), assets)
+    last = [batch for _, batch in calls[-blocks:]]
+    got = {field: np.concatenate([getattr(batch, field) for batch in last])
+           for field in ("payments", "defaulted", "external_paid")}
+    # every block of the last pass stopped at the chunk's sweep; a sweep's
+    # residual is the largest of the blocks'
+    iterations = {batch.iterations for batch in last}
     assert len(iterations) == 1
     got["iterations"] = iterations.pop()
     got["residuals"] = tuple(
-        float(r) for r in np.max([batch.residuals for batch in last.values()], axis=0))
-    return got, again, clears
+        float(r) for r in np.max([batch.residuals for batch in last], axis=0))
+    accounted = gb.ScenarioTable.from_clearing(network, clear_tiered_batch(network, assets))
+    for column in ("external_shortfall", "central_shortfall", "deposits_lost",
+                   "defaults_by_tier"):
+        assert np.array_equal(getattr(table, column), getattr(accounted, column)), column
+    return got, passes
 
 
 def assert_matches_reference(network, assets):
-    """The whole batch at once and block by block equal the full-width loop
-    from the greatest start, at `clearing.DEFAULT_TOLERANCE`, in every field;
-    returns the blocks cleared again."""
+    """The whole batch at once and `simulate` block by block equal the
+    full-width loop from the greatest start, at `clearing.DEFAULT_TOLERANCE`,
+    in every field; returns the passes `simulate` ran."""
     ref = full_width_reference(network, assets, tolerance=clearing.DEFAULT_TOLERANCE)
     whole = clear_tiered_batch(network, assets)
-    got, again, clears = blockwise(network, assets)
+    with pytest.MonkeyPatch.context() as mp:
+        got, passes = blockwise(mp, network, assets)
     for field, expected in ref.items():
         assert np.array_equal(getattr(whole, field), expected), field
         assert np.array_equal(got[field], expected), field
-    # each block is cleared once, plus once per time it was cleared again
-    block = _block_rows(network.n_banks)
-    firsts = clears[::block]
-    assert np.array_equal(np.repeat(firsts, block)[:clears.size], clears)
-    assert (firsts >= 1).all() and int((firsts - 1).sum()) == again
-    return again
+    return passes
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,13 +442,13 @@ def test_blocked_sweep_bitwise_when_early_blocks_stop_first(monkeypatch, rows, b
     one_block_of(monkeypatch, net, block)
     batch = assets[rows]
     # the first block settles alone before the batch does, and the sweeps up
-    # to the batch's stop still move its bits: it must be cleared again from
-    # the start after the last block (ragged in the second case)
+    # to the batch's stop still move its bits: the pass must run again from
+    # the stop the last block (ragged in the second case) set
     alone = full_width_reference(net, batch[:block])
     ref = full_width_reference(net, batch)
     assert alone["iterations"] < ref["iterations"]
     assert not np.array_equal(alone["payments"], ref["payments"][:block])
-    assert assert_matches_reference(net, batch) >= 1
+    assert assert_matches_reference(net, batch) == 2
 
 
 def stop_sweep(residuals, limit, first=0):
@@ -462,11 +463,12 @@ def test_blocked_sweep_bitwise_when_a_stopped_block_rebounds(monkeypatch, rows, 
     first, second = (full_width_reference(net, assets[r:r + 1], tolerance=1e-14)["residuals"]
                      for r in rows)
     # the first row is within the limit before the second row is, and above
-    # it again at the sweep where the second row first is
+    # it again at the sweep where the second row first is: in the second
+    # pass the first block stops past that sweep, and the second block follows
     a = stop_sweep(first, limit)
     b = stop_sweep(second, limit, a)
     assert a < b and first[b] > limit
-    assert_matches_reference(net, assets[rows])
+    assert assert_matches_reference(net, assets[rows]) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -489,24 +491,10 @@ def test_worst_block_first_clears_no_block_again(monkeypatch, solvent, deep):
     net, assets = graded_draw()
     one_block_of(monkeypatch, net, 1)
     # alone, the solvent row stops after 0 sweeps, the deep one after 44: the
-    # solvent block first, the deep one raises the stop and the solvent one is
-    # cleared again; the deep one first, neither is
-    assert assert_matches_reference(net, assets[[solvent, deep]]) == 1
-    assert assert_matches_reference(net, assets[[deep, solvent]]) == 0
-
-
-def test_block_that_stops_before_the_floor_is_an_error(monkeypatch):
-    net, assets = graded_draw()
-    one_block_of(monkeypatch, net, 1)
-    batch = assets[[0, 4]]  # alone, row 0 stops after 44 sweeps, row 4 after 0
-
-    def ignores_floor(r0, r1, min_iterations):
-        return clear_tiered_batch(net, batch[r0:r1]).iterations
-
-    # cleared again to its own stop, row 4 would never reach the batch's
-    with pytest.raises(RuntimeError, match="rows 1 to 1 stopped at sweep 0, before "
-                                           "min_iterations 44"):
-        clear_in_blocks(2, net.n_banks, ignores_floor)
+    # solvent block first, the deep one raises the stop and the pass runs
+    # again; the deep one first, one pass clears both
+    assert assert_matches_reference(net, assets[[solvent, deep]]) == 2
+    assert assert_matches_reference(net, assets[[deep, solvent]]) == 1
 
 
 def test_min_iterations_delays_the_stop():
@@ -538,33 +526,6 @@ def test_several_central_banks_pay_outside_within_tolerance(monkeypatch):
         ref = clearing_dense(expand_network(net, assets[row]), tolerance=1e-13)
         assert batch.external_paid[row] == pytest.approx(ref.external_paid, rel=1e-10)
         assert np.array_equal(batch.defaulted[row], ref.defaulted)
-
-
-def test_blocked_sweep_holds_no_batch_wide_scratch():
-    net = gb.build_network()
-    losses = gb.shocks.sample_loss_matrix(gb.ShockParams(), net.n_banks, 19770525, range(64))
-    assets = (1.0 - losses) * net.external_assets_vector()[None, :]
-    del losses
-    block = _block_rows(net.n_banks)
-    tracemalloc.start()
-    try:
-        defaulted = np.empty(assets.shape, dtype=bool)
-
-        def clear_block(r0, r1, min_iterations):
-            batch = clear_tiered_batch(net, assets[r0:r1], min_iterations=min_iterations)
-            defaulted[r0:r1] = batch.defaulted
-            return batch.iterations
-
-        clear_in_blocks(64, net.n_banks, clear_block)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the bool flags are the only (rows, n) array; a block adds its iterate
-    # buffers and flags but no (rows, n) float array (measured 2.4 MB in all;
-    # 11.5 MB with a payments result, 20.2 MB with a full-width iterate and
-    # shortfall too)
-    allowed = defaulted.nbytes + 3 * block * net.n_banks * 8 + 2**20
-    assert peak <= allowed
 
 
 def simulate_calls(monkeypatch):

@@ -358,7 +358,21 @@ def test_cli_seed_outside_64_bits_is_config_error(tmp_path, capsys, seed):
     for command in ("calibrate", "simulate", "frontier"):
         assert main([command, "--seed", str(seed), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"config error: config.seed: must lie in [0, 2**64), got {seed}" in err
+        assert f"config error: --seed: config.seed: must lie in [0, 2**64), got {seed}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [("--scenarios", "0", "n_scenarios"),
+                                              ("--scenarios", "-3", "n_scenarios"),
+                                              ("--seed", str(2**64), "seed")])
+def test_cli_override_error_names_its_flag(tmp_path, capsys, flag, value, field):
+    # the range is RunConfig's; the message begins with the flag that set the
+    # value, not only the config field it lands in
+    out = tmp_path / "out"
+    for command in ("calibrate", "simulate", "frontier"):
+        assert main([command, flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag}: config.{field}: "), err
     assert not out.exists()
 
 

@@ -33,9 +33,9 @@ UNSET_DEFAULTS_ALLOWED = {("cli", "main", "argv")}
 # names the README's "Python API" section documents beyond what the CLI runs
 DOCUMENTED_API = (
     "BailoutAllocation", "Criterion", "GalacticNetwork", "LossConfig", "ScenarioTable",
-    "ShockParams", "average_var", "bailout_frontier", "build_network", "clear_in_blocks",
-    "clear_tiered_batch", "criterion_satisfied", "exceedance_probability", "expected_loss",
-    "loss_threshold", "sample_loss_matrix", "simulate_records",
+    "ShockParams", "average_var", "bailout_frontier", "build_network", "clear_tiered_batch",
+    "criterion_satisfied", "exceedance_probability", "expected_loss", "loss_threshold",
+    "sample_loss_matrix", "simulate_records",
 )
 
 
@@ -101,12 +101,26 @@ def _unreachable(roots) -> list:
     return sorted(f"{module}.{name}" for module, name in definitions.keys() - live)
 
 
-def test_documented_api_is_in_the_readme():
+def _api_section() -> str:
     section = re.search(r"^## Python API\n(.*?)^## ", README.read_text(), re.S | re.M)
     assert section, "README has no 'Python API' section"
-    missing = [name for name in DOCUMENTED_API
-               if not re.search(rf"\b{name}\b", section.group(1))]
+    return section.group(1)
+
+
+def test_documented_api_is_in_the_readme():
+    section = _api_section()
+    missing = [name for name in DOCUMENTED_API if not re.search(rf"\b{name}\b", section)]
     assert not missing, f"not in the README's Python API section: {missing}"
+
+
+def test_every_readme_call_names_a_package_definition():
+    # `network.claims_face(` names the method `claims_face`: the last dotted
+    # part counts, so a deleted function cannot stay documented
+    defined = {name.split(".")[-1] for _, name in _definitions()}
+    called = {name.split(".")[-1] for name in re.findall(r"`([\w.]+)\(", _api_section())}
+    assert called, "the README's Python API section calls nothing"
+    stale = sorted(called - defined)
+    assert not stale, f"the README's Python API section calls undefined names: {stale}"
 
 
 def test_every_package_name_is_run_or_documented():
