@@ -19,6 +19,7 @@ from galbank.cli import main
 from galbank.clearing import clear_tiered_batch
 from galbank.risk import _AllocationEvaluator
 from galbank.shocks import _copula_transform, _draw_latents
+from documented_runs import ACCEPTANCE
 from oracles import (
     DenseNetwork,
     clearing_dense,
@@ -41,27 +42,15 @@ BAND2_BUFFERS = (0.0, 0.05, -0.01)  # default-fraction cap demonstration
 BAND3_BUFFERS = (0.15, 0.05, 0.6)   # mean insured loss as % of GGP
 BAND4_BUFFERS = (0.16, 0.05, 0.9)   # mean insurance payout as % of GGP
 
-# documented calibration for the frontier run: the central bank can cover
-# its outside obligation at full inflow and is exempt from the market shock
-FRONTIER_BUFFERS = (0.15, 0.05, 2.0)
-FRONTIER_GRID = gb.GridSpec(per_big=(0.0, 0.02, 0.04, 0.05, 0.06, 0.07, 0.09,
-                                      0.12, 0.16, 0.21, 0.28, 0.36, 0.45))
-FRONTIER_SCENARIOS = 2_000
-
 
 def report(criterion: str, ok: bool, detail: str):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def run_records(buffers, n_scenarios, exempt_central=False, bailout=None):
-    params = gb.CalibrationParams(capital_buffer_per_tier=buffers)
-    net = gb.build_network(params)
-    shock = gb.ShockParams(exempt_central=exempt_central)
-    config = gb.LossConfig()
-    table = gb.simulate_records(
-        net, shock, bailout or gb.BailoutAllocation(), config,
-        n_scenarios, SEED, n_jobs=2,
-    )
+def run_records(buffers, n_scenarios):
+    net = gb.build_network(gb.CalibrationParams(capital_buffer_per_tier=buffers))
+    table = gb.simulate_records(net, gb.ShockParams(), gb.BailoutAllocation(), gb.LossConfig(),
+                                n_scenarios, SEED, n_jobs=2)
     return net, table
 
 
@@ -89,15 +78,15 @@ def default_run():
 
 @pytest.fixture(scope="module")
 def frontier_run():
-    params = gb.CalibrationParams(capital_buffer_per_tier=FRONTIER_BUFFERS)
-    net = gb.build_network(params)
-    shock = gb.ShockParams(exempt_central=True)
-    config = gb.LossConfig()
-    evaluator = _AllocationEvaluator(net, shock, config, FRONTIER_SCENARIOS, SEED, 2)
+    # the documented run, `galbank frontier --config configs/acceptance.json`
+    config = ACCEPTANCE
+    net = gb.build_network(config.calibration)
+    evaluator = _AllocationEvaluator(net, config.shock, config.loss, config.n_scenarios,
+                                     config.seed, 2)
     frontiers = {}
     minima = {}
     for criterion in gb.Criterion:
-        points = gb.bailout_frontier(evaluator, criterion, FRONTIER_GRID)
+        points = gb.bailout_frontier(evaluator, criterion, config.grid)
         frontiers[criterion] = points
         if any(p.attainable for p in points):
             minima[criterion] = gb.minimal_total_bailout(points, net, criterion)

@@ -19,6 +19,7 @@ from galbank.clearing import (
     defaulting_prefixes,
 )
 import oracles
+from documented_runs import ACCEPTANCE
 from oracles import (
     DenseNetwork,
     clearing_dense,
@@ -546,9 +547,11 @@ def test_simulate_sweep_bitwise_equals_full_width(monkeypatch, order):
     # `simulate` draws each block just before it clears it: whatever the
     # block order, each row's last call holds the full-width loop's payments,
     # flags, outside payment, iterations and residuals on the chunk's drawn
-    # matrix, and the table keeps its bits; best first runs the fallback
-    net = gb.build_network(gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 2.0)))
-    shock, config = gb.ShockParams(exempt_central=True), gb.LossConfig(deposit_insurance=True)
+    # matrix, and the table keeps its bits.  Each pass makes one call per
+    # block: worst first, every chunk clears in one pass; best first, the
+    # first pass raises its stop block by block, so every chunk runs a second
+    net = gb.build_network(ACCEPTANCE.calibration)
+    shock, config = ACCEPTANCE.shock, gb.LossConfig(deposit_insurance=True)
     bailout = gb.BailoutAllocation(per_massive=1.0, per_big=0.05)
     rows, chunk, seed = 60, 40, 19770525
     monkeypatch.setattr(gb.risk, "DEFAULT_BATCH_SIZE", chunk)
@@ -582,8 +585,7 @@ def test_simulate_sweep_bitwise_equals_full_width(monkeypatch, order):
             assert np.all(np.array(batch.residuals) <= ref["residuals"])
         assert ref["residuals"] == tuple(float(r) for r in np.max(
             [batch.residuals for batch, _ in final.values()], axis=0))
-    again = len(calls) - blocks
-    assert (again > 0) == (order == "best-first")
+    assert len(calls) == blocks * (1 if order == "worst-first" else 2)
 
 
 CLEAR_DIGESTS = """

@@ -10,8 +10,9 @@ import galbank as gb
 from galbank import config as config_module, report
 from galbank.cli import main
 from galbank.config import DEFAULT_SEED
+from documented_runs import ACCEPTANCE, ACCEPTANCE_PATH, ROOT, workloads
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+README = ROOT / "README.md"
 
 def write_config(tmp_path: Path, data: dict) -> Path:
     path = tmp_path / "config.json"
@@ -132,6 +133,21 @@ def test_readme_example_config_is_the_run_config_it_documents():
     # every value it shows is the default but the grid's per_big list
     assert gb.parse_config(document) == gb.RunConfig(
         grid=gb.GridSpec(per_big=(0.0, 0.02, 0.04, 0.06, 0.08)))
+
+
+def test_committed_configs_load_and_the_benchmark_copy_matches():
+    # every documented run under configs/ loads; the benchmark's workloads
+    # keep their own copy of the acceptance run, which must not drift from it
+    paths = sorted((ROOT / "configs").glob("*.json"))
+    assert ACCEPTANCE_PATH in paths
+    for path in paths:
+        gb.load_config(path)
+    frontier = gb.parse_config(workloads.WORKLOADS["frontier-acceptance"].config)
+    bailout = gb.parse_config(workloads.WORKLOADS["simulate-bailout"].config)
+    for block in ("calibration", "shock", "loss", "grid"):
+        assert getattr(frontier, block) == getattr(ACCEPTANCE, block), block
+    for block in ("calibration", "shock"):
+        assert getattr(bailout, block) == getattr(ACCEPTANCE, block), block
 
 
 def test_load_config_none_gives_defaults():

@@ -10,31 +10,15 @@ network_summary.csv, pinned below.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from galbank.cli import main
+from documented_runs import ACCEPTANCE_PATH, ROOT, workloads
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SCENARIOS = 1_000
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks itself up there
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
-REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
+REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
@@ -77,10 +61,11 @@ def test_workload_csv_bytes_match_references_at_every_seed(tmp_path, name, seed)
 
 
 # `galbank calibrate` is in no benchmark workload, so its one CSV is pinned
-# here: at the default, acceptance and paid-off (zero debt) calibrations
+# here: at the default, acceptance (its committed file) and paid-off (zero
+# debt) calibrations
 NETWORK_SUMMARY_SHA256 = {
     "default": ({}, "63cbc114e1a532a4d10b4d028feae1b825031166a38f75a988cf2438c2a701ba"),
-    "acceptance": (workloads.ACCEPTANCE_CALIBRATION,
+    "acceptance": (ACCEPTANCE_PATH,
                    "0bbe136004d9bbd681e4462d1f68a72ae2129233640ab29cefa7a78d19728262"),
     "paid-off": ({"calibration": {"ds1_paid_fraction": 1.0, "ds2_total_cost": 0.0}},
                  "6ed15ff94d2f432b06c6b37b739f497752621fbdd1a3908ec5f0aa432d56ebc2"),
@@ -90,8 +75,10 @@ NETWORK_SUMMARY_SHA256 = {
 @pytest.mark.parametrize("name", list(NETWORK_SUMMARY_SHA256))
 def test_network_summary_bytes_pinned(tmp_path, name):
     config, expected = NETWORK_SUMMARY_SHA256[name]
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
+    if isinstance(config, dict):  # a document, not a committed file
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        config = path
     out = tmp_path / "out"
-    assert main(["calibrate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "network_summary.csv").read_bytes()).hexdigest() == expected

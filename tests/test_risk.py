@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import importlib.util
 import json
 import math
 import operator
@@ -24,6 +23,7 @@ from galbank.cli import build_parser, main
 from galbank.clearing import _TierSystem, clear_tiered_batch, defaulting_prefixes
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 import oracles
+from documented_runs import ACCEPTANCE, ROOT, workloads
 
 SEED = 20240917
 TABLE_COLUMNS = ("external_shortfall", "central_shortfall", "deposits_lost",
@@ -34,15 +34,6 @@ def assert_tables_equal(a, b):
     assert len(a) == len(b)
     for column in TABLE_COLUMNS:
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
-
-
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks itself up there
-    spec.loader.exec_module(module)
-    return module
 
 
 def central_only_network(obligation=10.0):
@@ -804,10 +795,6 @@ def test_evaluator_first_evaluation_keeps_the_bits_of_later_ones(small_net, monk
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
 
 
-def acceptance_net():
-    return gb.build_network(gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 2.0)))
-
-
 def test_evaluator_cache_cap_on_calibrated_network(default_net):
     # A full sort holds 140,008 bytes per scenario (17,501 assets): 7,500
     # scenarios in 1 GiB.  A chunk keeps each tier's defaulting banks at zero
@@ -818,7 +805,7 @@ def test_evaluator_cache_cap_on_calibrated_network(default_net):
     # scenarios, take 16 MiB, under 2% of the budget).
     for net, shock, low, high in [
         (default_net, gb.ShockParams(), 100_000, 130_000),
-        (acceptance_net(), gb.ShockParams(exempt_central=True), 1_000, 2_500),
+        (gb.build_network(ACCEPTANCE.calibration), ACCEPTANCE.shock, 1_000, 2_500),
     ]:
         evaluator = _AllocationEvaluator(net, shock, gb.LossConfig(), 500, SEED, 1)
         assert len(evaluator.table(gb.BailoutAllocation())) == 500
@@ -845,7 +832,7 @@ def test_frontier_chunk_build_holds_one_sub_block(default_net):
     # peaks: 3.5 MB at the acceptance calibration, and 60.6 MB at the default
     # one, where the chunk keeps 56.8 MB; drawn 32 rows at a time into fresh
     # blocks it held 5.8 and 66.5 MB, and sorted whole, 70 MB more
-    for net, shock in [(acceptance_net(), gb.ShockParams(exempt_central=True)),
+    for net, shock in [(gb.build_network(ACCEPTANCE.calibration), ACCEPTANCE.shock),
                        (default_net, gb.ShockParams())]:
         evaluator = _AllocationEvaluator(net, shock, gb.LossConfig(), 500, SEED, 1)
         draw = largest_draw_prefix_bytes(evaluator)
@@ -884,7 +871,6 @@ def benchmark_run(name: str) -> tuple:
     """(calibration, shock, bailout, loss config, scenarios, seed, threads) of
     the `simulate-<name>` benchmark workload, read from its config and argv as
     `galbank simulate` reads them."""
-    workloads = _perfbench_workloads()
     workload = workloads.WORKLOADS[f"simulate-{name}"]
     config = gb.parse_config(workload.config)
     args = build_parser().parse_args(workload.argv(
@@ -1021,28 +1007,27 @@ def test_simulate_calls_each_hook_once_per_sub_block_and_block(monkeypatch):
 
 # --- banks that surely pay in full skip the copula transform -----------------
 
-ACCEPTANCE = gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, 2.0))
 ALL_ASSETS = gb.ShockTarget.ALL_ASSETS
 # name: calibration, shock, loss config, bailout, whether the draws skip banks
 SKIP_CASES = {
     "headline": (gb.CalibrationParams(), gb.ShockParams(), gb.LossConfig(),
                  gb.BailoutAllocation(), False),
-    "acceptance": (ACCEPTANCE, gb.ShockParams(exempt_central=True), gb.LossConfig(),
+    "acceptance": (ACCEPTANCE.calibration, ACCEPTANCE.shock, gb.LossConfig(),
                    gb.BailoutAllocation(), True),
-    "bailout": (ACCEPTANCE, gb.ShockParams(exempt_central=True),
+    "bailout": (ACCEPTANCE.calibration, ACCEPTANCE.shock,
                 gb.LossConfig(deposit_insurance=True),
                 gb.BailoutAllocation(per_massive=1.0, per_big=0.05), True),
-    "all-assets": (ACCEPTANCE, gb.ShockParams(applies_to=ALL_ASSETS),
+    "all-assets": (ACCEPTANCE.calibration, gb.ShockParams(applies_to=ALL_ASSETS),
                    gb.LossConfig(bond_recovery=0.3),
                    gb.BailoutAllocation(per_massive=0.5, per_big=0.02), True),
     # the massive tier's outside assets and recovered bonds are both zero
-    "all-assets-no-recovery": (ACCEPTANCE, gb.ShockParams(applies_to=ALL_ASSETS),
+    "all-assets-no-recovery": (ACCEPTANCE.calibration, gb.ShockParams(applies_to=ALL_ASSETS),
                                gb.LossConfig(), gb.BailoutAllocation(), True),
-    "correlation-0": (ACCEPTANCE, gb.ShockParams(correlation=0.0), gb.LossConfig(),
+    "correlation-0": (ACCEPTANCE.calibration, gb.ShockParams(correlation=0.0), gb.LossConfig(),
                       gb.BailoutAllocation(), True),
-    "recovery-1": (ACCEPTANCE, gb.ShockParams(), gb.LossConfig(bond_recovery=1.0),
+    "recovery-1": (ACCEPTANCE.calibration, gb.ShockParams(), gb.LossConfig(bond_recovery=1.0),
                    gb.BailoutAllocation(per_big=0.05), True),
-    "beta-2-5": (ACCEPTANCE, gb.ShockParams(beta_a=2.0, beta_b=5.0), gb.LossConfig(),
+    "beta-2-5": (ACCEPTANCE.calibration, gb.ShockParams(beta_a=2.0, beta_b=5.0), gb.LossConfig(),
                  gb.BailoutAllocation(), True),
     # a buffer of -1 leaves the big banks no outside assets
     "no-big-outside-assets": (gb.CalibrationParams(capital_buffer_per_tier=(0.15, 0.05, -1.0)),
@@ -1110,10 +1095,10 @@ def test_skipping_sure_solvent_banks_keeps_every_bit(name, seed, rows):
 EXACT_CASES = {
     "default": (gb.CalibrationParams(), gb.ShockParams(), gb.LossConfig(),
                 [gb.BailoutAllocation()], 64),
-    "bailout": (ACCEPTANCE, gb.ShockParams(exempt_central=True),
+    "bailout": (ACCEPTANCE.calibration, ACCEPTANCE.shock,
                 gb.LossConfig(deposit_insurance=True),
                 [gb.BailoutAllocation(per_massive=1.0, per_big=0.05)], 128),
-    "frontier": (ACCEPTANCE, gb.ShockParams(exempt_central=True), gb.LossConfig(),
+    "frontier": (ACCEPTANCE.calibration, ACCEPTANCE.shock, gb.LossConfig(),
                  [gb.BailoutAllocation(), gb.BailoutAllocation(per_massive=0.5, per_big=0.01),
                   gb.BailoutAllocation(per_massive=2.0, per_big=0.05)], 128),
 }
@@ -1218,7 +1203,7 @@ def test_usable_cores_within_cpu_count():
     assert 1 <= risk._usable_cores() <= (os.cpu_count() or 1)
 
 
-def _simulate_digests(tmp_path, workloads, name, blas_threads: str) -> dict:
+def _simulate_digests(tmp_path, name, blas_threads: str) -> dict:
     """sha256 of each CSV of workload `name` at the documented seed and 1,000
     scenarios, run in a fresh process at `blas_threads` OpenBLAS threads."""
     workload = workloads.WORKLOADS[name]
@@ -1245,13 +1230,11 @@ def test_losses_csv_independent_of_blas_threads(tmp_path):
     # each row's deposits are dotted in pieces no BLAS thread count splits
     # further, so both simulate workloads write their recorded bytes at 1 and
     # 2 OpenBLAS threads; the references are only read here
-    workloads = _perfbench_workloads()
-    references = json.loads(
-        (Path(__file__).resolve().parent.parent / "perfbench" / "references.json").read_text())
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
     for name in ("simulate-headline", "simulate-bailout"):
         expected = references[name]["1000"][str(workloads.REFERENCE_SEED)]["sha256"]
         for blas_threads in ("1", "2"):
-            assert _simulate_digests(tmp_path, workloads, name, blas_threads) == expected, (
+            assert _simulate_digests(tmp_path, name, blas_threads) == expected, (
                 name, blas_threads)
 
 
@@ -1265,14 +1248,11 @@ FRONTIER_LOSSES_SHA256 = "b0ce1ad2e7803c228f904ef34db0915d5e027924d2a9e5641d9ee0
 def test_acceptance_frontier_loss_vectors_keep_their_bits():
     # `frontier.csv` records only where each criterion holds, so a change to a
     # loss bit that moves no decision leaves it as it is; this pins the bits
-    workloads = _perfbench_workloads()
-    config = gb.parse_config(workloads.ACCEPTANCE_CALIBRATION)
+    config = ACCEPTANCE
     net = gb.build_network(config.calibration)
-    evaluator = _AllocationEvaluator(net, config.shock, config.loss, 1_000,
-                                     workloads.REFERENCE_SEED, 2)
+    evaluator = _AllocationEvaluator(net, config.shock, config.loss, 1_000, config.seed, 2)
     for criterion in gb.Criterion:
-        gb.bailout_frontier(evaluator, criterion,
-                            gb.GridSpec(per_big=tuple(workloads.ACCEPTANCE_GRID)))
+        gb.bailout_frontier(evaluator, criterion, config.grid)
     assert len(evaluator.cache) == 23
     digest = hashlib.sha256()
     for alloc in sorted(evaluator.cache, key=lambda a: (a.per_massive, a.per_big)):
@@ -1283,24 +1263,22 @@ def test_acceptance_frontier_loss_vectors_keep_their_bits():
 def _traced_pass(tmp_path, name):
     """The benchmark's traced pass (`perfbench/child.py`, run as it is) of
     workload `name` at 1,000 scenarios: its result and its reference entry."""
-    root = Path(__file__).resolve().parent.parent
-    workloads = _perfbench_workloads()
     workload = workloads.WORKLOADS[name]
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(workload.config))
     spec = {
-        "src": str(root / "src"),
+        "src": str(ROOT / "src"),
         "mode": "trace",
         "argv": workload.argv(config_path, tmp_path / "out", workloads.REFERENCE_SEED, 1_000),
         "result": str(tmp_path / "result.json"),
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
-    proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), str(spec_path)],
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), str(spec_path)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads((tmp_path / "result.json").read_text())
-    references = json.loads((root / "perfbench" / "references.json").read_text())
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
     return result, references[name]["1000"][str(workloads.REFERENCE_SEED)]
 
 
