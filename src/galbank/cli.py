@@ -109,9 +109,18 @@ def _load(args):
     return config
 
 
+def _network(config):
+    """The run's network, built before any output directory is made; a
+    calibration whose arithmetic leaves the finite range is a config error."""
+    try:
+        return build_network(config.calibration)
+    except ValueError as exc:
+        raise ConfigError(f"calibration: {exc}") from exc
+
+
 def cmd_calibrate(args) -> int:
     config = _load(args)
-    network = build_network(config.calibration)
+    network = _network(config)
     out = _prepare_out_dir(args)
     report.write_network_summary(out / "network_summary.csv", network, config.calibration)
     print(f"bank_count: {network.n_banks}")
@@ -123,13 +132,13 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
+    network = _network(config)
     try:
         bailout = BailoutAllocation(per_massive=args.bailout_massive,
                                     per_big=args.bailout_big)
     except ValueError as exc:
         raise ConfigError(f"--bailout-massive/--bailout-big: {exc}") from exc
     out = _prepare_out_dir(args)
-    network = build_network(config.calibration)
     loss = config.loss
     if args.insurance:
         loss = replace(loss, deposit_insurance=True)
@@ -153,8 +162,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_frontier(args) -> int:
     config = _load(args)
+    network = _network(config)
     out = _prepare_out_dir(args)
-    network = build_network(config.calibration)
     criteria = list(Criterion) if args.criterion == "all" else [Criterion(args.criterion)]
     evaluator = _AllocationEvaluator(
         network, config.shock, config.loss, config.n_scenarios, config.seed, args.threads,

@@ -14,12 +14,12 @@ import pytest
 from scipy import special
 
 import galbank as gb
-from galbank import clearing
+from galbank import cli, clearing
 from galbank.cli import main
 from galbank.clearing import clear_tiered_batch
 from galbank.risk import _AllocationEvaluator
 from galbank.shocks import _copula_transform, _draw_latents
-from documented_runs import ACCEPTANCE
+from harness import random_tiered, record_calls, run_acceptance_frontier
 from oracles import (
     DenseNetwork,
     clearing_dense,
@@ -77,20 +77,16 @@ def default_run():
 
 
 @pytest.fixture(scope="module")
-def frontier_run():
-    # the documented run, `galbank frontier --config configs/acceptance.json`
-    config = ACCEPTANCE
-    net = gb.build_network(config.calibration)
-    evaluator = _AllocationEvaluator(net, config.shock, config.loss, config.n_scenarios,
-                                     config.seed, 2)
-    frontiers = {}
-    minima = {}
-    for criterion in gb.Criterion:
-        points = gb.bailout_frontier(evaluator, criterion, config.grid)
-        frontiers[criterion] = points
-        if any(p.attainable for p in points):
-            minima[criterion] = gb.minimal_total_bailout(points, net, criterion)
-    return net, frontiers, minima, evaluator
+def frontier_run(tmp_path_factory):
+    # the documented run, `galbank frontier --config configs/acceptance.json
+    # --threads 2`, and what it computed
+    with pytest.MonkeyPatch.context() as patch:
+        minimal = record_calls(patch, cli, "minimal_total_bailout")
+        code, calls = run_acceptance_frontier(patch, tmp_path_factory.mktemp("frontier") / "out")
+    assert code == 3  # some grid points are unattainable at the cap
+    frontiers = {call.arguments["criterion"]: call.result for call in calls}
+    minima = {call.result.criterion: call.result for call in minimal}
+    return calls[0].arguments["evaluator"].network, frontiers, minima
 
 
 def test_c1_calibration_exactness():
@@ -157,18 +153,7 @@ def test_c3_clearing_correctness(monkeypatch):
     worst = 0.0
     monkeypatch.setattr(clearing, "DEFAULT_TOLERANCE", 1e-12)
     for _ in range(100):
-        counts = (1, int(rng.integers(2, 11)), int(rng.integers(2, 51)))
-        profiles = (
-            gb.LiabilityProfile(owed_external=float(rng.uniform(0.5, 30.0))),
-            gb.LiabilityProfile(*rng.uniform(0.0, 3.0, 3), 0.0),
-            gb.LiabilityProfile(*rng.uniform(0.0, 1.0, 3), 0.0),
-        )
-        sheets = tuple(
-            gb.BalanceSheet(0.0, 0.0, 0.0)
-            for t in gb.Tier
-        )
-        net = gb.GalacticNetwork(counts, profiles, sheets, ggp=1.0, outstanding_debt=0.0)
-        assets = rng.uniform(0.0, 2.0, net.n_banks)
+        net, assets = random_tiered(rng)
         comp = clear_tiered_batch(net, assets[None])
         ref = clearing_dense(expand_network(net, assets), tolerance=1e-12)
         scale = max(float(np.abs(ref.payments).max()), 1e-9)
@@ -241,7 +226,7 @@ def test_c5_monotonicity_and_dominance(default_run, frontier_run):
         assert (higher <= lower + 1e-9).all()
 
     # AVaR-criterion minimal total dominates the VaR-criterion minimal total
-    _, _, minima, _ = frontier_run
+    _, _, minima = frontier_run
     assert gb.Criterion.VAR in minima and gb.Criterion.AVAR in minima
     assert minima[gb.Criterion.AVAR].total >= minima[gb.Criterion.VAR].total
     report("C5 monotonicity & dominance", True,
@@ -307,7 +292,7 @@ def test_c6_distribution_bands(default_run):
 
 
 def test_c7_frontier_plausibility(frontier_run):
-    net, frontiers, minima, _ = frontier_run
+    net, frontiers, minima = frontier_run
     assert gb.Criterion.EXPECTATION in minima, "expectation criterion unattainable"
     best = minima[gb.Criterion.EXPECTATION]
     assert 0.10 <= best.ggp_fraction <= 0.22

@@ -86,6 +86,8 @@ def test_params_validation():
         gb.CalibrationParams(ds1_paid_fraction=1.5)
     with pytest.raises(ValueError):
         gb.CalibrationParams(ds2_total_cost=-1.0)
+    with pytest.raises(ValueError, match="ggp_endor"):
+        gb.CalibrationParams(ggp_endor=0.0)
     with pytest.raises(gb.DegenerateNetworkError):
         gb.CalibrationParams(tier_counts=(1, 0, 5))
     with pytest.raises(gb.DegenerateNetworkError, match="the calibration has one central bank"):

@@ -1,8 +1,5 @@
 import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +16,8 @@ from galbank.clearing import (
     defaulting_prefixes,
 )
 import oracles
-from documented_runs import ACCEPTANCE
+from harness import (ACCEPTANCE, assert_tables_equal, random_tiered, record_calls, run_python,
+                     tiered)
 from oracles import (
     DenseNetwork,
     clearing_dense,
@@ -37,21 +35,33 @@ def dense(liabilities, external, assets):
     )
 
 
-def tiered(counts, profiles, ggp=100.0):
-    sheets = (gb.BalanceSheet(0.0, 0.0, 0.0),) * len(gb.Tier)
-    return gb.GalacticNetwork(counts, profiles, sheets, ggp=ggp, outstanding_debt=0.0)
-
-
-def random_tiered(rng):
-    counts = (1, int(rng.integers(2, 11)), int(rng.integers(2, 51)))
+def toy_net():
+    """A 5-bank tiered network and two asset rows: row 0 is solvent and
+    settles at once; row 1 needs several sweeps or rounds."""
     profiles = (
-        gb.LiabilityProfile(owed_external=float(rng.uniform(0.5, 30.0))),
-        gb.LiabilityProfile(*rng.uniform(0.0, 3.0, size=3), 0.0),
-        gb.LiabilityProfile(*rng.uniform(0.0, 1.0, size=3), 0.0),
+        gb.LiabilityProfile(owed_external=5.0),
+        gb.LiabilityProfile(1.0, 0.4, 0.6, 0.0),
+        gb.LiabilityProfile(0.2, 0.5, 0.1, 0.0),
     )
-    net = tiered(counts, profiles)
-    assets = rng.uniform(0.0, 2.0, size=net.n_banks)
-    return net, assets
+    return tiered((1, 2, 2), profiles), np.array([[10.0] * 5, [0.5, 0.8, 0.3, 0.2, 0.9]])
+
+
+def solvent_net():
+    """An 8-bank tiered network whose banks each owe 1.0, 0.2 or 0.1."""
+    profiles = (
+        gb.LiabilityProfile(owed_external=1.0),
+        gb.LiabilityProfile(0.1, 0.0, 0.1, 0.0),
+        gb.LiabilityProfile(0.05, 0.05, 0.0, 0.0),
+    )
+    return tiered((1, 3, 4), profiles)
+
+
+# a massive tier that owes only itself
+SELF_OWING = (
+    gb.LiabilityProfile(owed_external=1.0),
+    gb.LiabilityProfile(owed_to_massive=0.1),
+    gb.LiabilityProfile(owed_to_central=0.5),
+)
 
 
 # --- dense reference solver -----------------------------------------------
@@ -185,13 +195,8 @@ def test_dense_monotone_in_assets():
 # --- tier-compressed solver -----------------------------------------------
 
 def test_compressed_matches_dense_on_toy():
-    profiles = (
-        gb.LiabilityProfile(owed_external=5.0),
-        gb.LiabilityProfile(1.0, 0.4, 0.6, 0.0),
-        gb.LiabilityProfile(0.2, 0.5, 0.1, 0.0),
-    )
-    net = tiered((1, 2, 2), profiles)
-    assets = np.array([0.5, 0.8, 0.3, 0.2, 0.9])
+    net, rows = toy_net()
+    assets = rows[1]
     comp = clear_tiered_batch(net, assets[None])
     ref = clearing_dense(expand_network(net, assets))
     scale = np.maximum(np.abs(ref.payments), 1e-12)
@@ -210,12 +215,7 @@ def test_compressed_matches_dense_random():
 
 
 def test_compressed_solvent_identity_zero_iterations():
-    profiles = (
-        gb.LiabilityProfile(owed_external=1.0),
-        gb.LiabilityProfile(0.1, 0.0, 0.1, 0.0),
-        gb.LiabilityProfile(0.05, 0.05, 0.0, 0.0),
-    )
-    net = tiered((1, 3, 4), profiles)
+    net = solvent_net()
     p_bar = np.array([1.0] + [0.2] * 3 + [0.1] * 4)
     out = clear_tiered_batch(net, (p_bar + 1.0)[None])
     assert np.allclose(out.payments[0], p_bar)
@@ -265,9 +265,7 @@ def test_compressed_degenerate_self_split():
         gb.LiabilityProfile(),
     )
     with pytest.raises(gb.DegenerateNetworkError):
-        sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0) for _ in range(3))
-        net = gb.GalacticNetwork((1, 1, 2), profiles, sheets, ggp=1.0, outstanding_debt=0.0)
-        clear_tiered_batch(net, np.zeros(4)[None])
+        clear_tiered_batch(tiered((1, 1, 2), profiles), np.zeros(4)[None])
 
 
 def test_picard_residuals_decrease():
@@ -314,14 +312,7 @@ def test_compressed_rejects_nan_assets_at_once(monkeypatch):
 
 
 def test_non_convergence_names_iterations_residuals_and_row(monkeypatch):
-    profiles = (
-        gb.LiabilityProfile(owed_external=5.0),
-        gb.LiabilityProfile(1.0, 0.4, 0.6, 0.0),
-        gb.LiabilityProfile(0.2, 0.5, 0.1, 0.0),
-    )
-    net = tiered((1, 2, 2), profiles)
-    # row 0 is solvent and settles at once; row 1 needs several iterations
-    assets = np.array([[10.0] * 5, [0.5, 0.8, 0.3, 0.2, 0.9]])
+    net, assets = toy_net()
     needed = clear_tiered_batch(net, assets)
     assert needed.iterations >= 3
     monkeypatch.setattr(clearing, "MAX_ITERATIONS", needed.iterations)
@@ -366,10 +357,8 @@ def blockwise(mp, network, assets):
     got["iterations"] = iterations.pop()
     got["residuals"] = tuple(
         float(r) for r in np.max([batch.residuals for batch in last], axis=0))
-    accounted = gb.ScenarioTable.from_clearing(network, clear_tiered_batch(network, assets))
-    for column in ("external_shortfall", "central_shortfall", "deposits_lost",
-                   "defaults_by_tier"):
-        assert np.array_equal(getattr(table, column), getattr(accounted, column)), column
+    assert_tables_equal(table, gb.ScenarioTable.from_clearing(
+        network, clear_tiered_batch(network, assets)))
     return got, passes
 
 
@@ -531,15 +520,8 @@ def test_several_central_banks_pay_outside_within_tolerance(monkeypatch):
 
 def simulate_calls(monkeypatch):
     """Record every `clear_tiered_batch` call `simulate` makes: its assets and result."""
-    calls = []
-    real = gb.risk.clear_tiered_batch
-
-    def clear_and_keep(network, assets, **kwargs):
-        calls.append((assets.copy(), real(network, assets, **kwargs)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(gb.risk, "clear_tiered_batch", clear_and_keep)
-    return calls
+    return record_calls(monkeypatch, gb.risk, "clear_tiered_batch",
+                        lambda call: (call.arguments["scenario_assets"].copy(), call.result))
 
 
 @pytest.mark.parametrize("order", ["worst-first", "best-first"])
@@ -561,9 +543,7 @@ def test_simulate_sweep_bitwise_equals_full_width(monkeypatch, order):
         monkeypatch.setattr(gb.risk, "common_factors", lambda seed, idx: -real(seed, idx))
     calls = simulate_calls(monkeypatch)
     table = gb.simulate_records(net, shock, bailout, config, rows, seed, 1)
-    for column in ("external_shortfall", "central_shortfall", "deposits_lost",
-                   "defaults_by_tier"):
-        assert np.array_equal(getattr(table, column), getattr(expected, column)), column
+    assert_tables_equal(table, expected)
     injections = gb.risk._injection_vector(net, bailout)[None, :]
     blocks = 0
     for lo in range(0, rows, chunk):
@@ -603,12 +583,8 @@ for array in (cleared.payments, cleared.defaulted, cleared.external_paid):
 def test_tiered_batch_bits_independent_of_blas_threads():
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(gb.__file__).resolve().parents[1])
-    digests = [
-        subprocess.run([sys.executable, "-c", CLEAR_DIGESTS], env=env | extra, check=True,
-                       capture_output=True, text=True, timeout=300).stdout
-        for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
-    ]
+    digests = [run_python(CLEAR_DIGESTS, env=env | extra).stdout
+               for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
     assert len(digests[0].split()) == 3
     assert digests[0] == digests[1]
 
@@ -767,26 +743,11 @@ def test_tier_sums_match_picard_on_headline_draw(headline_draw, per_massive, per
 
 
 def test_tier_sums_solvent_batch_needs_no_round():
-    profiles = (
-        gb.LiabilityProfile(owed_external=1.0),
-        gb.LiabilityProfile(0.1, 0.0, 0.1, 0.0),
-        gb.LiabilityProfile(0.05, 0.05, 0.0, 0.0),
-    )
-    net = tiered((1, 3, 4), profiles)
+    net = solvent_net()
     out = clear_tier_sums(net, sort_tiers(net, np.full((2, net.n_banks), 5.0)), [0, 0, 0])
     assert out.rounds == 0
     assert np.array_equal(out.sums, np.tile(tier_obligations(net), (2, 1)))
     assert not out.defaults.any()
-
-
-def toy_net():
-    profiles = (
-        gb.LiabilityProfile(owed_external=5.0),
-        gb.LiabilityProfile(1.0, 0.4, 0.6, 0.0),
-        gb.LiabilityProfile(0.2, 0.5, 0.1, 0.0),
-    )
-    # row 0 is solvent and settles at once; row 1 needs several rounds
-    return tiered((1, 2, 2), profiles), [[10.0] * 5, [0.5, 0.8, 0.3, 0.2, 0.9]]
 
 
 def test_tier_sums_round_cap_names_row(monkeypatch):
@@ -819,12 +780,7 @@ def test_tier_sums_zero_threshold_tie_pays_in_full():
     # a massive tier that owes only itself: with no assets its members'
     # threshold is exactly zero, which rounds to 1.4e-17; each still receives
     # what it owes, so the greatest clearing vector is full payment
-    profiles = (
-        gb.LiabilityProfile(owed_external=1.0),
-        gb.LiabilityProfile(owed_to_massive=0.1),
-        gb.LiabilityProfile(owed_to_central=0.5),
-    )
-    net = tiered((1, 7, 2), profiles)
+    net = tiered((1, 7, 2), SELF_OWING)
     assets = np.full((2, net.n_banks), 5.0)
     assets[1, net.tier_slice(gb.Tier.MASSIVE)] = 0.0
     out = clear_tier_sums(net, sort_tiers(net, assets), [0, 0, 0])
@@ -1043,12 +999,7 @@ def test_tier_sums_exactly_singular_system_names_row(monkeypatch):
     # threshold is 0 and the tie margin keeps them solvent; a margin on the
     # other side counts both as defaulting, and the tier's equation reads
     # 0 = 0, a system whose determinant is exactly 0
-    profiles = (
-        gb.LiabilityProfile(owed_external=1.0),
-        gb.LiabilityProfile(owed_to_massive=0.1),
-        gb.LiabilityProfile(owed_to_central=0.5),
-    )
-    net = tiered((1, 2, 2), profiles)
+    net = tiered((1, 2, 2), SELF_OWING)
     assets = np.full((2, net.n_banks), 5.0)
     assets[1, net.tier_slice(gb.Tier.MASSIVE)] = 0.0
     monkeypatch.setattr(clearing, "TIE_ULPS", -clearing.TIE_ULPS)

@@ -1,32 +1,30 @@
-import csv
 import json
 import re
+import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 import galbank as gb
-from galbank import config as config_module, report
+from galbank import cli, config as config_module, report
 from galbank.cli import main
 from galbank.config import DEFAULT_SEED
-from documented_runs import ACCEPTANCE, ACCEPTANCE_PATH, ROOT, workloads
+from harness import (ACCEPTANCE, ACCEPTANCE_PATH, ROOT, assert_every_command_rejects, read_csv,
+                     record_calls, workloads, write_config)
 
 README = ROOT / "README.md"
 
-def write_config(tmp_path: Path, data: dict) -> Path:
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(data))
-    return path
-
 
 def read_long_csv(path: Path) -> dict:
-    out = {}
-    with open(path) as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    for row in csv.DictReader(rows):
-        out[(row["scope"], row["metric"])] = row["value"]
-    return out
+    return {(row["scope"], row["metric"]): row["value"] for row in read_csv(path)}
+
+
+def simulate_summary(tmp_path: Path, name: str, *flags) -> dict:
+    """`galbank simulate <flags>` into tmp_path/name: its summary.csv metrics."""
+    out = tmp_path / name
+    assert main(["simulate", *flags, "--out", str(out)]) == 0
+    return {row["metric"]: float(row["value"]) for row in read_csv(out / "summary.csv")}
 
 
 # --- config parsing ---------------------------------------------------------
@@ -173,11 +171,8 @@ def test_unknown_field_rejected_with_location(tmp_path, capsys):
         data = {"grid": {key: 0.01}}
         with pytest.raises(gb.ConfigError, match=rf"grid\.{key}: unknown field"):
             gb.parse_config(data)
-        out = tmp_path / "out"
-        assert main(["frontier", "--config", str(write_config(tmp_path, data)),
-                     "--out", str(out)]) == 2
-        assert f"grid.{key}: unknown field" in capsys.readouterr().err
-        assert not out.exists()
+        assert_every_command_rejects(tmp_path, capsys, ["--config", write_config(tmp_path, data)],
+                                     rf"\Aconfig error: grid\.{key}: unknown field")
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(gb.CalibrationParams)])
@@ -195,18 +190,20 @@ def test_every_calibration_field_reaches_an_output(tmp_path, name):
 
 
 def test_invalid_values_rejected():
-    with pytest.raises(gb.ConfigError, match="correlation"):
-        gb.parse_config({"shock": {"correlation": 1.0}})
-    with pytest.raises(gb.ConfigError, match="n_scenarios"):
-        gb.parse_config({"n_scenarios": 0})
-    with pytest.raises(gb.ConfigError, match="tier_counts"):
-        gb.parse_config({"calibration": {"tier_counts": [1, 175]}})
-    with pytest.raises(gb.ConfigError, match="threshold_fraction"):
-        gb.parse_config({"loss": {"threshold_fraction": 0.0}})
-    with pytest.raises(gb.ConfigError, match="applies_to"):
-        gb.parse_config({"shock": {"applies_to": "everything"}})
-    with pytest.raises(gb.ConfigError, match="expected true/false"):
-        gb.parse_config({"loss": {"deposit_insurance": "yes"}})
+    for data, message in (
+        ({"shock": {"correlation": 1.0}}, "correlation"),
+        ({"n_scenarios": 0}, "n_scenarios"),
+        ({"calibration": {"tier_counts": [1, 175]}}, "tier_counts"),
+        ({"loss": {"threshold_fraction": 0.0}}, "threshold_fraction"),
+        ({"shock": {"applies_to": "everything"}}, "applies_to"),
+        ({"loss": {"deposit_insurance": "yes"}}, "expected true/false"),
+        ({"loss": {"confidence": 1.0}}, "loss: confidence must lie"),
+        ({"loss": {"bond_recovery": 1.5}}, "loss: bond_recovery must lie"),
+        ({"grid": {"resolution": 0.0}}, "grid: resolution must be"),
+        ({"calibration": {"ggp_endor": -1.0}}, "calibration: ggp_endor must be positive"),
+    ):
+        with pytest.raises(gb.ConfigError, match=message):
+            gb.parse_config(data)
 
 
 def test_grid_parsing():
@@ -261,13 +258,8 @@ def test_non_finite_numbers_rejected_before_output(tmp_path, capsys, data, locat
     with pytest.raises(gb.ConfigError, match=location):
         gb.parse_config(data)
     # json writes these as the non-standard NaN / Infinity literals
-    config = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    for command in ("calibrate", "simulate", "frontier"):
-        assert main([command, "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "finite" in err
-    assert not out.exists()
+    assert_every_command_rejects(tmp_path, capsys, ["--config", write_config(tmp_path, data)],
+                                 rf"\Aconfig error: {location}.*finite")
 
 
 @pytest.mark.parametrize("counts,tier", [([1, 1, 1], "MASSIVE"), ([1, 175, 1], "BIG")])
@@ -276,14 +268,9 @@ def test_single_bank_tier_with_same_tier_debt_is_config_error(tmp_path, capsys, 
     data = {"calibration": {"tier_counts": counts}}
     with pytest.raises(gb.ConfigError, match=rf"tier_counts .* tier {tier} 1 bank"):
         gb.parse_config(data)
-    config = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    for command in ("calibrate", "simulate", "frontier"):
-        assert main([command, "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: calibration: tier_counts")
-        assert f"tier {tier} 1 bank" in err and "needs at least 2" in err
-    assert not out.exists()
+    assert_every_command_rejects(tmp_path, capsys, ["--config", write_config(tmp_path, data)],
+                                 rf"\Aconfig error: calibration: tier_counts .*tier {tier} 1 bank"
+                                 r".*needs at least 2")
 
 
 def test_several_central_banks_are_config_error(tmp_path, capsys):
@@ -294,12 +281,8 @@ def test_several_central_banks_are_config_error(tmp_path, capsys):
                "the calibration has one central bank")
     with pytest.raises(gb.ConfigError, match=message):
         gb.parse_config(data)
-    config = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    for command in ("calibrate", "simulate", "frontier"):
-        assert main([command, "--config", str(config), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
+    assert_every_command_rejects(tmp_path, capsys, ["--config", write_config(tmp_path, data)],
+                                 rf"\Aconfig error: {re.escape(message)}\n\Z")
 
 
 def test_config_not_utf8_is_config_error(tmp_path, capsys):
@@ -308,12 +291,9 @@ def test_config_not_utf8_is_config_error(tmp_path, capsys):
     with pytest.raises(gb.ConfigError) as info:
         gb.load_config(path)
     assert str(info.value).startswith(f"config: {path} is not UTF-8 text")
-    out = tmp_path / "out"
-    for command in ("calibrate", "simulate", "frontier"):
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: config: {path} is not UTF-8 text")
-    assert not out.exists()
+    assert_every_command_rejects(
+        tmp_path, capsys, ["--config", str(path)],
+        rf"\Aconfig error: config: {re.escape(str(path))} is not UTF-8 text")
 
 
 def test_missing_config_file(tmp_path):
@@ -341,19 +321,42 @@ def test_cli_calibrate_default(tmp_path, capsys):
 
 
 def test_cli_calibrate_paid_off(tmp_path):
-    config = write_config(
-        tmp_path, {"calibration": {"ds1_paid_fraction": 1.0, "ds2_total_cost": 0.0}}
-    )
+    config = write_config(tmp_path, {"calibration": {"ds1_paid_fraction": 1.0,
+                                                      "ds2_total_cost": 0.0}})
     out = tmp_path / "cal0"
     assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 0
     summary = read_long_csv(out / "network_summary.csv")
     assert summary[("galaxy", "outstanding_debt")] == "0"
 
 
+# finite inputs whose calibration arithmetic leaves the finite range, each
+# with the per-bank amount that first reaches it
+@pytest.mark.parametrize("calibration,amount", [
+    ({"capital_buffer_per_tier": [1e308, 0.05, 0.05]}, "external_assets"),
+    ({"ds1_total_cost": 1.7e308, "ds2_total_cost": 1.7e308}, "bond_holdings_face"),
+], ids=["buffer", "debt"])
+def test_calibration_that_overflows_is_config_error(tmp_path, capsys, calibration, amount):
+    assert_every_command_rejects(
+        tmp_path, capsys, ["--config", write_config(tmp_path, {"calibration": calibration})],
+        rf"\Aconfig error: calibration: {amount} must be finite and non-negative, got inf\n\Z")
+
+
+def test_cli_default_out_is_a_fresh_stamped_directory(tmp_path, monkeypatch, capsys):
+    # without --out each run writes runs/<command>-<stamp>, suffixed -1, -2, ...
+    # when a run in the same second already took the name
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(time, "strftime", lambda fmt: "20260101-000000")
+    for name in ("calibrate-20260101-000000", "calibrate-20260101-000000-1"):
+        assert main(["calibrate"]) == 0
+        assert f"wrote {Path('runs') / name / 'network_summary.csv'}" in capsys.readouterr().out
+        assert (tmp_path / "runs" / name / "network_summary.csv").is_file()
+    assert len(list((tmp_path / "runs").iterdir())) == 2
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
-    config = write_config(tmp_path, {"shock": {"correl": 0.3}})
-    assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
-    assert "shock.correl" in capsys.readouterr().err
+    assert_every_command_rejects(tmp_path, capsys,
+                                 ["--config", write_config(tmp_path, {"shock": {"correl": 0.3}})],
+                                 r"\Aconfig error: shock\.correl: unknown field")
 
 
 def test_cli_overwrite_protection(tmp_path, capsys):
@@ -370,12 +373,9 @@ def test_cli_seed_outside_64_bits_is_config_error(tmp_path, capsys, seed):
     # draw the scenarios of 2**64 - 1
     with pytest.raises(gb.ConfigError, match=r"config\.seed: must lie in \[0, 2\*\*64\)"):
         gb.parse_config({"seed": seed})
-    out = tmp_path / "out"
-    for command in ("calibrate", "simulate", "frontier"):
-        assert main([command, "--seed", str(seed), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: --seed: config.seed: must lie in [0, 2**64), got {seed}" in err
-    assert not out.exists()
+    assert_every_command_rejects(
+        tmp_path, capsys, ["--seed", str(seed)],
+        re.escape(f"config error: --seed: config.seed: must lie in [0, 2**64), got {seed}"))
 
 
 @pytest.mark.parametrize("flag,value,field", [("--scenarios", "0", "n_scenarios"),
@@ -384,12 +384,8 @@ def test_cli_seed_outside_64_bits_is_config_error(tmp_path, capsys, seed):
 def test_cli_override_error_names_its_flag(tmp_path, capsys, flag, value, field):
     # the range is RunConfig's; the message begins with the flag that set the
     # value, not only the config field it lands in
-    out = tmp_path / "out"
-    for command in ("calibrate", "simulate", "frontier"):
-        assert main([command, flag, value, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {flag}: config.{field}: "), err
-    assert not out.exists()
+    assert_every_command_rejects(tmp_path, capsys, [flag, value],
+                                 rf"\Aconfig error: {flag}: config\.{field}: ")
 
 
 def test_cli_seed_range_ends_run_apart(tmp_path):
@@ -402,15 +398,13 @@ def test_cli_seed_range_ends_run_apart(tmp_path):
     assert losses[0] != losses[1]
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_cli_threads_below_one_is_usage_error(tmp_path, capsys, threads):
-    out = tmp_path / "out"
-    for command in ("calibrate", "simulate", "frontier"):
-        with pytest.raises(SystemExit) as info:
-            main([command, "--threads", threads, "--out", str(out)])
-        assert info.value.code == 2
-        assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("threads,message", [("0", "must be at least 1, got 0"),
+                                             ("-2", "must be at least 1, got -2"),
+                                             ("abc", "expected an integer, got 'abc'")],
+                         ids=["0", "-2", "abc"])
+def test_cli_threads_below_one_is_usage_error(tmp_path, capsys, threads, message):
+    assert_every_command_rejects(tmp_path, capsys, ["--threads", threads],
+                                 re.escape(f"argument --threads: {message}"), usage=True)
 
 
 def test_cli_unknown_criterion_is_usage_error(tmp_path, capsys):
@@ -435,40 +429,23 @@ def test_cli_simulate_deterministic_and_thread_invariant(tmp_path):
 
 
 def test_cli_simulate_reports(tmp_path):
+    summary = simulate_summary(tmp_path, "sim", "--scenarios", "200")
     out = tmp_path / "sim"
-    assert main(["simulate", "--scenarios", "200", "--out", str(out)]) == 0
-    with open(out / "summary.csv") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    summary = {row["metric"]: float(row["value"]) for row in csv.DictReader(rows)}
     assert summary["green_line"] == pytest.approx(515.5)
     assert round(summary["green_line_ggp_fraction"], 4) == 0.0846
     assert summary["n_scenarios"] == 200
-    with open(out / "histogram.csv") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    hist = list(csv.DictReader(rows))
+    hist = read_csv(out / "histogram.csv")
     assert len(hist) == 100
     assert sum(int(r["count_no_insurance"]) for r in hist) == 200
     assert sum(int(r["count_insurance"]) for r in hist) == 200
-    with open(out / "losses.csv") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    losses = list(csv.DictReader(rows))
+    losses = read_csv(out / "losses.csv")
     assert [int(r["scenario_index"]) for r in losses] == list(range(200))
 
 
 def test_cli_simulate_insurance_dominates(tmp_path):
     base = ["--scenarios", "150", "--seed", "3"]
-    plain, insured = tmp_path / "plain", tmp_path / "ins"
-    assert main(["simulate", *base, "--out", str(plain)]) == 0
-    assert main(["simulate", *base, "--insurance", "--out", str(insured)]) == 0
-
-    def mean_loss(path):
-        with open(path / "summary.csv") as fh:
-            rows = [r for r in fh if not r.startswith("#")]
-        stats = {row["metric"]: float(row["value"]) for row in csv.DictReader(rows)}
-        return stats
-
-    stats_plain = mean_loss(plain)
-    stats_ins = mean_loss(insured)
+    stats_plain = simulate_summary(tmp_path, "plain", *base)
+    stats_ins = simulate_summary(tmp_path, "ins", *base, "--insurance")
     # both runs expose both accounting views; the insured view never exceeds
     assert stats_plain["mean_loss_insurance"] <= stats_plain["mean_loss_no_insurance"]
     assert stats_ins["mean_loss_insurance"] == pytest.approx(
@@ -478,33 +455,18 @@ def test_cli_simulate_insurance_dominates(tmp_path):
 
 def test_cli_simulate_bailout_lowers_loss(tmp_path):
     base = ["--scenarios", "120", "--seed", "5"]
-    none, big = tmp_path / "none", tmp_path / "big"
-    assert main(["simulate", *base, "--out", str(none)]) == 0
-    assert main(["simulate", *base, "--bailout-big", "0.6", "--out", str(big)]) == 0
-
-    def stats(path):
-        with open(path / "summary.csv") as fh:
-            rows = [r for r in fh if not r.startswith("#")]
-        return {row["metric"]: float(row["value"]) for row in csv.DictReader(rows)}
-
-    assert stats(big)["mean_loss_no_insurance"] < stats(none)["mean_loss_no_insurance"]
+    none = simulate_summary(tmp_path, "none", *base)
+    big = simulate_summary(tmp_path, "big", *base, "--bailout-big", "0.6")
+    assert big["mean_loss_no_insurance"] < none["mean_loss_no_insurance"]
 
 
 def test_cli_frontier_trivial_threshold(tmp_path):
-    config = write_config(
-        tmp_path,
-        {
-            "loss": {"threshold_fraction": 0.9},
-            "grid": {"per_big": [0.0, 0.01]},
-            "n_scenarios": 50,
-        },
-    )
+    config = write_config(tmp_path, {"loss": {"threshold_fraction": 0.9},
+                                     "grid": {"per_big": [0.0, 0.01]}, "n_scenarios": 50})
     out = tmp_path / "front"
     assert main(["frontier", "--config", str(config), "--criterion", "all",
                  "--out", str(out)]) == 0
-    with open(out / "minima.csv") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    minima = {row["criterion"]: row for row in csv.DictReader(rows)}
+    minima = {row["criterion"]: row for row in read_csv(out / "minima.csv")}
     assert set(minima) == {"expectation", "var", "avar"}
     for row in minima.values():
         assert float(row["total"]) == 0.0
@@ -514,31 +476,20 @@ def test_cli_frontier_trivial_threshold(tmp_path):
 
 
 def test_cli_frontier_gaps_exit_code(tmp_path):
-    config = write_config(
-        tmp_path,
-        {
-            "grid": {"per_big": [0.0], "per_massive_cap": 0.1},
-            "n_scenarios": 30,
-        },
-    )
+    config = write_config(tmp_path, {"grid": {"per_big": [0.0], "per_massive_cap": 0.1},
+                                     "n_scenarios": 30})
     out = tmp_path / "gaps"
     assert main(["frontier", "--config", str(config), "--criterion", "expectation",
                  "--out", str(out)]) == 3
-    with open(out / "frontier.csv") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    points = list(csv.DictReader(rows))
+    points = read_csv(out / "frontier.csv")
     assert points[0]["attainable"] == "false"
     assert points[0]["minimal_per_massive"] == ""
 
 
 def test_cli_non_empty_out_fails_before_computing(tmp_path, monkeypatch, capsys):
-    import galbank.cli as cli
-
-    def never(*args, **kwargs):
-        raise AssertionError("computed before checking --out")
-
-    monkeypatch.setattr(cli, "simulate_records", never)
-    monkeypatch.setattr(cli, "bailout_frontier", never)
+    # a run that computed would raise `Stop` out of `main`
+    for name in ("simulate_records", "bailout_frontier"):
+        record_calls(monkeypatch, cli, name, stop=True)
     out = tmp_path / "full"
     out.mkdir()
     (out / "keep.txt").write_text("x")
@@ -554,12 +505,7 @@ def test_cli_non_empty_out_fails_before_computing(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("flag", ["--bailout-massive", "--bailout-big"])
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_cli_bad_bailout_is_config_error(tmp_path, monkeypatch, capsys, flag, value):
-    import galbank.cli as cli
-
-    def never(*args, **kwargs):
-        raise AssertionError("computed with an invalid bailout")
-
-    monkeypatch.setattr(cli, "simulate_records", never)
+    record_calls(monkeypatch, cli, "simulate_records", stop=True)  # raises if it computes
     out = tmp_path / "bad"
     assert main(["simulate", flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err

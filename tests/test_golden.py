@@ -1,46 +1,37 @@
-"""Byte contract: each benchmark workload's CSVs at the documented seed.
+"""Byte contract: each benchmark workload's CSVs at the block's seeds.
 
 Runs `galbank.cli.main` in-process for every workload of
-`perfbench/workloads.py`, at the documented seed and 1,000 scenarios, and
+`perfbench/workloads.py`, at 1,000 scenarios and the documented seed (the
+benchmark's 7 other block seeds under `slow`), and
 checks the exit code and the sha256 of every CSV against the digests in
-`perfbench/references.json`.  Both files are only read here.  A change that
+`perfbench/references.json`, both loaded by `harness.py`.  A change that
 moves any output bit fails this test; such a change must re-record the
 references and say why.  The same holds for `galbank calibrate`'s
 network_summary.csv, pinned below.
 """
 
 import hashlib
-import json
 
 import pytest
 
 from galbank.cli import main
-from documented_runs import ACCEPTANCE_PATH, ROOT, workloads
+from harness import ACCEPTANCE_PATH, REFERENCES, run_workload, workloads, write_config
 
 SCENARIOS = 1_000
-REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
+OTHER_SEEDS = [seed for seed in range(workloads.SEED_BASE,
+                                      workloads.SEED_BASE + workloads.SEED_BLOCK)
+               if seed != workloads.REFERENCE_SEED]
+
+
+def assert_recorded(tmp_path, name, seed):
+    expected = REFERENCES[name][str(SCENARIOS)][str(seed)]
+    assert run_workload(name, tmp_path, seed, SCENARIOS) == (expected["exit_code"],
+                                                             expected["sha256"])
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_workload_csv_bytes_match_references(tmp_path, name):
-    workload = workloads.WORKLOADS[name]
-    seed = workloads.REFERENCE_SEED
-    expected = REFERENCES[name][str(SCENARIOS)][str(seed)]
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(workload.config))
-    out = tmp_path / "out"
-
-    exit_code = main(workload.argv(config_path, out, seed, SCENARIOS))
-
-    assert exit_code == expected["exit_code"]
-    for csv_name in workload.outputs:
-        digest = hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
-        assert digest == expected["sha256"][csv_name], csv_name
-
-
-OTHER_SEEDS = [seed for seed in range(workloads.SEED_BASE,
-                                      workloads.SEED_BASE + workloads.SEED_BLOCK)
-               if seed != workloads.REFERENCE_SEED]
+    assert_recorded(tmp_path, name, workloads.REFERENCE_SEED)
 
 
 @pytest.mark.slow
@@ -48,16 +39,7 @@ OTHER_SEEDS = [seed for seed in range(workloads.SEED_BASE,
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_workload_csv_bytes_match_references_at_every_seed(tmp_path, name, seed):
     # the same check at the block's other seeds, each with its recorded digests
-    workload = workloads.WORKLOADS[name]
-    expected = REFERENCES[name][str(SCENARIOS)][str(seed)]
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(workload.config))
-    out = tmp_path / "out"
-
-    assert main(workload.argv(config_path, out, seed, SCENARIOS)) == expected["exit_code"]
-    for csv_name in workload.outputs:
-        digest = hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
-        assert digest == expected["sha256"][csv_name], (csv_name, seed)
+    assert_recorded(tmp_path, name, seed)
 
 
 # `galbank calibrate` is in no benchmark workload, so its one CSV is pinned
@@ -76,9 +58,7 @@ NETWORK_SUMMARY_SHA256 = {
 def test_network_summary_bytes_pinned(tmp_path, name):
     config, expected = NETWORK_SUMMARY_SHA256[name]
     if isinstance(config, dict):  # a document, not a committed file
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        config = path
+        config = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "network_summary.csv").read_bytes()).hexdigest() == expected

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import galbank as gb
 from galbank.network import _claims_face
+from harness import tiered
 from oracles import interbank_conservation_gap
 
 # per-bank footnote amounts: independent arithmetic oracle for claim faces
@@ -119,10 +120,8 @@ def test_network_rejects_bad_ggp_and_debt(field, bad):
 
 
 def test_zero_tier_count_rejected():
-    sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0) for _ in range(3))
     with pytest.raises(gb.DegenerateNetworkError, match="tier BIG needs at least one bank"):
-        gb.GalacticNetwork((1, 1, 0), (gb.LiabilityProfile(),) * 3, sheets,
-                           ggp=1.0, outstanding_debt=0.0)
+        tiered((1, 1, 0), (gb.LiabilityProfile(),) * 3)
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -163,9 +162,8 @@ def test_only_central_owes_external():
         gb.LiabilityProfile(owed_external=1.0),
         gb.LiabilityProfile(),
     )
-    sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0) for _ in range(3))
     with pytest.raises(gb.DegenerateNetworkError):
-        gb.GalacticNetwork((1, 2, 2), profiles, sheets, ggp=1.0, outstanding_debt=0.0)
+        tiered((1, 2, 2), profiles)
 
 
 def test_per_bank_vectors_layout():

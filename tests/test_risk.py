@@ -6,11 +6,8 @@ import operator
 import os
 import subprocess
 import sys
-import threading
-import tracemalloc
-from dataclasses import replace
+from dataclasses import fields
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,31 +16,20 @@ from hypothesis import given, settings, strategies as st
 
 import galbank as gb
 from galbank import clearing, report, risk
-from galbank.cli import build_parser, main
+from galbank.cli import main
 from galbank.clearing import _TierSystem, clear_tiered_batch, defaulting_prefixes
 from galbank.risk import _bisect_min, _AllocationEvaluator, _base_assets, _injection_vector
 import oracles
-from documented_runs import ACCEPTANCE, ROOT, workloads
+from harness import (ACCEPTANCE, REFERENCES, ROOT, assert_tables_equal, read_csv, record_calls,
+                     run_acceptance_frontier, run_workload, simulate_inputs, traced_memory,
+                     tiered, workloads, write_config)
 
 SEED = 20240917
-TABLE_COLUMNS = ("external_shortfall", "central_shortfall", "deposits_lost",
-                 "defaults_by_tier")
-
-
-def assert_tables_equal(a, b):
-    assert len(a) == len(b)
-    for column in TABLE_COLUMNS:
-        assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
 
 def central_only_network(obligation=10.0):
-    profiles = (
-        gb.LiabilityProfile(owed_external=obligation),
-        gb.LiabilityProfile(),
-        gb.LiabilityProfile(),
-    )
-    sheets = tuple(gb.BalanceSheet(0.0, 0.0, 0.0) for _ in range(3))
-    return gb.GalacticNetwork((1, 1, 1), profiles, sheets, ggp=100.0, outstanding_debt=10.0)
+    return tiered((1, 1, 1), (gb.LiabilityProfile(owed_external=obligation),
+                              gb.LiabilityProfile(), gb.LiabilityProfile()))
 
 
 # --- loss accounting --------------------------------------------------------
@@ -52,13 +38,20 @@ def account(network, assets):
     return gb.ScenarioTable.from_clearing(network, clear_tiered_batch(network, assets))
 
 
-def test_loss_zero_when_everyone_pays():
+def test_loss_zero_when_everyone_pays(tmp_path):
     net = gb.build_network()
     assets = net.external_assets_vector() + net.bond_face_vector()
     table = account(net, assets[None, :])
     assert table.loss(False)[0] == pytest.approx(0.0, abs=1e-9)
     assert table.n_defaults[0] == 0
     assert table.deposits_lost[0] == 0.0
+    # with no loss anywhere the histogram spans 0 to 1% of GGP, its one
+    # scenario in the first bin
+    assert table.loss(False).max() == 0.0
+    report.write_histogram_csv(tmp_path / "histogram.csv", table, net)
+    bins = read_csv(tmp_path / "histogram.csv")
+    assert float(bins[-1]["bin_right_pct_ggp"]) == 1.0
+    assert [b["count_no_insurance"] for b in bins] == ["1"] + ["0"] * (len(bins) - 1)
 
 
 def test_loss_central_shortfall_passthrough():
@@ -208,27 +201,24 @@ def test_chunked_table_bitwise_equals_row_loop_with_ragged_chunk(
     net = default_net
     shock = gb.ShockParams()
     config = gb.LossConfig()
-    records = {}
-    real_clear = risk.clear_tiered_batch
     # the assets `simulate` draws: +inf for the banks that surely pay in full
     drawn = risk._draw_base(net, shock, config, SEED, range(80),
                             risk._loss_floor(net, shock, config, bailout))
     drawn += _injection_vector(net, bailout)
-
-    def clear_and_record(network, assets, **kwargs):
-        # `simulate` clears a block of rows per call, worst first: find its
-        # scenarios by their assets; a block cleared again replaces its records
-        cleared = real_clear(network, assets, **kwargs)
-        indices = [int(np.flatnonzero((drawn == row).all(axis=1))[0]) for row in assets]
-        for record in _records_from_arrays(indices, network, cleared.defaulted,
-                                           cleared.payments, cleared.external_paid):
-            records[record[0]] = record
-        return cleared
-
-    monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_record)
+    calls = record_calls(monkeypatch, risk, "clear_tiered_batch")
     # chunks of 37, 37 and a ragged 6, run in order on one thread
     monkeypatch.setattr(risk, "DEFAULT_BATCH_SIZE", 37)
     table = gb.simulate_records(net, shock, bailout, config, 80, SEED, 1)
+    # `simulate` clears a block of rows per call, worst first: find its
+    # scenarios by their assets; a block cleared again replaces its records
+    records = {}
+    for call in calls:
+        cleared = call.result
+        indices = [int(np.flatnonzero((drawn == row).all(axis=1))[0])
+                   for row in call.arguments["scenario_assets"]]
+        for record in _records_from_arrays(indices, net, cleared.defaulted,
+                                           cleared.payments, cleared.external_paid):
+            records[record[0]] = record
     assert len(records) == len(table) == 80
     assert_table_matches_records(table, [records[i] for i in sorted(records)])
 
@@ -329,8 +319,18 @@ def test_empty_samples_rejected():
         gb.exceedance_probability(np.array([]), 1.0)
     with pytest.raises(ValueError):
         gb.average_var(np.array([]), 0.1)
+    for confidence in (0.0, 1.0):
+        with pytest.raises(ValueError, match="confidence"):
+            gb.average_var(np.array([1.0]), confidence)
     with pytest.raises(ValueError):
         gb.criterion_satisfied(np.array([]), gb.Criterion.EXPECTATION, 1.0, 0.1)
+    # nor may a run draw no scenarios
+    net = central_only_network()
+    with pytest.raises(ValueError, match="n_scenarios"):
+        gb.simulate_records(net, gb.ShockParams(), gb.BailoutAllocation(), gb.LossConfig(), 0,
+                            SEED)
+    with pytest.raises(ValueError, match="n_scenarios"):
+        _AllocationEvaluator(net, gb.ShockParams(), gb.LossConfig(), 0, SEED, 1)
 
 
 # --- Monte Carlo ------------------------------------------------------------
@@ -350,8 +350,7 @@ def test_monte_carlo_deterministic(default_net):
     assert len(a) == 40
     # row i is scenario i: a table of the first scenarios is a prefix
     head = gb.simulate_records(net, params, gb.BailoutAllocation(), config, 7, SEED)
-    for column in TABLE_COLUMNS:
-        assert np.array_equal(getattr(head, column), getattr(a, column)[:7]), column
+    assert_tables_equal(head, a.take(np.arange(7)))
 
 
 def test_monte_carlo_thread_invariance(default_net, monkeypatch):
@@ -625,15 +624,9 @@ CACHE_ALLOCATIONS = [
 
 
 def count_shock_draws(monkeypatch) -> list:
-    calls = []
-    real = risk.sample_loss_matrix
-
-    def counted(params, n_banks, seed, indices, **kwargs):
-        calls.append(indices)
-        return real(params, n_banks, seed, indices, **kwargs)
-
-    monkeypatch.setattr(risk, "sample_loss_matrix", counted)
-    return calls
+    """The indices of each `risk.sample_loss_matrix` call, in call order."""
+    return record_calls(monkeypatch, risk, "sample_loss_matrix",
+                        lambda call: call.arguments["indices"])
 
 
 def evaluate_all(net, shock, config, n_jobs=2):
@@ -741,7 +734,7 @@ FILL_SLACK = 48 * 1024
 
 
 def table_bytes(table) -> int:
-    return sum(getattr(table, column).nbytes for column in TABLE_COLUMNS)
+    return sum(getattr(table, column.name).nbytes for column in fields(gb.ScenarioTable))
 
 
 def test_evaluator_fill_holds_one_pool_width_above_the_cache(small_net, monkeypatch):
@@ -756,19 +749,13 @@ def test_evaluator_fill_holds_one_pool_width_above_the_cache(small_net, monkeypa
     sizes = chunk_bytes(small_net, shock, config, 4_000)
     for width in (1, 2):
         evaluator = _AllocationEvaluator(small_net, shock, config, 4_000, SEED, width)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            table = evaluator.table(gb.BailoutAllocation())
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        table, held, peak = traced_memory(lambda: evaluator.table(gb.BailoutAllocation()))
         kept = evaluator.kept.nbytes
         assert kept == sum(sizes)
         assert len(table) == 4_000
         returned = table_bytes(table)  # the per-chunk tables take as many bytes
-        assert after - before <= kept + returned + FILL_SLACK
-        assert peak - before <= kept + 2 * returned + width * (max(sizes) + FILL_SLACK)
+        assert held <= kept + returned + FILL_SLACK
+        assert peak <= kept + 2 * returned + width * (max(sizes) + FILL_SLACK)
         assert kept + width * (max(sizes) + FILL_SLACK) < 2 * kept
 
 
@@ -789,10 +776,8 @@ def test_evaluator_first_evaluation_keeps_the_bits_of_later_ones(small_net, monk
             first = evaluator.table(alloc)
             assert kept_chunks(evaluator) == [pos < cached_chunks for pos in range(3)]
             later = evaluator.table(alloc)
-            assert len(first) == len(later) == CACHE_SCENARIOS
-            for column in TABLE_COLUMNS:
-                a, b = getattr(first, column), getattr(later, column)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+            assert len(first) == CACHE_SCENARIOS
+            assert_tables_equal(first, later)
 
 
 def test_evaluator_cache_cap_on_calibrated_network(default_net):
@@ -836,12 +821,7 @@ def test_frontier_chunk_build_holds_one_sub_block(default_net):
                        (default_net, gb.ShockParams())]:
         evaluator = _AllocationEvaluator(net, shock, gb.LossConfig(), 500, SEED, 1)
         draw = largest_draw_prefix_bytes(evaluator)
-        tracemalloc.start()
-        try:
-            tiers = evaluator._build(0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tiers, _, peak = traced_memory(lambda: evaluator._build(0))
         buffer = risk.SUB_BLOCK_ROWS * net.n_banks * 8
         assert peak <= buffer + draw + tiers.nbytes + 2**20
 
@@ -857,50 +837,29 @@ def test_simulate_chunk_holds_no_float_matrix(default_net):
     block = clearing._block_rows(net.n_banks)
     for bailout in ORACLE_BAILOUTS:
         gb.simulate_records(net, gb.ShockParams(), bailout, gb.LossConfig(), 8, SEED)
-        tracemalloc.start()
-        try:
-            gb.simulate_records(net, gb.ShockParams(), bailout, gb.LossConfig(), 500, SEED)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_memory(lambda: gb.simulate_records(
+            net, gb.ShockParams(), bailout, gb.LossConfig(), 500, SEED))
         scratch = (max(risk.SUB_BLOCK_ROWS, block) + 2 * block) * net.n_banks * 8
         assert peak <= scratch + 2 * 2**20
 
 
-def benchmark_run(name: str) -> tuple:
-    """(calibration, shock, bailout, loss config, scenarios, seed, threads) of
-    the `simulate-<name>` benchmark workload, read from its config and argv as
-    `galbank simulate` reads them."""
-    workload = workloads.WORKLOADS[f"simulate-{name}"]
-    config = gb.parse_config(workload.config)
-    args = build_parser().parse_args(workload.argv(
-        "config.json", "out", workloads.REFERENCE_SEED, workload.scenarios))
-    bailout = gb.BailoutAllocation(per_massive=args.bailout_massive, per_big=args.bailout_big)
-    loss = replace(config.loss, deposit_insurance=args.insurance)
-    return config.calibration, config.shock, bailout, loss, args.scenarios, args.seed, args.threads
-
-
-BENCHMARK_RUNS = {name: benchmark_run(name) for name in ("headline", "bailout")}
-
-
-@pytest.mark.parametrize("name", list(BENCHMARK_RUNS))
-def test_worst_first_clears_no_block_again_at_documented_seed(monkeypatch, name):
+@pytest.mark.parametrize("name", ["headline", "bailout"])
+def test_worst_first_clears_no_block_again_at_documented_seed(monkeypatch, tmp_path, name):
     # the worst-shocked block sets each chunk's stop first, so every block is
-    # drawn and cleared once
-    calibration, shock, bailout, loss, scenarios, seed, threads = BENCHMARK_RUNS[name]
-    net = gb.build_network(calibration)
+    # drawn and cleared once.  The benchmark wraps `risk.sample_loss_matrix`
+    # and `risk.clear_tiered_batch`: one shocks call per SUB_BLOCK_ROWS rows
+    # drawn (a chunk of 500 ends in a 4-row draw) and one clearing call per
+    # block, every row once, so its shocks and clearing scenario counts agree
+    inputs = simulate_inputs(monkeypatch, tmp_path, f"simulate-{name}")
+    scenarios = inputs["n_scenarios"]
     draws = count_shock_draws(monkeypatch)
-    clears = []
-    real = risk.clear_tiered_batch
-
-    def clear_and_count(network, assets, **kwargs):
-        clears.append(assets.shape[0])
-        return real(network, assets, **kwargs)
-
-    monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_count)
-    gb.simulate_records(net, shock, bailout, loss, scenarios, seed, threads)
-    block = clearing._block_rows(net.n_banks)
-    assert len(clears) == scenarios // block and sum(clears) == scenarios
+    clears = record_calls(monkeypatch, risk, "clear_tiered_batch",
+                          lambda call: len(call.arguments["scenario_assets"]))
+    gb.simulate_records(**inputs)
+    sub, block = risk.SUB_BLOCK_ROWS, clearing._block_rows(inputs["network"].n_banks)
+    per_chunk = [sub] * (500 // sub) + [500 % sub]
+    assert sorted(len(c) for c in draws) == sorted(per_chunk * (scenarios // 500))
+    assert clears == [block] * (scenarios // block)
     assert (draws_per_scenario(draws, scenarios) == 1).all()
 
 
@@ -950,19 +909,10 @@ def test_evaluator_builds_on_the_pool_and_solves_cached_chunks_here(small_net,
     # room for the first chunk only
     monkeypatch.setattr(risk, "BASE_CACHE_BYTES", sizes[0])
     monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
-    pools, solved = [], []
-    real_pool, real_solve = risk.ThreadPoolExecutor, risk.clear_tier_sums
-
-    def pool(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    def solve(network, tiers, shift):
-        solved.append((tiers.rows, threading.current_thread() is threading.main_thread()))
-        return real_solve(network, tiers, shift)
-
-    monkeypatch.setattr(risk, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(risk, "clear_tier_sums", solve)
+    pools = record_calls(monkeypatch, risk, "ThreadPoolExecutor",
+                         lambda call: call.arguments["max_workers"])
+    solved = record_calls(monkeypatch, risk, "clear_tier_sums",
+                          lambda call: (call.arguments["tiers"].rows, call.main_thread))
     evaluator = _AllocationEvaluator(small_net, shock, config, CACHE_SCENARIOS, SEED, 2)
     for i, alloc in enumerate(CACHE_ALLOCATIONS):
         solved.clear()
@@ -980,29 +930,6 @@ def test_evaluator_builds_on_the_pool_and_solves_cached_chunks_here(small_net,
     for alloc in CACHE_ALLOCATIONS:
         evaluator.losses(alloc)
     assert pools == [2]
-
-
-def test_simulate_calls_each_hook_once_per_sub_block_and_block(monkeypatch):
-    # the benchmark wraps `risk.sample_loss_matrix` and `risk.clear_tiered_batch`:
-    # one shocks call per SUB_BLOCK_ROWS rows drawn and one clearing call per
-    # block, every row once, so its shocks and clearing scenario counts agree
-    calibration, shock, bailout, loss, _, seed, threads = BENCHMARK_RUNS["bailout"]
-    net = gb.build_network(calibration)
-    draws = count_shock_draws(monkeypatch)
-    clears = []
-    real = risk.clear_tiered_batch
-
-    def clear_and_count(network, assets, **kwargs):
-        clears.append(assets.shape[0])
-        return real(network, assets, **kwargs)
-
-    monkeypatch.setattr(risk, "clear_tiered_batch", clear_and_count)
-    gb.simulate_records(net, shock, bailout, loss, 1_000, seed, threads)
-    sub, block = risk.SUB_BLOCK_ROWS, clearing._block_rows(net.n_banks)
-    per_chunk = [sub] * (500 // sub) + [500 % sub]
-    assert sorted(len(c) for c in draws) == sorted(per_chunk * 2)
-    assert clears == [block] * (1_000 // block)
-    assert (draws_per_scenario(draws, 1_000) == 1).all()
 
 
 # --- banks that surely pay in full skip the copula transform -----------------
@@ -1145,15 +1072,14 @@ def test_solvers_agree_with_exact_rational_clearing(monkeypatch, name):
 
 
 def test_cli_frontier_csv_same_for_one_and_two_threads(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
+    config = write_config(tmp_path, {
         "calibration": {"tier_counts": [1, 5, 40],
                         "capital_buffer_per_tier": [0.15, 0.05, 0.5]},
         "shock": {"exempt_central": True},
         "loss": {"threshold_fraction": 0.0003},
         "grid": {"per_big": [0.0, 0.05, 0.2]},
         "n_scenarios": 1_050,
-    }))
+    })
     runs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
@@ -1203,39 +1129,20 @@ def test_usable_cores_within_cpu_count():
     assert 1 <= risk._usable_cores() <= (os.cpu_count() or 1)
 
 
-def _simulate_digests(tmp_path, name, blas_threads: str) -> dict:
-    """sha256 of each CSV of workload `name` at the documented seed and 1,000
-    scenarios, run in a fresh process at `blas_threads` OpenBLAS threads."""
-    workload = workloads.WORKLOADS[name]
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["OPENBLAS_NUM_THREADS"] = blas_threads
-    env["PYTHONPATH"] = str(Path(gb.__file__).resolve().parents[1])
-    run = tmp_path / f"{name}-blas-{blas_threads}"
-    run.mkdir()
-    config_path = run / "config.json"
-    config_path.write_text(json.dumps(workload.config))
-    out = run / "out"
-    subprocess.run(
-        [sys.executable, "-c", "import sys; from galbank.cli import main; "
-         "sys.exit(main(sys.argv[1:]))",
-         *workload.argv(config_path, out, workloads.REFERENCE_SEED, 1_000)],
-        env=env, check=True, capture_output=True, timeout=300,
-    )
-    return {csv_name: hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
-            for csv_name in workload.outputs}
-
-
 def test_losses_csv_independent_of_blas_threads(tmp_path):
     # each row's deposits are dotted in pieces no BLAS thread count splits
     # further, so both simulate workloads write their recorded bytes at 1 and
-    # 2 OpenBLAS threads; the references are only read here
-    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    # 2 OpenBLAS threads, each in a fresh process
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     for name in ("simulate-headline", "simulate-bailout"):
-        expected = references[name]["1000"][str(workloads.REFERENCE_SEED)]["sha256"]
+        expected = REFERENCES[name]["1000"][str(workloads.REFERENCE_SEED)]
         for blas_threads in ("1", "2"):
-            assert _simulate_digests(tmp_path, name, blas_threads) == expected, (
-                name, blas_threads)
+            root = tmp_path / f"{name}-blas-{blas_threads}"
+            root.mkdir()
+            run = run_workload(name, root, workloads.REFERENCE_SEED, 1_000,
+                               env={**env, "OPENBLAS_NUM_THREADS": blas_threads})
+            assert run == (expected["exit_code"], expected["sha256"]), (name, blas_threads)
 
 
 # --- the acceptance frontier's loss vectors ------------------------------------
@@ -1245,14 +1152,16 @@ def test_losses_csv_independent_of_blas_threads(tmp_path):
 FRONTIER_LOSSES_SHA256 = "b0ce1ad2e7803c228f904ef34db0915d5e027924d2a9e5641d9ee0922ef5e162"
 
 
-def test_acceptance_frontier_loss_vectors_keep_their_bits():
+def test_acceptance_frontier_loss_vectors_keep_their_bits(monkeypatch, tmp_path):
     # `frontier.csv` records only where each criterion holds, so a change to a
     # loss bit that moves no decision leaves it as it is; this pins the bits
-    config = ACCEPTANCE
-    net = gb.build_network(config.calibration)
-    evaluator = _AllocationEvaluator(net, config.shock, config.loss, 1_000, config.seed, 2)
-    for criterion in gb.Criterion:
-        gb.bailout_frontier(evaluator, criterion, config.grid)
+    # `galbank frontier --config configs/acceptance.json` computes
+    code, calls = run_acceptance_frontier(monkeypatch, tmp_path / "out", "--scenarios", "1000")
+    assert code == 3  # some grid points are unattainable at the cap
+    assert [call.arguments["criterion"] for call in calls] == list(gb.Criterion)
+    evaluator = calls[0].arguments["evaluator"]
+    assert all(call.arguments["evaluator"] is evaluator for call in calls)
+    assert len(evaluator.chunks) == 2 and evaluator.n_jobs == 2
     assert len(evaluator.cache) == 23
     digest = hashlib.sha256()
     for alloc in sorted(evaluator.cache, key=lambda a: (a.per_massive, a.per_big)):

@@ -1,9 +1,5 @@
 import hashlib
-import json
 import math
-import os
-import subprocess
-import sys
 
 import mpmath
 import numpy as np
@@ -19,6 +15,7 @@ from galbank.shocks import (
     common_factors,
     sample_loss_matrix,
 )
+from harness import run_python, write_config
 
 SEED = 987654321
 INDEPENDENT = gb.ShockParams(correlation=0.0)
@@ -200,6 +197,9 @@ def test_loss_matrix_buffer_checked(out):
 def test_floor_shape_checked():
     with pytest.raises(ValueError, match="floor"):
         sample_loss_matrix(gb.ShockParams(), 10, SEED, range(2), floor=np.zeros(9))
+    # no scenarios: an empty draw of the network's width
+    empty = sample_loss_matrix(gb.ShockParams(), 10, SEED, [], floor=np.zeros(10))
+    assert empty.shape == (0, 10)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -273,19 +273,13 @@ def test_cli_import_leaves_scipy_stats_out(tmp_path):
     # scipy.stats takes most of a second to import; neither the CLI's import
     # nor a general-beta simulate, whose marginal is `special.betaincinv`,
     # may pull it in
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"shock": {"beta_a": 2.0}}))
-    src = os.path.dirname(os.path.dirname(gb.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    config = write_config(tmp_path, {"shock": {"beta_a": 2.0}})
     probe = ("import sys, galbank.cli\n"
              "print('scipy.stats' in sys.modules)\n"
              "code = galbank.cli.main(sys.argv[1:])\n"
              "print(code, 'scipy.stats' in sys.modules)\n")
-    argv = ["simulate", "--config", str(config), "--scenarios", "8",
-            "--out", str(tmp_path / "out")]
-    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
-                            capture_output=True, text=True, check=True)
-    lines = result.stdout.splitlines()
+    lines = run_python(probe, "simulate", "--config", config, "--scenarios", "8",
+                       "--out", tmp_path / "out").stdout.splitlines()
     assert lines[0] == "False" and lines[-1] == "0 False"
 
 
